@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -30,7 +31,7 @@ from .grid import SpaceTimeGrid
 from .montecarlo import (epsilon_sweep, run_basic_mc, run_importance_sampling,
                          sample_terminal_states)
 from .noise import build_noise_model
-from .optimize import (RareEventSpec, initial_values, linear_interpolation_path,
+from .optimize import (initial_values, linear_interpolation_path,
                        linear_shift_path, midpoint_convexity_test,
                        minimize_ball, minimize_pinned, project_onto_pinning)
 from .rate import PathMatrix, discrete_lower_bound, rate
@@ -119,8 +120,7 @@ def cmd_optimize(cfg: RunConfig, out_dir: str, threads: int) -> None:
     scen = cfg.scenario
     i_shift = i_interp = ""
     if scen.kind == "displacement":
-        pin = RareEventSpec(kind=scen.kind, wave=scen.wave, x0=scen.x0,
-                            delta=0.0, boundary_width=scen.boundary_width)
+        pin = dataclasses.replace(scen, delta=0.0)
         i_shift = rate(project_onto_pinning(
             pin, cfg.grid, linear_shift_path(pin, cfg.grid),
             free_terminal=False), model)
@@ -178,9 +178,7 @@ def _sweep_point(args):
     grid = cfg.grid
     if T is not None:
         grid = SpaceTimeGrid.from_spacing(grid.L, grid.R, grid.dx, T, grid.dt)
-    scen = RareEventSpec(kind="displacement", wave=cfg.scenario.wave,
-                         x0=x0, delta=0.0,
-                         boundary_width=cfg.scenario.boundary_width)
+    scen = dataclasses.replace(cfg.scenario, x0=x0, delta=0.0)
     model = build_noise_model(cfg.noise_kind, grid, sigma=cfg.sigma, l_c=cfg.l_c)
     opt = minimize_pinned(scen, model)
     bound = discrete_lower_bound(opt.path, model)
@@ -235,9 +233,7 @@ def cmd_sweep_eps(cfg: RunConfig, out_dir: str, threads: int) -> None:
     scen = cfg.scenario
     forcing_pinned = forcing_ball = None
     if "is0" in estimators:
-        pin = RareEventSpec(kind=scen.kind, wave=scen.wave, x0=scen.x0,
-                            delta=0.0, target_wave=scen.target_wave,
-                            boundary_width=scen.boundary_width)
+        pin = dataclasses.replace(scen, delta=0.0)
         forcing_pinned = minimize_pinned(pin, model).forcing
     if "is-delta" in estimators:
         if not scen.delta > 0:
@@ -255,11 +251,7 @@ def cmd_sweep_eps(cfg: RunConfig, out_dir: str, threads: int) -> None:
 
 def cmd_convexity(cfg: RunConfig, out_dir: str, threads: int) -> None:
     model = _build(cfg)
-    scen = cfg.scenario
-    pin = RareEventSpec(kind=scen.kind, wave=scen.wave, x0=scen.x0, delta=0.0,
-                        target_wave=scen.target_wave,
-                        boundary_width=scen.boundary_width)
-    opt = minimize_pinned(pin, model)
+    opt = minimize_pinned(dataclasses.replace(cfg.scenario, delta=0.0), model)
     trials = cfg.run.trials if cfg.run.trials is not None else 10_000
     rng = np.random.default_rng(np.random.SeedSequence(cfg.run.seed,
                                                        spawn_key=(2,)))

@@ -4,10 +4,9 @@ Two problem classes are solved over the free path entries (interior cells of
 time slices 1..N-1, plus the interior terminal slice when a tolerance ball is
 allowed):
 
-* pinned terminal profile -> unconstrained quasi-Newton minimization
-  (full-memory BFGS for small problems, limited-memory above a size
-  threshold), strong Wolfe line search with c1 = 1e-4, c2 = 0.9, unit
-  initial step;
+* pinned terminal profile -> unconstrained limited-memory BFGS (two-loop
+  recursion over the last 20 curvature pairs), strong Wolfe line search
+  with c1 = 1e-4, c2 = 0.9, unit initial step;
 * terminal profile within a weighted L2 ball of radius delta -> augmented
   Lagrangian around the same inner engine, driving the KKT residual down.
 
@@ -18,6 +17,7 @@ midpoint-convexity spot check around a given path.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -194,8 +194,8 @@ def _strong_wolfe(evaluate, f0, d0, c1=1e-4, c2=0.9, alpha0=1.0,
                   max_expand=20, max_zoom=40):
     """Strong Wolfe line search (bracket + zoom).
 
-    evaluate(alpha) -> (f, g, slope) along the search ray.  Returns
-    (alpha, f, g) at an accepted step, or None on failure.
+    evaluate(alpha) -> (f, g, slope) along the search ray, with f finite.
+    Returns (alpha, f, g) at an accepted step, or None on failure.
     """
 
     def zoom(lo, f_lo, g_lo, d_lo, hi, f_hi):
@@ -210,7 +210,7 @@ def _strong_wolfe(evaluate, f0, d0, c1=1e-4, c2=0.9, alpha0=1.0,
             if not (min(lo, hi) + 0.1 * span <= a <= max(lo, hi) - 0.1 * span):
                 a = 0.5 * (lo + hi)
             f, g, d = evaluate(a)
-            if not np.isfinite(f) or f > f0 + c1 * a * d0 or f >= f_lo:
+            if f > f0 + c1 * a * d0 or f >= f_lo:
                 hi, f_hi = a, f
             else:
                 if abs(d) <= -c2 * d0:
@@ -228,11 +228,6 @@ def _strong_wolfe(evaluate, f0, d0, c1=1e-4, c2=0.9, alpha0=1.0,
     alpha = alpha0
     for i in range(max_expand):
         f, g, d = evaluate(alpha)
-        if not np.isfinite(f):
-            alpha *= 0.5  # stepped past the region where the rate is finite
-            if alpha < 1e-20:
-                return None
-            continue
         if f > f0 + c1 * alpha * d0 or (i > 0 and f >= f_prev):
             return zoom(alpha_prev, f_prev, g_prev, d_prev, alpha, f)
         if abs(d) <= -c2 * d0:
@@ -245,13 +240,14 @@ def _strong_wolfe(evaluate, f0, d0, c1=1e-4, c2=0.9, alpha0=1.0,
 
 
 def minimize_smooth(fun_grad, x0: np.ndarray, gtol, max_iter: int = 5000,
-                    dense_limit: int = 1500, memory: int = 20) -> MinimizeResult:
-    """Quasi-Newton minimization with a strong Wolfe line search.
+                    memory: int = 20) -> MinimizeResult:
+    """Limited-memory BFGS with a strong Wolfe line search.
 
     fun_grad(x) -> (f, g).  gtol is a float or a callable f -> tolerance on
-    the sup norm of the gradient.  Problems with more than `dense_limit`
-    variables use limited-memory updates of rank `memory` instead of the
-    dense inverse Hessian.
+    the sup norm of the gradient.  The search direction comes from the
+    two-loop recursion over the last `memory` curvature pairs (Nocedal &
+    Wright, Numerical Optimization, 2006, ch. 7).  Raises ValueError as soon
+    as fun_grad returns a non-finite f, at x0 or during a line search.
     """
     tol_of = gtol if callable(gtol) else (lambda f: gtol)
     x = np.asarray(x0, dtype=float).copy()
@@ -260,9 +256,7 @@ def minimize_smooth(fun_grad, x0: np.ndarray, gtol, max_iter: int = 5000,
     if not np.isfinite(f):
         raise ValueError("objective is not finite at the initial point")
 
-    dense = n <= dense_limit
-    H = np.eye(n) if dense else None
-    pairs: list[tuple[np.ndarray, np.ndarray, float]] = []
+    pairs: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=memory)
 
     best_x, best_f, best_g = x.copy(), f, g.copy()
     message = "converged"
@@ -272,33 +266,27 @@ def minimize_smooth(fun_grad, x0: np.ndarray, gtol, max_iter: int = 5000,
         gnorm = float(np.max(np.abs(g))) if n else 0.0
         if gnorm <= tol_of(f):
             break
-        if dense:
-            p = -(H @ g)
-        else:
-            p = _two_loop_direction(g, pairs)
+        p = _two_loop_direction(g, pairs)
         d0 = float(p @ g)
         steepest = d0 >= 0
         if steepest:  # stale curvature; restart from steepest descent
             p = -g
             d0 = float(p @ g)
-            if dense:
-                H = np.eye(n)
-            else:
-                pairs.clear()
+            pairs.clear()
 
         def make_eval(x, p):
             def evaluate(alpha):
                 fa, ga = fun_grad(x + alpha * p)
+                if not np.isfinite(fa):
+                    raise ValueError(
+                        "objective is not finite during the line search")
                 return fa, ga, float(ga @ p)
             return evaluate
 
         ls = _strong_wolfe(make_eval(x, p), f, d0)
         if ls is None and not steepest:
             # quasi-Newton direction stalled (flux kinks); retry restarted
-            if dense:
-                H = np.eye(n)
-            else:
-                pairs.clear()
+            pairs.clear()
             p = -g
             d0 = float(p @ g)
             ls = _strong_wolfe(make_eval(x, p), f, d0)
@@ -315,16 +303,7 @@ def minimize_smooth(fun_grad, x0: np.ndarray, gtol, max_iter: int = 5000,
             best_x, best_f, best_g = x.copy(), f, g.copy()
         sy = float(s @ y)
         if sy > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
-            if dense:
-                rho = 1.0 / sy
-                Hy = H @ y
-                coef = rho * rho * float(y @ Hy) + rho
-                H -= rho * (np.outer(s, Hy) + np.outer(Hy, s))
-                H += coef * np.outer(s, s)
-            else:
-                pairs.append((s, y, 1.0 / sy))
-                if len(pairs) > memory:
-                    pairs.pop(0)
+            pairs.append((s, y, 1.0 / sy))
         k += 1
     else:
         message = "iteration limit reached"
@@ -372,8 +351,7 @@ class OptimalPath:
 
 def minimize_pinned(scen: RareEventSpec, model: NoiseModel,
                     init: PathMatrix | None = None,
-                    gtol_rel: float = 1e-6, max_iter: int = 5000,
-                    dense_limit: int = 1500) -> OptimalPath:
+                    gtol_rel: float = 1e-6, max_iter: int = 5000) -> OptimalPath:
     """Minimize the rate with the terminal slice pinned to the target.
 
     Stops when ||grad||_inf <= gtol_rel * max(1, I) or after max_iter
@@ -393,13 +371,11 @@ def minimize_pinned(scen: RareEventSpec, model: NoiseModel,
     def fun_grad(x):
         work[mask] = x
         value, grad = rate_and_gradient(path, model)
-        if not np.isfinite(value):
-            raise ValueError("rate function is not finite during optimization")
         return value, grad[mask]
 
     res = minimize_smooth(fun_grad, init.q[mask],
                           gtol=lambda f: gtol_rel * max(1.0, f),
-                          max_iter=max_iter, dense_limit=dense_limit)
+                          max_iter=max_iter)
     work[mask] = res.x
     final = PathMatrix(work.copy(), grid, scen.wave)
     return OptimalPath(path=final, rate_value=res.f,
@@ -418,9 +394,8 @@ def terminal_distance_sq(q_terminal: np.ndarray, target: np.ndarray,
 
 def minimize_ball(scen: RareEventSpec, model: NoiseModel,
                   init: PathMatrix | None = None,
-                  kkt_tol: float = 1e-5, activity_tol: float = 1e-6,
-                  max_outer: int = 40, max_iter: int = 5000,
-                  dense_limit: int = 1500) -> OptimalPath:
+                  kkt_tol: float = 1e-5, activity_tol: float = 1e-8,
+                  max_outer: int = 40, max_iter: int = 5000) -> OptimalPath:
     """Minimize the rate subject to dx sum_m (q^N_m - target_m)^2 <= delta^2.
 
     Augmented Lagrangian over the pinned-style free variables plus the free
@@ -458,8 +433,6 @@ def minimize_ball(scen: RareEventSpec, model: NoiseModel,
         def fun_grad(xv, lam=lam, mu=mu):
             work[mask] = xv
             value, grad = rate_and_gradient(path, model)
-            if not np.isfinite(value):
-                raise ValueError("rate function is not finite during optimization")
             c = terminal_distance_sq(work[term_row], target, dx) - delta_sq
             t = lam + mu * c
             if t > 0:
@@ -474,7 +447,7 @@ def minimize_ball(scen: RareEventSpec, model: NoiseModel,
         res = minimize_smooth(
             fun_grad, x,
             gtol=lambda f: max(kkt_tol * 0.01, inner_tol) * max(1.0, abs(f)),
-            max_iter=max_iter, dense_limit=dense_limit)
+            max_iter=max_iter)
         x = res.x
         total_iters += res.iterations
         c = constraint(x)

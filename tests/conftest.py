@@ -65,3 +65,14 @@ def pinned_exp_opt(displacement_scen, exp_model):
 @pytest.fixture(scope="session")
 def ball_exp_opt(ball_scen, exp_model):
     return minimize_ball(ball_scen, exp_model)
+
+
+@pytest.fixture(scope="session")
+def ball_ladder(ball_scen, exp_model, ball_exp_opt):
+    """Ball optima at delta in {1.0, sqrt(0.5), 0.5} (benchmark noise)."""
+    out = {DELTA: ball_exp_opt}
+    for delta in (1.0, 0.5):
+        scen = RareEventSpec("displacement", ball_scen.wave, x0=5.0,
+                             delta=delta)
+        out[delta] = minimize_ball(scen, exp_model)
+    return out

@@ -1,8 +1,9 @@
 """Acceptance suite: every criterion at its stated tolerance.
 
 Each test prints one PASS/FAIL line (run with `pytest -s` to see them all).
-The expensive shared computations (displacement sweeps, ball optima, the
-estimator sweep) are module-scoped fixtures so each runs once.
+The expensive shared computations (displacement sweeps, the estimator sweep)
+are module-scoped fixtures so each runs once; the ball optima are the
+session-scoped `ball_ladder` of conftest.py.
 """
 
 import math
@@ -21,8 +22,8 @@ from shockld.montecarlo import (epsilon_sweep, importance_weights,
 from shockld.noise import build_noise_model, sample_increments
 from shockld.optimize import (RareEventSpec, _scaffold, free_mask,
                               linear_interpolation_path, linear_shift_path,
-                              midpoint_convexity_test, minimize_ball,
-                              minimize_pinned, project_onto_pinning)
+                              midpoint_convexity_test, minimize_pinned,
+                              project_onto_pinning)
 from shockld.rate import (PathMatrix, discrete_lower_bound, rate,
                           rate_and_gradient)
 
@@ -72,17 +73,6 @@ def T_sweeps():
             model = build_noise_model("identity", grid)
             rows.append((T,) + optimize_displacement(20.0, grid, model, D=D))
         out[D] = rows
-    return out
-
-
-@pytest.fixture(scope="module")
-def ball_ladder(ball_scen, exp_model, ball_exp_opt):
-    """Ball optima at delta in {1.0, sqrt(0.5), 0.5} (benchmark noise)."""
-    out = {DELTA: ball_exp_opt}
-    for delta in (1.0, 0.5):
-        scen = RareEventSpec("displacement", ball_scen.wave, x0=5.0,
-                             delta=delta)
-        out[delta] = minimize_ball(scen, exp_model)
     return out
 
 

@@ -59,18 +59,36 @@ class TestScenario:
 
 
 class TestEngine:
-    def test_quadratic_dense_and_limited_memory(self):
+    def test_quadratic_limited_memory(self):
         rng = np.random.default_rng(20)
         A = rng.standard_normal((12, 12))
         A = A @ A.T + 12 * np.eye(12)
         b = rng.standard_normal(12)
         fun = lambda x: (0.5 * x @ A @ x - b @ x, A @ x - b)
         x_star = np.linalg.solve(A, b)
-        for dense_limit in (100, 0):
-            res = minimize_smooth(fun, np.zeros(12), gtol=1e-10,
-                                  dense_limit=dense_limit)
-            assert res.converged
-            assert np.allclose(res.x, x_star, atol=1e-7)
+        res = minimize_smooth(fun, np.zeros(12), gtol=1e-10)
+        assert res.converged
+        assert np.allclose(res.x, x_star, atol=1e-7)
+
+    def test_ill_conditioned_quadratic_past_memory(self):
+        # condition number 1e4 in 60 variables needs far more iterations
+        # than the 20 stored curvature pairs, so the oldest are dropped.
+        # f is written in the error e = x - x* so that its rounding shrinks
+        # with f and a 1e-10 gradient stays resolvable by the line search.
+        rng = np.random.default_rng(60)
+        Q, _ = np.linalg.qr(rng.standard_normal((60, 60)))
+        A = (Q * np.logspace(0, 4, 60)) @ Q.T
+        x_star = rng.standard_normal(60)
+
+        def fun(x):
+            Ae = A @ (x - x_star)
+            return 0.5 * float((x - x_star) @ Ae), Ae
+
+        res = minimize_smooth(fun, np.zeros(60), gtol=1e-10, memory=20)
+        assert res.converged
+        assert res.iterations > 20
+        assert np.max(np.abs(res.grad)) <= 1e-10
+        assert np.allclose(res.x, x_star, rtol=0, atol=1e-9)
 
     def test_rosenbrock(self):
         def fun(x):
@@ -86,6 +104,17 @@ class TestEngine:
     def test_nonfinite_start_raises(self):
         fun = lambda x: (float("nan"), x)
         with pytest.raises(ValueError):
+            minimize_smooth(fun, np.ones(3), gtol=1e-8)
+
+    def test_nonfinite_during_line_search_raises(self):
+        # finite at x0 = 1, NaN once any coordinate drops below 0.5: the
+        # unit steepest-descent step lands at 0
+        def fun(x):
+            f = 0.5 * float(x @ x) if np.all(x >= 0.5) else float("nan")
+            return f, x.copy()
+
+        assert np.isfinite(fun(np.ones(3))[0])
+        with pytest.raises(ValueError, match="line search"):
             minimize_smooth(fun, np.ones(3), gtol=1e-8)
 
 
@@ -158,6 +187,13 @@ class TestMinimizeBall:
         assert opt.multiplier > 0
         # reported KKT stationarity meets the solver target
         assert opt.gradient_norm <= 1e-5 * max(1.0, opt.rate_value)
+
+    def test_ball_ladder_meets_activity_default(self, ball_ladder):
+        # minimize_ball's default activity_tol; criterion 05 asks only 1e-6
+        for delta, opt in ball_ladder.items():
+            assert opt.converged
+            act = abs(opt.terminal_distance_sq - delta ** 2) / delta ** 2
+            assert act <= 1e-8, (delta, act)
 
     def test_ball_optimum_below_pinned(self, ball_exp_opt, pinned_exp_opt):
         assert ball_exp_opt.rate_value < pinned_exp_opt.rate_value
