@@ -28,7 +28,7 @@ from .diagnostics import (analytic_center_law, analytic_exit_probability,
                           transition_margin_ok, wave_centers)
 from .fluxes import check_cfl
 from .grid import SpaceTimeGrid
-from .montecarlo import (epsilon_sweep, run_basic_mc, run_importance_sampling,
+from .montecarlo import (run_basic_mc, run_estimators, run_importance_sampling,
                          sample_terminal_states)
 from .noise import build_noise_model
 from .optimize import (initial_values, linear_interpolation_path,
@@ -225,25 +225,34 @@ def cmd_sweep_T(cfg: RunConfig, out_dir: str, threads: int, text: str = "") -> N
     print(f"sweep-T: {len(rows)} points -> rate_summary.csv")
 
 
+def _eps_point(args):
+    """Worker for sweep-eps: every estimator at one eps, one kernel call."""
+    scen, model, eps, K, forcings, seed, run_key = args
+    return run_estimators(scen, model, eps, K, forcings, seed, run_key=run_key)
+
+
 def cmd_sweep_eps(cfg: RunConfig, out_dir: str, threads: int) -> None:
     model = _build(cfg)
     eps_grid = _require(cfg.run.eps_grid, "eps_grid")
     K = _require(cfg.run.K, "K")
     estimators = cfg.run.estimators or ("mc", "is-delta")
     scen = cfg.scenario
-    forcing_pinned = forcing_ball = None
+    forcing = {"mc": None}
     if "is0" in estimators:
         pin = dataclasses.replace(scen, delta=0.0)
-        forcing_pinned = minimize_pinned(pin, model).forcing
+        forcing["is0"] = minimize_pinned(pin, model).forcing
     if "is-delta" in estimators:
         if not scen.delta > 0:
             raise ConfigError("estimator is-delta requires scenario.delta > 0")
-        forcing_ball = minimize_ball(scen, model).forcing
-    results = epsilon_sweep(scen, model, eps_grid, K, estimators, cfg.run.seed,
-                            forcing_pinned=forcing_pinned,
-                            forcing_ball=forcing_ball)
+        forcing["is-delta"] = minimize_ball(scen, model).forcing
+    forcings = [forcing[name] for name in estimators]
+    # run key i for the i-th eps, as in epsilon_sweep
+    items = [(scen, model, eps, K, forcings, cfg.run.seed, i)
+             for i, eps in enumerate(eps_grid)]
+    results = _map_points(_eps_point, items, threads)
     rows = [_report_row(eps, name, rep, cfg.run.seed)
-            for eps, name, rep in results]
+            for eps, reps in zip(eps_grid, results)
+            for name, rep in zip(estimators, reps)]
     _write_csv(os.path.join(out_dir, "reports.csv"), REPORT_COLUMNS, rows)
     _write_meta(out_dir, "sweep_eps_meta.json", cfg, {"subcommand": "sweep-eps"})
     print(f"sweep-eps: {len(rows)} reports -> reports.csv")

@@ -11,8 +11,8 @@ A configuration document has five sections:
     }
 
 Unknown keys are rejected and every reported error names the offending key.
-Mode-specific run keys (eps_grid, x0_grid, T_grid, estimators, trials,
-exit_probability, mode, out) are optional here and checked by the
+Subcommand-specific run keys (eps_grid, x0_grid, T_grid, estimators, trials,
+exit_probability, out) are optional here and checked by the
 subcommands that need them.
 """
 
@@ -42,7 +42,6 @@ class RunSettings:
     trials: int | None = None
     estimators: tuple[str, ...] | None = None
     exit_probability: float | None = None
-    mode: str | None = None
     out: str | None = None
 
 
@@ -56,10 +55,6 @@ class RunConfig:
     scenario: RareEventSpec
     run: RunSettings
     raw: dict = field(repr=False)
-
-
-_MODES = ("optimize", "mc", "is", "sweep-x0", "sweep-T", "sweep-eps",
-          "convexity", "center-diagnostics")
 
 
 def _section(doc: dict, name: str) -> dict:
@@ -194,8 +189,7 @@ def parse_config(text: str) -> RunConfig:
 
     r = _section(doc, "run")
     _check_keys(r, "run", {"seed", "K", "eps", "eps_grid", "x0_grid", "T_grid",
-                           "trials", "estimators", "exit_probability", "mode",
-                           "out"})
+                           "trials", "estimators", "exit_probability", "out"})
     seed = _integer(r, "run", "seed")
     if seed < 0:
         raise ConfigError("run.seed must be nonnegative")
@@ -211,9 +205,6 @@ def parse_config(text: str) -> RunConfig:
     exit_p = _number(r, "run", "exit_probability", required=False)
     if exit_p is not None and not 0 < exit_p < 1:
         raise ConfigError("run.exit_probability must be inside (0, 1)")
-    mode = r.get("mode")
-    if mode is not None and mode not in _MODES:
-        raise ConfigError(f"run.mode must be one of {_MODES}, got {mode!r}")
     out = r.get("out")
     if out is not None and not isinstance(out, str):
         raise ConfigError("type mismatch: run.out must be a string")
@@ -233,6 +224,6 @@ def parse_config(text: str) -> RunConfig:
                       x0_grid=_number_list(r, "run", "x0_grid"),
                       T_grid=_number_list(r, "run", "T_grid"),
                       trials=trials, estimators=estimators,
-                      exit_probability=exit_p, mode=mode, out=out)
+                      exit_probability=exit_p, out=out)
     return RunConfig(grid=grid, wave=wave, noise_kind=kind, sigma=sigma,
                      l_c=l_c, scenario=scen, run=run, raw=doc)

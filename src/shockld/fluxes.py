@@ -87,16 +87,24 @@ def godunov_flux(q_left, q_right, gamma: float):
 
     min of F over [q_left, q_right] when q_left <= q_right (with the sonic
     point q = gamma as an interior candidate), max over the endpoints
-    otherwise.  Broadcasts over array inputs.
+    otherwise.  For this convex flux both cases are the closed form
+
+        F = max((max(q_left, gamma) - gamma)^2, (min(q_right, gamma) - gamma)^2) / 2,
+
+    which selects the same float as the case split, on ties and at the sonic
+    point too.  Broadcasts over array inputs.
     """
     ql = np.asarray(q_left, dtype=float)
     qr = np.asarray(q_right, dtype=float)
-    fl = 0.5 * (ql - gamma) ** 2
-    fr = 0.5 * (qr - gamma) ** 2
-    increasing = ql <= qr
-    sonic_inside = increasing & (ql <= gamma) & (gamma <= qr)
-    out = np.where(increasing, np.minimum(fl, fr), np.maximum(fl, fr))
-    out = np.where(sonic_inside, 0.0, out)
+    shape = np.broadcast_shapes(ql.shape, qr.shape)
+    out = np.maximum(ql, gamma, out=np.empty(shape))
+    out -= gamma
+    out *= out
+    right = np.minimum(qr, gamma, out=np.empty(shape))
+    right -= gamma
+    right *= right
+    np.maximum(out, right, out=out)
+    out *= 0.5
     if out.ndim == 0:
         return float(out)
     return out
@@ -143,9 +151,15 @@ def drift(values: np.ndarray, grid: SpaceTimeGrid, wave: WaveSpec) -> np.ndarray
     values = np.asarray(values, dtype=float)
     dx = grid.dx
     F = godunov_flux(values[..., :-1], values[..., 1:], wave.gamma)
-    conv = -(F[..., 1:] - F[..., :-1]) / dx
-    diff = (values[..., 2:] - 2.0 * values[..., 1:-1] + values[..., :-2]) / (dx * dx)
-    return conv + wave.D * diff
+    out = np.subtract(F[..., :-1], F[..., 1:])
+    out /= dx
+    lap = values[..., 1:-1] * -2.0
+    lap += values[..., 2:]
+    lap += values[..., :-2]
+    lap /= dx * dx
+    lap *= wave.D
+    out += lap
+    return out
 
 
 def euler_step(values: np.ndarray, grid: SpaceTimeGrid, wave: WaveSpec, bc,

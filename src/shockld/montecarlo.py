@@ -17,9 +17,17 @@ and reweights each sample by the exact Gaussian likelihood ratio
 
 so that E[indicator * w] is the original-event probability for any forcing.
 
+One trajectory kernel serves every estimator.  It takes a sequence of
+forcings (None for the untilted scheme) and works through the samples in
+chunks: per chunk it opens each sample's stream once, draws and colors the
+normals once, and then steps one trajectory batch per forcing from that
+single batch of increments.  An epsilon sweep therefore runs mc, is0 and
+is-delta at one eps from one set of draws; the likelihood weights reuse the
+whitened draws and their squared norms.
+
 Seeding contract: a 64-bit root seed expands into one independent stream per
 sample index (counter-based spawn keys), so the draws of sample k never
-depend on K, on chunking, or on which estimator consumes them.  Statistics
+depend on K, on chunking, or on which estimators consume them.  Statistics
 reduce in deterministic index order.
 """
 
@@ -37,6 +45,7 @@ __all__ = [
     "EstimatorReport",
     "event_indicator",
     "run_basic_mc",
+    "run_estimators",
     "likelihood_ratio",
     "run_importance_sampling",
     "importance_weights",
@@ -77,6 +86,15 @@ def sample_stream(seed: int, run_key: int, k: int) -> np.random.Generator:
         np.random.SeedSequence(seed, spawn_key=(_DOMAIN_MC, run_key, k)))
 
 
+def _normals(seed: int, run_key: int, start: int, stop: int,
+             shape: tuple[int, ...]) -> np.ndarray:
+    """Standard normals of samples start..stop-1, each from its own stream."""
+    z = np.empty((stop - start,) + shape)
+    for j, k in enumerate(range(start, stop)):
+        z[j] = sample_stream(seed, run_key, k).standard_normal(shape)
+    return z
+
+
 def event_indicator(terminal: np.ndarray, target: np.ndarray, delta: float,
                     dx: float) -> bool:
     """Exact weighted-L2 ball test dx sum (Q - target)^2 <= delta^2."""
@@ -97,14 +115,31 @@ def _report(p: np.ndarray, eps: float, hits: int) -> EstimatorReport:
         flagged_saturated=bool(rel >= 0.9 * np.sqrt(K)))
 
 
-def _simulate(scen: RareEventSpec, model: NoiseModel, eps: float, K: int,
-              seed: int, run_key: int, forcing: np.ndarray | None,
-              keep_terminals: bool = False):
-    """Evolve K trajectories; return (p-values, hits, terminals or None).
+def _log_weights(y: np.ndarray, shift: np.ndarray, scale: float,
+                 y_sq: np.ndarray | None = None) -> np.ndarray:
+    """Gaussian log-likelihood ratio log dP/dQ of whitened draws.
 
-    forcing is the pre-whitened h (N, M-2) or None for the untilted scheme.
-    The per-sample weight is computed from the whitened draws directly, which
-    equals likelihood_ratio() on the colored increments up to roundoff.
+    y holds the whitened zero-mean increments (..., N, M-2), shift the mean
+    h/eps of the tilted law, scale is dx / (2 dt).  y_sq, the sum of y^2
+    over the last two axes, may be passed in when several shifts share y.
+    """
+    if y_sq is None:
+        y_sq = np.sum(y * y, axis=(-2, -1))
+    s = y + shift
+    s *= s
+    return -scale * (np.sum(s, axis=(-2, -1)) - y_sq)
+
+
+def _simulate(scen: RareEventSpec, model: NoiseModel, eps: float, K: int,
+              seed: int, run_key: int, forcings, keep_terminals: bool = False):
+    """Evolve K trajectories per forcing from one set of per-sample draws.
+
+    forcings is a sequence of pre-whitened h (N, M-2), None meaning the
+    untilted scheme.  Returns (p, hits, terminals): p has one row of
+    per-sample values per forcing, hits one count per forcing, terminals the
+    terminal slices (len(forcings), K, M) when keep_terminals, else None.
+    The weights are computed from the whitened draws directly, which equals
+    likelihood_ratio() on the colored increments up to roundoff.
     """
     grid, wave = model.grid, scen.wave
     N, M = grid.N, grid.M
@@ -115,57 +150,73 @@ def _simulate(scen: RareEventSpec, model: NoiseModel, eps: float, K: int,
     bc = boundary_policy(scen, grid)
     delta_sq = scen.delta ** 2
     rho = np.sqrt(dt / dx)
-    tilt = unwhiten(model, forcing) if forcing is not None else None
-    if forcing is not None and eps <= 0:
+    scale = dx / (2.0 * dt)
+    tilted = any(h is not None for h in forcings)
+    if tilted and eps <= 0:
         raise ValueError("importance sampling requires eps > 0")
+    tilts = [None if h is None else unwhiten(model, h) for h in forcings]
 
-    p = np.empty(K)
-    hits = 0
-    terminals = np.empty((K, M)) if keep_terminals else None
+    p = np.empty((len(forcings), K))
+    hits = [0] * len(forcings)
+    terminals = np.empty((len(forcings), K, M)) if keep_terminals else None
     for start in range(0, K, _CHUNK):
         stop = min(start + _CHUNK, K)
         B = stop - start
-        z = np.empty((B, N, n_int))
-        for j, k in enumerate(range(start, stop)):
-            z[j] = sample_stream(seed, run_key, k).standard_normal((N, n_int))
+        z = _normals(seed, run_key, start, stop, (N, n_int))
         if model.is_identity:
-            dW = rho * z
+            z *= rho
+            dW = eps * z
         else:
-            dW = rho * (z @ model.Phi.T)
+            dW = z @ model.Phi.T
+            dW *= rho
+            dW *= eps
+            z *= rho
+        y_sq = np.sum(z * z, axis=(1, 2)) if tilted else None
 
-        q = np.tile(q0, (B, 1))
-        for n in range(N):
-            incr = dt * drift(q, grid, wave) + eps * dW[:, n, :]
-            if tilt is not None:
-                incr += tilt[n]
-            q[:, 1:-1] += incr
-            bc.apply(q, n + 1)
+        for i, (h, tilt) in enumerate(zip(forcings, tilts)):
+            q = np.tile(q0, (B, 1))
+            for n in range(N):
+                incr = drift(q, grid, wave)
+                incr *= dt
+                incr += dW[:, n, :]
+                if tilt is not None:
+                    incr += tilt[n]
+                q[:, 1:-1] += incr
+                bc.apply(q, n + 1)
 
-        d = q - target
-        dist_sq = dx * np.sum(d * d, axis=1)
-        ind = dist_sq <= delta_sq
-        hits += int(np.count_nonzero(ind))
-        if forcing is None:
-            p[start:stop] = ind.astype(float)
-        else:
-            shift = forcing / eps
-            y = rho * z
-            s = y + shift
-            log_w = -(dx / (2.0 * dt)) * (
-                np.sum(s * s, axis=(1, 2)) - np.sum(y * y, axis=(1, 2)))
-            p[start:stop] = ind * np.exp(log_w)
-        if keep_terminals:
-            terminals[start:stop] = q
+            d = q - target
+            dist_sq = dx * np.sum(d * d, axis=1)
+            ind = dist_sq <= delta_sq
+            hits[i] += int(np.count_nonzero(ind))
+            if h is None:
+                p[i, start:stop] = ind.astype(float)
+            else:
+                p[i, start:stop] = ind * np.exp(
+                    _log_weights(z, h / eps, scale, y_sq))
+            if keep_terminals:
+                terminals[i, start:stop] = q
     return p, hits, terminals
+
+
+def run_estimators(scen: RareEventSpec, model: NoiseModel, eps: float, K: int,
+                   forcings, seed: int, run_key: int = 0) -> list[EstimatorReport]:
+    """One report per forcing (None: basic MC), all from the same draws.
+
+    Each report equals what run_basic_mc or run_importance_sampling returns
+    for that forcing alone with the same seed and run key.
+    """
+    if K < 1:
+        raise ValueError("K must be at least 1")
+    forcings = [None if h is None else np.asarray(h, dtype=float)
+                for h in forcings]
+    p, hits, _ = _simulate(scen, model, eps, K, seed, run_key, forcings)
+    return [_report(row, eps, n) for row, n in zip(p, hits)]
 
 
 def run_basic_mc(scen: RareEventSpec, model: NoiseModel, eps: float, K: int,
                  seed: int, run_key: int = 0) -> EstimatorReport:
     """Hit-fraction estimator over K independent noisy trajectories."""
-    if K < 1:
-        raise ValueError("K must be at least 1")
-    p, hits, _ = _simulate(scen, model, eps, K, seed, run_key, forcing=None)
-    return _report(p, eps, hits)
+    return run_estimators(scen, model, eps, K, [None], seed, run_key)[0]
 
 
 def likelihood_ratio(noise_path: np.ndarray, forcing: np.ndarray,
@@ -182,9 +233,7 @@ def likelihood_ratio(noise_path: np.ndarray, forcing: np.ndarray,
     if noise_path.shape != forcing.shape:
         raise ValueError("noise_path and forcing must have matching shapes")
     y = whiten(model, noise_path)
-    s = y + forcing / eps
-    log_w = -(dx / (2.0 * dt)) * float(np.sum(s * s) - np.sum(y * y))
-    return float(np.exp(log_w))
+    return float(np.exp(_log_weights(y, forcing / eps, dx / (2.0 * dt))))
 
 
 def run_importance_sampling(scen: RareEventSpec, model: NoiseModel, eps: float,
@@ -195,11 +244,7 @@ def run_importance_sampling(scen: RareEventSpec, model: NoiseModel, eps: float,
     With forcing = 0 this reproduces run_basic_mc sample for sample (same
     seed stream, unit weights).
     """
-    if K < 1:
-        raise ValueError("K must be at least 1")
-    forcing = np.asarray(forcing, dtype=float)
-    p, hits, _ = _simulate(scen, model, eps, K, seed, run_key, forcing=forcing)
-    return _report(p, eps, hits)
+    return run_estimators(scen, model, eps, K, [forcing], seed, run_key)[0]
 
 
 def sample_terminal_states(scen: RareEventSpec, model: NoiseModel, eps: float,
@@ -207,8 +252,8 @@ def sample_terminal_states(scen: RareEventSpec, model: NoiseModel, eps: float,
                            forcing: np.ndarray | None = None) -> np.ndarray:
     """Terminal slices of K noisy trajectories, shape (K, M)."""
     _, _, terminals = _simulate(scen, model, eps, K, seed, run_key,
-                                forcing=forcing, keep_terminals=True)
-    return terminals
+                                [forcing], keep_terminals=True)
+    return terminals[0]
 
 
 def importance_weights(model: NoiseModel, eps: float, K: int,
@@ -223,18 +268,14 @@ def importance_weights(model: NoiseModel, eps: float, K: int,
     grid = model.grid
     N, n_int = grid.N, grid.M - 2
     rho = np.sqrt(grid.dt / grid.dx)
+    scale = grid.dx / (2.0 * grid.dt)
     shift = np.asarray(forcing, dtype=float) / eps
     w = np.empty(K)
     for start in range(0, K, _CHUNK):
         stop = min(start + _CHUNK, K)
-        z = np.empty((stop - start, N, n_int))
-        for j, k in enumerate(range(start, stop)):
-            z[j] = sample_stream(seed, run_key, k).standard_normal((N, n_int))
-        y = rho * z
-        s = y + shift
-        log_w = -(grid.dx / (2.0 * grid.dt)) * (
-            np.sum(s * s, axis=(1, 2)) - np.sum(y * y, axis=(1, 2)))
-        w[start:stop] = np.exp(log_w)
+        z = _normals(seed, run_key, start, stop, (N, n_int))
+        z *= rho
+        w[start:stop] = np.exp(_log_weights(z, shift, scale))
     return w
 
 
@@ -262,16 +303,11 @@ def epsilon_sweep(scen: RareEventSpec, model: NoiseModel, eps_list,
     if "is-delta" in estimators and forcing_ball is None:
         raise ValueError("estimator is-delta requires forcing_ball")
 
+    forcing = {"mc": None, "is0": forcing_pinned, "is-delta": forcing_ball}
     out = []
     for i, eps in enumerate(eps_list):
-        for name in estimators:
-            if name == "mc":
-                rep = run_basic_mc(scen, model, eps, K, seed, run_key=i)
-            elif name == "is0":
-                rep = run_importance_sampling(scen, model, eps, K,
-                                              forcing_pinned, seed, run_key=i)
-            else:
-                rep = run_importance_sampling(scen, model, eps, K,
-                                              forcing_ball, seed, run_key=i)
-            out.append((eps, name, rep))
+        reps = run_estimators(scen, model, eps, K,
+                              [forcing[name] for name in estimators], seed,
+                              run_key=i)
+        out.extend((eps, name, rep) for name, rep in zip(estimators, reps))
     return out

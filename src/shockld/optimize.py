@@ -248,6 +248,8 @@ def minimize_smooth(fun_grad, x0: np.ndarray, gtol, max_iter: int = 5000,
     two-loop recursion over the last `memory` curvature pairs (Nocedal &
     Wright, Numerical Optimization, 2006, ch. 7).  Raises ValueError as soon
     as fun_grad returns a non-finite f, at x0 or during a line search.
+    Every accepted step satisfies sufficient decrease along a descent
+    direction, so f never increases and the last iterate is the best one.
     """
     tol_of = gtol if callable(gtol) else (lambda f: gtol)
     x = np.asarray(x0, dtype=float).copy()
@@ -258,7 +260,6 @@ def minimize_smooth(fun_grad, x0: np.ndarray, gtol, max_iter: int = 5000,
 
     pairs: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=memory)
 
-    best_x, best_f, best_g = x.copy(), f, g.copy()
     message = "converged"
     converged = True
     k = 0
@@ -299,8 +300,6 @@ def minimize_smooth(fun_grad, x0: np.ndarray, gtol, max_iter: int = 5000,
         y = g_new - g
         x = x + s
         f, g = f_new, g_new
-        if f < best_f:
-            best_x, best_f, best_g = x.copy(), f, g.copy()
         sy = float(s @ y)
         if sy > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
             pairs.append((s, y, 1.0 / sy))
@@ -309,8 +308,6 @@ def minimize_smooth(fun_grad, x0: np.ndarray, gtol, max_iter: int = 5000,
         message = "iteration limit reached"
         converged = False
 
-    if f > best_f:
-        x, f, g = best_x, best_f, best_g
     return MinimizeResult(x=x, f=f, grad=g, iterations=k,
                           converged=converged, message=message)
 

@@ -7,6 +7,7 @@ import pytest
 from shockld.cli import main, read_path_csv
 from shockld.config import ConfigError, parse_config
 from shockld.grid import SpaceTimeGrid, WaveSpec
+from shockld.montecarlo import epsilon_sweep
 from shockld.noise import build_noise_model
 from shockld.rate import rate
 
@@ -64,6 +65,11 @@ class TestParseConfig:
     def test_type_mismatch_names_key(self, tmp_path):
         text = make_config(tmp_path, **{"run.seed": "abc"}).read_text()
         with pytest.raises(ConfigError, match="run.seed"):
+            parse_config(text)
+
+    def test_run_mode_rejected_as_unknown(self, tmp_path):
+        text = make_config(tmp_path, **{"run.mode": "mc"}).read_text()
+        with pytest.raises(ConfigError, match="unknown key: run.mode"):
             parse_config(text)
 
     def test_estimator_names_validated(self, tmp_path):
@@ -155,6 +161,31 @@ class TestSubcommands:
         rows = read_rows(out / "reports.csv")
         assert len(rows) == 6
         assert {r["estimator"] for r in rows} == {"mc", "is-delta"}
+
+    def test_sweep_eps_threads_byte_identical(self, tmp_path, ball_scen,
+                                              exp_model, ball_exp_opt,
+                                              pinned_exp_opt):
+        cfg_path = make_config(
+            tmp_path,
+            **{"run.K": 120, "run.eps": None,
+               "run.eps_grid": [0.1, 0.15, 0.2],
+               "run.estimators": ["mc", "is0", "is-delta"]})
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}"
+            assert main(["sweep-eps", "--config", str(cfg_path), "--out",
+                         str(out), "--threads", threads]) == 0
+            outs.append((out / "reports.csv").read_bytes())
+        assert outs[0] == outs[1]
+        # the points keep epsilon_sweep's run keys
+        rows = read_rows(tmp_path / "t2" / "reports.csv")
+        ref = epsilon_sweep(ball_scen, exp_model, [0.1, 0.15, 0.2], 120,
+                            ["mc", "is0", "is-delta"], seed=1234,
+                            forcing_pinned=pinned_exp_opt.forcing,
+                            forcing_ball=ball_exp_opt.forcing)
+        assert [(float(r["eps"]), r["estimator"], float(r["estimate"]),
+                 float(r["std"])) for r in rows] == \
+            [(eps, name, rep.estimate, rep.std) for eps, name, rep in ref]
 
     def test_sweep_x0(self, tmp_path):
         cfg_path = make_config(

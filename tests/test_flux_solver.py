@@ -7,6 +7,27 @@ from shockld.fluxes import (FixedStates, TimeInterpolated, cfl_number,
 from shockld.grid import SpaceTimeGrid, WaveSpec, sample_profile
 
 
+def branch_form_drift(values, grid, wave):
+    """The drift written with the flux as an explicit case split."""
+    ql, qr, gamma = values[..., :-1], values[..., 1:], wave.gamma
+    fl = 0.5 * (ql - gamma) ** 2
+    fr = 0.5 * (qr - gamma) ** 2
+    increasing = ql <= qr
+    sonic_inside = increasing & (ql <= gamma) & (gamma <= qr)
+    F = np.where(increasing, np.minimum(fl, fr), np.maximum(fl, fr))
+    F = np.where(sonic_inside, 0.0, F)
+    conv = -(F[..., 1:] - F[..., :-1]) / grid.dx
+    diff = (values[..., 2:] - 2.0 * values[..., 1:-1] + values[..., :-2]) \
+        / (grid.dx * grid.dx)
+    return conv + wave.D * diff
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
 def brute_force_flux(ql, qr, gamma, n=10_001):
     f = lambda q: 0.5 * (q - gamma) ** 2
     grid = np.linspace(min(ql, qr), max(ql, qr), n)
@@ -70,8 +91,37 @@ class TestGodunovFlux:
         assert v == pytest.approx(0.5 * 1.5 ** 2)
         assert da == pytest.approx(1.5) and db == 0.0
 
+    def test_value_equals_derivs_value_bit_for_bit(self):
+        rng = np.random.default_rng(6)
+        gamma = 0.4
+        states = np.concatenate([rng.uniform(-3, 3, 400),
+                                 [gamma, gamma + 0.5, gamma - 0.5]])
+        ql, qr = np.meshgrid(states[::7], states, indexing="ij")
+        value, _, _ = godunov_flux_derivs(ql, qr, gamma)
+        assert same_bits(godunov_flux(ql, qr, gamma), value)
+        for pair in ((gamma, gamma), (1.0, 1.0), (-1.0, -1.0), (1.0, -0.2)):
+            assert same_bits(godunov_flux(*pair, gamma),
+                             godunov_flux_derivs(*pair, gamma)[0])
+
 
 class TestDrift:
+    @pytest.mark.parametrize("gamma", [1.5, 0.0, -0.3])
+    def test_matches_branch_form_bit_for_bit(self, gamma):
+        g = SpaceTimeGrid.from_spacing(-15.0, 20.0, 0.5, 1.0, 0.05)
+        w = WaveSpec(2.0, 1.0, 1.0, gamma=gamma)
+        rng = np.random.default_rng(7)
+        levels = np.array([gamma - 0.5, gamma, gamma + 0.5])
+        cases = {
+            "random": rng.normal(gamma, 1.0, (256, g.M)),
+            # ties q_l = q_r below, at and above gamma, mixed with jumps
+            "ties": rng.choice(levels, (256, g.M)),
+            "all at gamma": np.full((2, g.M), gamma),
+            "near sonic": rng.normal(gamma, 1e-9, (64, g.M)),
+            "one slice": rng.normal(gamma, 1.0, g.M),
+        }
+        for name, q in cases.items():
+            assert same_bits(drift(q, g, w), branch_form_drift(q, g, w)), name
+
     def test_constant_state(self):
         g = SpaceTimeGrid.from_spacing(0.0, 5.0, 0.5, 1.0, 0.1)
         w = WaveSpec(2.0, 1.0, 0.7, gamma=1.5)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from shockld import montecarlo
 from shockld.grid import SpaceTimeGrid
 from shockld.montecarlo import (epsilon_sweep, event_indicator,
                                 likelihood_ratio, run_basic_mc,
@@ -193,6 +194,46 @@ class TestEpsilonSweep:
         assert res[0][2] == run_basic_mc(ball_scen, exp_model, 0.15, 300, seed=55)
         assert res[1][2] == run_importance_sampling(
             ball_scen, exp_model, 0.15, 300, ball_exp_opt.forcing, seed=55)
+
+    def test_fused_sweep_equals_separate_runners(self, ball_scen, exp_model,
+                                                 ball_exp_opt, pinned_exp_opt):
+        # K = 2100 crosses the 2048-sample chunk boundary
+        K, eps_list = 2100, [0.12, 0.2]
+        res = epsilon_sweep(ball_scen, exp_model, eps_list, K,
+                            ["mc", "is0", "is-delta"], seed=17,
+                            forcing_pinned=pinned_exp_opt.forcing,
+                            forcing_ball=ball_exp_opt.forcing)
+        expected = []
+        for i, eps in enumerate(eps_list):
+            expected += [
+                (eps, "mc", run_basic_mc(ball_scen, exp_model, eps, K,
+                                         seed=17, run_key=i)),
+                (eps, "is0", run_importance_sampling(
+                    ball_scen, exp_model, eps, K, pinned_exp_opt.forcing,
+                    seed=17, run_key=i)),
+                (eps, "is-delta", run_importance_sampling(
+                    ball_scen, exp_model, eps, K, ball_exp_opt.forcing,
+                    seed=17, run_key=i)),
+            ]
+        assert res == expected
+
+    def test_one_stream_per_sample_per_eps(self, ball_scen, exp_model,
+                                           ball_exp_opt, pinned_exp_opt,
+                                           monkeypatch):
+        opened = []
+        original = montecarlo.sample_stream
+
+        def counting(seed, run_key, k):
+            opened.append((run_key, k))
+            return original(seed, run_key, k)
+
+        monkeypatch.setattr(montecarlo, "sample_stream", counting)
+        K = 40
+        epsilon_sweep(ball_scen, exp_model, [0.1, 0.2], K,
+                      ["mc", "is0", "is-delta"], seed=3,
+                      forcing_pinned=pinned_exp_opt.forcing,
+                      forcing_ball=ball_exp_opt.forcing)
+        assert sorted(opened) == [(i, k) for i in range(2) for k in range(K)]
 
     def test_eps_points_use_independent_streams(self, ball_scen, exp_model):
         res = epsilon_sweep(ball_scen, exp_model, [0.15, 0.15], 300, ["mc"],
