@@ -19,20 +19,26 @@ so that E[indicator * w] is the original-event probability for any forcing.
 
 One trajectory kernel serves every estimator.  It takes a sequence of
 forcings (None for the untilted scheme) and works through the samples in
-chunks: per chunk it opens each sample's stream once, draws and colors the
-normals once, and then steps one trajectory batch per forcing from that
-single batch of increments.  An epsilon sweep therefore runs mc, is0 and
-is-delta at one eps from one set of draws; the likelihood weights reuse the
-whitened draws and their squared norms.
+chunks: per chunk it draws and colors the normals once, and then steps one
+trajectory batch per forcing from that single batch of increments.  An
+epsilon sweep therefore runs mc, is0 and is-delta at one eps from one set of
+draws; the likelihood weights reuse the whitened draws and their squared
+norms.  Each kernel call runs one helper thread that draws chunk c+1 while
+the calling thread colors and steps chunk c (numpy releases the GIL in
+both); it is joined before the call returns.
 
 Seeding contract: a 64-bit root seed expands into one independent stream per
 sample index (counter-based spawn keys), so the draws of sample k never
 depend on K, on chunking, or on which estimators consume them.  Statistics
-reduce in deterministic index order.
+reduce in deterministic index order.  sample_stream defines sample k's
+stream; the kernel derives the same PCG64 states for a whole chunk in one
+vectorized pass and draws each sample's normals from them.
 """
 
 from __future__ import annotations
 
+import operator
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +62,16 @@ __all__ = [
 
 _DOMAIN_MC = 1  # spawn-key namespace for trajectory noise
 
-_CHUNK = 2048
+_CHUNK = 512
+
+# numpy's SeedSequence entropy hash (pool size 4) and PCG64 seeding, restated
+# so that _stream_states can derive a chunk of streams at once.
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
 
 
 @dataclass(frozen=True)
@@ -86,13 +101,122 @@ def sample_stream(seed: int, run_key: int, k: int) -> np.random.Generator:
         np.random.SeedSequence(seed, spawn_key=(_DOMAIN_MC, run_key, k)))
 
 
-def _normals(seed: int, run_key: int, start: int, stop: int,
-             shape: tuple[int, ...]) -> np.ndarray:
-    """Standard normals of samples start..stop-1, each from its own stream."""
-    z = np.empty((stop - start,) + shape)
-    for j, k in enumerate(range(start, stop)):
-        z[j] = sample_stream(seed, run_key, k).standard_normal(shape)
+def _words(n: int) -> list[int]:
+    """Little-endian 32-bit words of a non-negative int, as SeedSequence reads it."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _hasher(init: int, mult: int):
+    """SeedSequence's hashmix with its running constant, on uint32 arrays."""
+    hc = init
+
+    def hashmix(value):
+        nonlocal hc
+        value = value ^ np.uint32(hc)
+        hc = (hc * mult) & _MASK32
+        value *= np.uint32(hc)
+        value ^= value >> np.uint32(16)
+        return value
+
+    return hashmix
+
+
+def _seed_pools(entropy: list[np.ndarray]) -> list[np.ndarray]:
+    """SeedSequence's mixed pool, 4 words of B lanes, from B entropy columns."""
+    hashmix = _hasher(_INIT_A, _MULT_A)
+
+    def mix(x, y):
+        r = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        r ^= r >> np.uint32(16)
+        return r
+
+    pool = [hashmix(word) for word in entropy[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    return pool
+
+
+def _stream_states(seed: int, run_key: int, start: int,
+                   stop: int) -> list[tuple[int, int]]:
+    """PCG64 (state, inc) of sample_stream(seed, run_key, k), k = start..stop-1.
+
+    The spawn key's last word(s) are k's, so samples whose k has the same
+    number of words share everything before them; each such run of k is
+    hashed as one uint32 pass.
+    """
+    head = _words(seed)
+    head += [0] * (_POOL - len(head))
+    head += _words(_DOMAIN_MC) + _words(run_key)
+    states = []
+    lo = start
+    while lo < stop:
+        n_k = len(_words(lo))
+        hi = min(stop, 1 << (32 * n_k))
+        k = np.arange(lo, hi, dtype=np.uint64)
+        entropy = [np.full(hi - lo, w, dtype=np.uint32) for w in head]
+        entropy += [((k >> np.uint64(32 * i)) & np.uint64(_MASK32))
+                    .astype(np.uint32) for i in range(n_k)]
+        pool = _seed_pools(entropy)
+        # generate_state(4, np.uint64): 8 words cycling over the pool
+        out = _hasher(_INIT_B, _MULT_B)
+        words = [out(pool[i % _POOL]).astype(np.uint64) for i in range(8)]
+        seed_hi, seed_lo, seq_hi, seq_lo = (
+            (words[2 * j] | (words[2 * j + 1] << np.uint64(32))).tolist()
+            for j in range(4))
+        # PCG64 seeding: odd increment from the sequence word, then two LCG
+        # steps from state 0 with the seed word added in between
+        for sh, sl, qh, ql in zip(seed_hi, seed_lo, seq_hi, seq_lo):
+            inc = (((qh << 64 | ql) << 1) | 1) & _MASK128
+            state = ((inc + (sh << 64 | sl)) * _PCG_MULT + inc) & _MASK128
+            states.append((state, inc))
+        lo = hi
+    return states
+
+
+def _normals(z: np.ndarray, seed: int, run_key: int, start: int) -> np.ndarray:
+    """Fill z[j] with the standard normals of sample start + j, from its own stream."""
+    bitgen = np.random.PCG64()
+    gen = np.random.Generator(bitgen)
+    states = _stream_states(seed, run_key, start, start + len(z))
+    for j, (state, inc) in enumerate(states):
+        bitgen.state = {"bit_generator": "PCG64",
+                        "state": {"state": state, "inc": inc},
+                        "has_uint32": 0, "uinteger": 0}
+        gen.standard_normal(out=z[j])
     return z
+
+
+def _draws(seed: int, run_key: int, K: int, shape: tuple[int, ...]):
+    """Yield (start, stop, z) per chunk of the K samples' normals.
+
+    Chunk c+1 is drawn on a helper thread while the caller works on chunk c;
+    an exception raised there surfaces from the next chunk's result.  The
+    caller's thread allocates every chunk, so all large buffers live in one
+    malloc arena.
+    """
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        def draw(start):
+            z = np.empty((min(start + _CHUNK, K) - start,) + shape)
+            return helper.submit(_normals, z, seed, run_key, start)
+
+        pending = draw(0)
+        for start in range(0, K, _CHUNK):
+            z = pending.result()
+            if start + _CHUNK < K:
+                pending = draw(start + _CHUNK)
+            yield start, start + len(z), z
 
 
 def event_indicator(terminal: np.ndarray, target: np.ndarray, delta: float,
@@ -159,10 +283,8 @@ def _simulate(scen: RareEventSpec, model: NoiseModel, eps: float, K: int,
     p = np.empty((len(forcings), K))
     hits = [0] * len(forcings)
     terminals = np.empty((len(forcings), K, M)) if keep_terminals else None
-    for start in range(0, K, _CHUNK):
-        stop = min(start + _CHUNK, K)
+    for start, stop, z in _draws(seed, run_key, K, (N, n_int)):
         B = stop - start
-        z = _normals(seed, run_key, start, stop, (N, n_int))
         if model.is_identity:
             z *= rho
             dW = eps * z
@@ -170,7 +292,8 @@ def _simulate(scen: RareEventSpec, model: NoiseModel, eps: float, K: int,
             dW = z @ model.Phi.T
             dW *= rho
             dW *= eps
-            z *= rho
+            if tilted:
+                z *= rho
         y_sq = np.sum(z * z, axis=(1, 2)) if tilted else None
 
         for i, (h, tilt) in enumerate(zip(forcings, tilts)):
@@ -271,9 +394,7 @@ def importance_weights(model: NoiseModel, eps: float, K: int,
     scale = grid.dx / (2.0 * grid.dt)
     shift = np.asarray(forcing, dtype=float) / eps
     w = np.empty(K)
-    for start in range(0, K, _CHUNK):
-        stop = min(start + _CHUNK, K)
-        z = _normals(seed, run_key, start, stop, (N, n_int))
+    for start, stop, z in _draws(seed, run_key, K, (N, n_int)):
         z *= rho
         w[start:stop] = np.exp(_log_weights(z, shift, scale))
     return w

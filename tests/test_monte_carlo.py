@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -6,8 +8,8 @@ from shockld import montecarlo
 from shockld.grid import SpaceTimeGrid
 from shockld.montecarlo import (epsilon_sweep, event_indicator,
                                 likelihood_ratio, run_basic_mc,
-                                run_importance_sampling,
-                                sample_terminal_states)
+                                run_estimators, run_importance_sampling,
+                                sample_stream, sample_terminal_states)
 from shockld.optimize import RareEventSpec
 
 DELTA = np.sqrt(0.5)
@@ -197,7 +199,7 @@ class TestEpsilonSweep:
 
     def test_fused_sweep_equals_separate_runners(self, ball_scen, exp_model,
                                                  ball_exp_opt, pinned_exp_opt):
-        # K = 2100 crosses the 2048-sample chunk boundary
+        # K = 2100 spans several chunks and ends inside one
         K, eps_list = 2100, [0.12, 0.2]
         res = epsilon_sweep(ball_scen, exp_model, eps_list, K,
                             ["mc", "is0", "is-delta"], seed=17,
@@ -221,13 +223,13 @@ class TestEpsilonSweep:
                                            ball_exp_opt, pinned_exp_opt,
                                            monkeypatch):
         opened = []
-        original = montecarlo.sample_stream
+        original = montecarlo._stream_states
 
-        def counting(seed, run_key, k):
-            opened.append((run_key, k))
-            return original(seed, run_key, k)
+        def counting(seed, run_key, start, stop):
+            opened.extend((run_key, k) for k in range(start, stop))
+            return original(seed, run_key, start, stop)
 
-        monkeypatch.setattr(montecarlo, "sample_stream", counting)
+        monkeypatch.setattr(montecarlo, "_stream_states", counting)
         K = 40
         epsilon_sweep(ball_scen, exp_model, [0.1, 0.2], K,
                       ["mc", "is0", "is-delta"], seed=3,
@@ -261,3 +263,59 @@ class TestTerminalStates:
         # boundary cells pinned by the displacement policy
         assert np.all(term[:, 0] == wave.u_minus)
         assert np.all(term[:, -1] == wave.u_plus)
+
+
+class TestStreams:
+    @pytest.mark.parametrize("seed", [0, 2**32 + 5, 2**70 + 3])
+    @pytest.mark.parametrize("run_key", [0, 2**33])
+    def test_derivation_matches_numpy(self, seed, run_key):
+        # single samples at the edge keys, and one chunk across k = 2**32,
+        # where k goes from one spawn-key word to two
+        shape = (3, 4)
+        for start, stop in ((0, 1), (1023, 1025), (2**32 - 1, 2**32 + 1)):
+            z = montecarlo._normals(np.empty((stop - start,) + shape), seed,
+                                    run_key, start)
+            ref = np.array([sample_stream(seed, run_key, k).standard_normal(shape)
+                            for k in range(start, stop)])
+            assert np.array_equal(z.view(np.int64), ref.view(np.int64))
+
+    def test_negative_seed_rejected(self, ball_scen, exp_model):
+        with pytest.raises(ValueError):
+            montecarlo._normals(np.empty((2, 3, 4)), -1, 0, 0)
+        with pytest.raises(ValueError):
+            run_basic_mc(ball_scen, exp_model, 0.1, 10, seed=-1)
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_chunk_size_does_not_matter(self, chunk, ball_scen, exp_model,
+                                        ball_exp_opt, pinned_exp_opt,
+                                        monkeypatch):
+        forcings = [None, pinned_exp_opt.forcing, ball_exp_opt.forcing]
+
+        def outputs():
+            return (run_estimators(ball_scen, exp_model, 0.15, 30, forcings,
+                                   seed=21, run_key=3),
+                    sample_terminal_states(ball_scen, exp_model, 0.15, 30,
+                                           seed=21, forcing=ball_exp_opt.forcing))
+
+        reports, terminals = outputs()
+        monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+        chunked_reports, chunked_terminals = outputs()
+        assert chunked_reports == reports
+        assert np.array_equal(chunked_terminals.view(np.int64),
+                              terminals.view(np.int64))
+
+    def test_helper_thread_failure_surfaces(self, ball_scen, exp_model,
+                                            monkeypatch):
+        original = montecarlo._stream_states
+
+        def failing(seed, run_key, start, stop):
+            if start > 0:
+                raise RuntimeError("draw failed")
+            return original(seed, run_key, start, stop)
+
+        monkeypatch.setattr(montecarlo, "_CHUNK", 7)
+        monkeypatch.setattr(montecarlo, "_stream_states", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="draw failed"):
+            run_estimators(ball_scen, exp_model, 0.15, 20, [None], seed=1)
+        assert threading.active_count() == before
