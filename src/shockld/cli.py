@@ -138,7 +138,10 @@ def cmd_optimize(cfg: RunConfig, out_dir: str, threads: int) -> None:
     _write_csv(os.path.join(out_dir, "optimize_summary.csv"), header, [row])
     _write_meta(out_dir, "optimize_meta.json", cfg,
                 {"subcommand": "optimize", "I_star": opt.rate_value,
-                 "message": opt.message})
+                 "message": opt.message,
+                 "optimizer": {"iterations": opt.iterations,
+                               "evaluations": opt.evaluations,
+                               "outer_steps": opt.outer_steps}})
     print(f"optimize: I*={opt.rate_value:.6g} grad={opt.gradient_norm:.3g} "
           f"iters={opt.iterations} converged={opt.converged}")
 

@@ -118,6 +118,24 @@ class TestSubcommands:
         meta = json.loads((out / "optimize_meta.json").read_text())
         assert meta["code_version"]
         assert meta["config"]["grid"]["dx"] == 0.5
+        record = meta["optimizer"]
+        assert record["iterations"] == int(row["iterations"])
+        assert record["evaluations"] > record["iterations"]
+        assert record["outer_steps"] is None
+
+    def test_optimize_meta_records_ball_outer_steps(self, tmp_path):
+        cfg_path = make_config(
+            tmp_path, **{"grid.dt": 0.1, "noise.kind": "identity",
+                         "noise.sigma": None, "noise.l_c": None,
+                         "scenario.x0": 2.0, "scenario.delta": 0.5})
+        out = tmp_path / "out"
+        assert main(["optimize", "--config", str(cfg_path),
+                     "--out", str(out)]) == 0
+        row = read_rows(out / "optimize_summary.csv")[0]
+        record = json.loads((out / "optimize_meta.json").read_text())["optimizer"]
+        assert record["iterations"] == int(row["iterations"])
+        assert record["evaluations"] > record["iterations"]
+        assert record["outer_steps"] >= 1
 
     def test_same_seed_byte_identical(self, tmp_path):
         cfg_path = self.small_optimize_config(tmp_path)

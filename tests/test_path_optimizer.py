@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
+from shockld import optimize
 from shockld.fluxes import drift
 from shockld.grid import SpaceTimeGrid, WaveSpec, sample_profile
-from shockld.noise import build_noise_model
-from shockld.optimize import (RareEventSpec, _scaffold, boundary_policy,
-                              free_mask, linear_interpolation_path,
-                              linear_shift_path, midpoint_convexity_test,
-                              minimize_ball, minimize_pinned, minimize_smooth,
-                              random_path)
+from shockld.noise import build_noise_model, whiten
+from shockld.optimize import (RareEventSpec, _diffusion_preconditioner,
+                              _scaffold, boundary_policy, free_mask,
+                              linear_interpolation_path, linear_shift_path,
+                              midpoint_convexity_test, minimize_ball,
+                              minimize_pinned, minimize_smooth, random_path)
 from shockld.rate import PathMatrix, discrete_lower_bound, frozen_drift_rate, rate
 
 DELTA = np.sqrt(0.5)
@@ -90,6 +91,56 @@ class TestEngine:
         assert np.max(np.abs(res.grad)) <= 1e-10
         assert np.allclose(res.x, x_star, rtol=0, atol=1e-9)
 
+    def test_exact_inverse_hessian_takes_one_unit_step(self):
+        rng = np.random.default_rng(12)
+        A = rng.standard_normal((12, 12))
+        A = A @ A.T + 12 * np.eye(12)
+        x_star = rng.standard_normal(12)
+
+        def fun(x):
+            Ae = A @ (x - x_star)
+            return 0.5 * float((x - x_star) @ Ae), Ae
+
+        res = minimize_smooth(fun, np.zeros(12), gtol=1e-10,
+                              h0=lambda v: np.linalg.solve(A, v))
+        assert res.converged
+        assert res.iterations == 1
+        assert res.evaluations == 2  # x0 and the accepted unit step
+        assert np.allclose(res.x, x_star, rtol=0, atol=1e-12)
+
+    def test_restart_steps_along_h0(self, monkeypatch):
+        # fail the second line search on purpose: the engine must drop its
+        # curvature pairs and retry along -h0(g), whose unit step it tries
+        # first
+        A = np.diag([1.0, 3.0, 10.0, 30.0]) + 0.5
+        h0 = lambda v: v / np.diag(A)
+        points = []
+
+        def fun(x):
+            points.append(x.copy())
+            return 0.5 * float(x @ A @ x), A @ x
+
+        real = optimize._strong_wolfe
+        calls, starts, first_trials = [], [], []
+
+        def flaky(evaluate, f0, d0, **kw):
+            calls.append(d0)
+            if len(calls) == 2:
+                evaluate(0.0)
+                starts.append(points[-1])
+                return None
+            n = len(points)
+            out = real(evaluate, f0, d0, **kw)
+            first_trials.append(points[n])
+            return out
+
+        monkeypatch.setattr(optimize, "_strong_wolfe", flaky)
+        res = minimize_smooth(fun, np.array([1.0, -2.0, 0.5, 1.5]),
+                              gtol=1e-10, h0=h0)
+        assert res.converged
+        x1 = starts[0]
+        assert np.array_equal(first_trials[1], x1 - h0(A @ x1))
+
     def test_rosenbrock(self):
         def fun(x):
             f = 100 * (x[1] - x[0] ** 2) ** 2 + (1 - x[0]) ** 2
@@ -166,10 +217,61 @@ class TestMinimizePinned:
         assert opt.converged
         assert opt.gradient_norm <= 1e-6 * max(1.0, opt.rate_value)
 
+    def test_preconditioned_iteration_counts(self, pinned_exp_opt,
+                                             ball_exp_opt):
+        # 462 pinned and 1443 ball iterations with the scalar initial matrix
+        assert pinned_exp_opt.iterations <= 25
+        assert ball_exp_opt.iterations <= 60
+        assert pinned_exp_opt.evaluations > pinned_exp_opt.iterations
+        assert ball_exp_opt.outer_steps >= 1
+        assert pinned_exp_opt.outer_steps is None
+
     def test_forcing_matches_rate(self, pinned_exp_opt, table1_grid, exp_model):
         h = pinned_exp_opt.forcing
         lhs = table1_grid.dx / (2 * table1_grid.dt) * float(np.sum(h * h))
         assert lhs == pytest.approx(pinned_exp_opt.rate_value, rel=1e-10)
+
+
+def linear_action_hessian(scen, model, mask):
+    """Hessian of the action with the drift cut to D * Laplacian, assembled
+    column by column from the linear residual map over the free entries."""
+    grid = model.grid
+    dt, dx, D = grid.dt, grid.dx, scen.wave.D
+    n_free = int(mask.sum())
+    Q = np.zeros((n_free, grid.N + 1, grid.M))
+    Q[:, mask] = np.eye(n_free)
+    lap = (Q[:, :-1, 2:] - 2.0 * Q[:, :-1, 1:-1] + Q[:, :-1, :-2]) / (dx * dx)
+    R = (Q[:, 1:, 1:-1] - Q[:, :-1, 1:-1]) / dt - D * lap
+    Y = whiten(model, R).reshape(n_free, -1)
+    return dt * dx * (Y @ Y.T)
+
+
+class TestPreconditioner:
+    @pytest.mark.parametrize("free_terminal", [False, True])
+    def test_exact_inverse_for_identity_noise(self, displacement_scen,
+                                              identity_model, free_terminal):
+        mask = free_mask(displacement_scen, identity_model.grid, free_terminal)
+        H = linear_action_hessian(displacement_scen, identity_model, mask)
+        h0 = _diffusion_preconditioner(displacement_scen, identity_model,
+                                       free_terminal)
+        rng = np.random.default_rng(8)
+        for _ in range(3):
+            v = rng.standard_normal(H.shape[0])
+            assert np.max(np.abs(h0(H @ v) - v)) <= 1e-10
+
+    @pytest.mark.parametrize("free_terminal", [False, True])
+    def test_symmetric_positive_definite(self, exp_model, free_terminal):
+        scen = RareEventSpec("weak_to_strong", WaveSpec(1.75, 1.25, 1.0, gamma=1.5),
+                             target_wave=WaveSpec(2.5, 0.5, 1.0, gamma=1.5))
+        assert scen.boundary_width == 2
+        n = int(free_mask(scen, exp_model.grid, free_terminal).sum())
+        h0 = _diffusion_preconditioner(scen, exp_model, free_terminal)
+        rng = np.random.default_rng(9)
+        for _ in range(5):
+            u, v = rng.standard_normal(n), rng.standard_normal(n)
+            hu, hv = h0(u), h0(v)
+            assert v @ hu == pytest.approx(u @ hv, rel=1e-12, abs=1e-14)
+            assert v @ hv > 0
 
 
 class TestMinimizeBall:
@@ -302,3 +404,38 @@ class TestOtherScenarios:
         assert up.rate_value > 0 and down.rate_value > 0
         # both transitions are far less likely than a x0=5 displacement
         assert min(up.rate_value, down.rate_value) > 1.0
+
+
+class TestGridDependence:
+    """Pinned I* of the x0 = 5 displacement as dx (and dt) are refined.
+
+    Exponential noise has covariance (dt/dx) C with C fixed in physical
+    units, so its power per unit length grows as 1/dx and I* is
+    proportional to dx; identity noise has a grid limit.
+    """
+
+    GRIDS = [(0.25, 0.025), (0.125, 0.00625)]
+
+    @pytest.fixture(scope="class")
+    def ladder(self, displacement_scen, pinned_exp_opt, pinned_identity_opt):
+        out = {"exponential": [pinned_exp_opt],
+               "identity": [pinned_identity_opt]}
+        for dx, dt in self.GRIDS:
+            grid = SpaceTimeGrid.from_spacing(-15.0, 20.0, dx, 1.0, dt)
+            for kind, opts in out.items():
+                model = build_noise_model(kind, grid, sigma=1.0, l_c=5.0)
+                opts.append(minimize_pinned(displacement_scen, model))
+        return out
+
+    def test_every_solve_converges(self, ladder):
+        for kind, opts in ladder.items():
+            assert all(o.converged for o in opts), kind
+
+    def test_exponential_rate_halves_with_dx(self, ladder):
+        values = [o.rate_value for o in ladder["exponential"]]
+        for coarse, fine in zip(values, values[1:]):
+            assert 0.49 <= fine / coarse <= 0.51
+
+    def test_identity_rate_has_grid_limit(self, ladder):
+        values = [o.rate_value for o in ladder["identity"]]
+        assert (max(values) - min(values)) / min(values) < 1e-3
