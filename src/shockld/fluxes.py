@@ -92,15 +92,16 @@ def godunov_flux(q_left, q_right, gamma: float):
         F = max((max(q_left, gamma) - gamma)^2, (min(q_right, gamma) - gamma)^2) / 2,
 
     which selects the same float as the case split, on ties and at the sonic
-    point too.  Broadcasts over array inputs.
+    point too.  Broadcasts over array inputs; the result takes q_left's
+    memory order (C order when the broadcast adds axes).
     """
     ql = np.asarray(q_left, dtype=float)
     qr = np.asarray(q_right, dtype=float)
     shape = np.broadcast_shapes(ql.shape, qr.shape)
-    out = np.maximum(ql, gamma, out=np.empty(shape))
+    out = np.maximum(ql, gamma, out=np.empty_like(ql, shape=shape))
     out -= gamma
     out *= out
-    right = np.minimum(qr, gamma, out=np.empty(shape))
+    right = np.minimum(qr, gamma, out=np.empty_like(ql, shape=shape))
     right -= gamma
     right *= right
     np.maximum(out, right, out=out)
@@ -146,7 +147,9 @@ def drift(values: np.ndarray, grid: SpaceTimeGrid, wave: WaveSpec) -> np.ndarray
     """Interior drift b_m for m = 2..M-1; shape (..., M-2).
 
     Godunov fluxes at the M-1 interfaces plus the three-point diffusion
-    stencil.
+    stencil.  values may be in either memory order (a batch stored
+    cells-major is a Fortran-ordered (B, M) view); the result has the same
+    order and the same bits.
     """
     values = np.asarray(values, dtype=float)
     dx = grid.dx

@@ -27,6 +27,15 @@ norms.  Each kernel call runs one helper thread that draws chunk c+1 while
 the calling thread colors and steps chunk c (numpy releases the GIL in
 both); it is joined before the call returns.
 
+Each trajectory batch is held cells-major, as an (M, B) array whose
+contiguous axis runs over the samples, so each elementwise pass of a step
+(drift, increments, boundary cells) is one long loop rather than B short
+ones over strided row slices.  The per-element arithmetic and its order are
+those of a row-major (B, M) batch, so every value is bit-identical to it.
+The coloring stays the stacked z @ Phi^T, one small product per sample: a
+single 2-D product over the chunk is large enough for a threaded BLAS to
+spread over every core, which then starves the draw thread.
+
 Seeding contract: a 64-bit root seed expands into one independent stream per
 sample index (counter-based spawn keys), so the draws of sample k never
 depend on K, on chunking, or on which estimators consume them.  Statistics
@@ -254,6 +263,19 @@ def _log_weights(y: np.ndarray, shift: np.ndarray, scale: float,
     return -scale * (np.sum(s, axis=(-2, -1)) - y_sq)
 
 
+def _checked(K: int, forcings, shape: tuple[int, int]) -> list:
+    """The forcings as float arrays of the interior shape (N, M-2); K >= 1."""
+    if K < 1:
+        raise ValueError("K must be at least 1")
+    forcings = [None if h is None else np.asarray(h, dtype=float)
+                for h in forcings]
+    for h in forcings:
+        if h is not None and h.shape != shape:
+            raise ValueError(f"forcing must have shape (N, M-2) = {shape}, "
+                             f"got {h.shape}")
+    return forcings
+
+
 def _simulate(scen: RareEventSpec, model: NoiseModel, eps: float, K: int,
               seed: int, run_key: int, forcings, keep_terminals: bool = False):
     """Evolve K trajectories per forcing from one set of per-sample draws.
@@ -264,11 +286,17 @@ def _simulate(scen: RareEventSpec, model: NoiseModel, eps: float, K: int,
     terminal slices (len(forcings), K, M) when keep_terminals, else None.
     The weights are computed from the whitened draws directly, which equals
     likelihood_ratio() on the colored increments up to roundoff.
+
+    A trajectory batch qT is stored cells-major, shape (M, B); drift sees
+    the Fortran-ordered (B, M) view qT.T.  The terminal slices are copied
+    back to C order before they are scored, so the distance sums keep their
+    summation order.
     """
     grid, wave = model.grid, scen.wave
     N, M = grid.N, grid.M
     dt, dx = grid.dt, grid.dx
     n_int = M - 2
+    forcings = _checked(K, forcings, (N, n_int))
     q0 = initial_values(scen, grid)
     target = target_values(scen, grid)
     bc = boundary_policy(scen, grid)
@@ -278,7 +306,8 @@ def _simulate(scen: RareEventSpec, model: NoiseModel, eps: float, K: int,
     tilted = any(h is not None for h in forcings)
     if tilted and eps <= 0:
         raise ValueError("importance sampling requires eps > 0")
-    tilts = [None if h is None else unwhiten(model, h) for h in forcings]
+    tilts = [None if h is None else unwhiten(model, h)[:, :, None]
+             for h in forcings]
 
     p = np.empty((len(forcings), K))
     hits = [0] * len(forcings)
@@ -297,27 +326,28 @@ def _simulate(scen: RareEventSpec, model: NoiseModel, eps: float, K: int,
         y_sq = np.sum(z * z, axis=(1, 2)) if tilted else None
 
         for i, (h, tilt) in enumerate(zip(forcings, tilts)):
-            q = np.tile(q0, (B, 1))
+            qT = np.repeat(q0[:, None], B, axis=1)
             for n in range(N):
-                incr = drift(q, grid, wave)
+                incr = drift(qT.T, grid, wave).T
                 incr *= dt
-                incr += dW[:, n, :]
+                incr += dW[:, n, :].T
                 if tilt is not None:
                     incr += tilt[n]
-                q[:, 1:-1] += incr
-                bc.apply(q, n + 1)
+                qT[1:-1] += incr
+                bc.apply(qT.T, n + 1)
 
-            d = q - target
-            dist_sq = dx * np.sum(d * d, axis=1)
-            ind = dist_sq <= delta_sq
+            if keep_terminals:
+                terminals[i, start:stop] = qT.T
+            d = np.ascontiguousarray(qT.T)
+            d -= target
+            d *= d
+            ind = dx * np.sum(d, axis=1) <= delta_sq
             hits[i] += int(np.count_nonzero(ind))
             if h is None:
                 p[i, start:stop] = ind.astype(float)
             else:
                 p[i, start:stop] = ind * np.exp(
                     _log_weights(z, h / eps, scale, y_sq))
-            if keep_terminals:
-                terminals[i, start:stop] = q
     return p, hits, terminals
 
 
@@ -328,10 +358,6 @@ def run_estimators(scen: RareEventSpec, model: NoiseModel, eps: float, K: int,
     Each report equals what run_basic_mc or run_importance_sampling returns
     for that forcing alone with the same seed and run key.
     """
-    if K < 1:
-        raise ValueError("K must be at least 1")
-    forcings = [None if h is None else np.asarray(h, dtype=float)
-                for h in forcings]
     p, hits, _ = _simulate(scen, model, eps, K, seed, run_key, forcings)
     return [_report(row, eps, n) for row, n in zip(p, hits)]
 
@@ -392,7 +418,8 @@ def importance_weights(model: NoiseModel, eps: float, K: int,
     N, n_int = grid.N, grid.M - 2
     rho = np.sqrt(grid.dt / grid.dx)
     scale = grid.dx / (2.0 * grid.dt)
-    shift = np.asarray(forcing, dtype=float) / eps
+    (forcing,) = _checked(K, [forcing], (N, n_int))
+    shift = forcing / eps
     w = np.empty(K)
     for start, stop, z in _draws(seed, run_key, K, (N, n_int)):
         z *= rho

@@ -146,6 +146,47 @@ class TestDrift:
         assert norms[2] < 0.7 * norms[1]
 
 
+class TestMemoryOrder:
+    """A batch stored cells-major reaches drift as a Fortran-ordered view."""
+
+    def setup_method(self):
+        self.grid = SpaceTimeGrid.from_spacing(-15.0, 20.0, 0.5, 1.0, 0.05)
+        self.wave = WaveSpec(2.0, 1.0, 1.0, gamma=1.5)
+        rng = np.random.default_rng(8)
+        self.qT = rng.normal(1.5, 1.0, (self.grid.M, 96))
+
+    def test_fortran_view_matches_c_order(self):
+        q = self.qT.T
+        qc = np.ascontiguousarray(q)
+        assert q.flags.f_contiguous and not q.flags.c_contiguous
+        gamma = self.wave.gamma
+        F = godunov_flux(q[:, :-1], q[:, 1:], gamma)
+        Fc = godunov_flux(qc[:, :-1], qc[:, 1:], gamma)
+        assert F.flags.f_contiguous and not F.flags.c_contiguous
+        assert Fc.flags.c_contiguous
+        assert same_bits(F, Fc)
+        b = drift(q, self.grid, self.wave)
+        bc = drift(qc, self.grid, self.wave)
+        assert b.flags.f_contiguous and not b.flags.c_contiguous
+        assert bc.flags.c_contiguous
+        assert same_bits(b, bc)
+
+    def test_scalars_return_float(self):
+        for pair in ((2.0, 1.0), (np.float64(2.0), np.array(1.0))):
+            value = godunov_flux(*pair, 1.5)
+            assert type(value) is float and value == 0.125
+
+    def test_row_broadcasts_against_batch(self):
+        batch = self.qT.T[:, 1:]
+        row = np.ascontiguousarray(batch[0])
+        gamma = self.wave.gamma
+        for ql, qr in ((row, batch), (batch, row)):
+            F = godunov_flux(ql, qr, gamma)
+            full = [np.array(np.broadcast_to(a, batch.shape)) for a in (ql, qr)]
+            assert F.shape == batch.shape
+            assert same_bits(F, godunov_flux(*full, gamma))
+
+
 class TestEulerStep:
     def setup_method(self):
         self.g = SpaceTimeGrid.from_spacing(-15.0, 20.0, 0.5, 1.0, 0.05)

@@ -1,3 +1,4 @@
+import re
 import threading
 
 import numpy as np
@@ -5,14 +6,75 @@ import pytest
 from scipy.stats import norm
 
 from shockld import montecarlo
-from shockld.grid import SpaceTimeGrid
+from shockld.fluxes import FixedStates, TimeInterpolated, drift
+from shockld.grid import SpaceTimeGrid, WaveSpec
 from shockld.montecarlo import (epsilon_sweep, event_indicator,
-                                likelihood_ratio, run_basic_mc,
-                                run_estimators, run_importance_sampling,
-                                sample_stream, sample_terminal_states)
-from shockld.optimize import RareEventSpec
+                                importance_weights, likelihood_ratio,
+                                run_basic_mc, run_estimators,
+                                run_importance_sampling, sample_stream,
+                                sample_terminal_states)
+from shockld.noise import unwhiten
+from shockld.optimize import (RareEventSpec, boundary_policy, initial_values,
+                              target_values)
 
 DELTA = np.sqrt(0.5)
+
+
+def row_major_kernel(scen, model, eps, K, seed, run_key, forcings):
+    """The trajectory kernel written out with the batch stored row-major.
+
+    All K samples form one (K, M) batch: per-sample sample_stream draws,
+    stacked z @ Phi.T coloring, drift on the (K, M) array and the kernel's
+    order of additions.  Returns one (report, terminal slices) per forcing.
+    """
+    grid, wave = model.grid, scen.wave
+    N, M, dt, dx = grid.N, grid.M, grid.dt, grid.dx
+    rho = np.sqrt(dt / dx)
+    z = np.array([sample_stream(seed, run_key, k).standard_normal((N, M - 2))
+                  for k in range(K)])
+    tilted = any(h is not None for h in forcings)
+    if model.is_identity:
+        z *= rho
+        dW = eps * z
+    else:
+        dW = z @ model.Phi.T
+        dW *= rho
+        dW *= eps
+        if tilted:
+            z *= rho
+    y_sq = np.sum(z * z, axis=(1, 2))
+    q0 = initial_values(scen, grid)
+    target = target_values(scen, grid)
+    bc = boundary_policy(scen, grid)
+    out = []
+    for h in forcings:
+        tilt = None if h is None else unwhiten(model, h)
+        q = np.tile(q0, (K, 1))
+        for n in range(N):
+            incr = drift(q, grid, wave)
+            incr *= dt
+            incr += dW[:, n, :]
+            if tilt is not None:
+                incr += tilt[n]
+            q[:, 1:-1] += incr
+            bc.apply(q, n + 1)
+        d = q - target
+        ind = dx * np.sum(d * d, axis=1) <= scen.delta ** 2
+        if h is None:
+            p = ind.astype(float)
+        else:
+            s = z + h / eps
+            s *= s
+            p = ind * np.exp(-(dx / (2.0 * dt)) * (np.sum(s, axis=(1, 2)) - y_sq))
+        out.append((montecarlo._report(p, eps, int(np.count_nonzero(ind))), q))
+    return out
+
+
+def report_bits(rep):
+    floats = np.array([rep.estimate, rep.std, rep.ci_low, rep.ci_high,
+                       rep.relative_error, rep.epsilon])
+    return (floats.view(np.int64).tolist(), rep.K, rep.hits,
+            rep.flagged_saturated)
 
 
 class TestEventIndicator:
@@ -265,6 +327,73 @@ class TestTerminalStates:
         assert np.all(term[:, -1] == wave.u_plus)
 
 
+class TestInputChecks:
+    def test_forcing_given_as_list(self, ball_scen, exp_model, ball_exp_opt):
+        h = ball_exp_opt.forcing
+        a = sample_terminal_states(ball_scen, exp_model, 0.15, 9, seed=2,
+                                   forcing=h)
+        b = sample_terminal_states(ball_scen, exp_model, 0.15, 9, seed=2,
+                                   forcing=h.tolist())
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+    def test_forcing_shape_checked(self, ball_scen, exp_model, table1_grid):
+        shape = (table1_grid.N, table1_grid.M - 2)
+        bad = np.zeros((table1_grid.N, table1_grid.M))
+        with pytest.raises(ValueError, match=re.escape(f"(N, M-2) = {shape}")):
+            sample_terminal_states(ball_scen, exp_model, 0.15, 5, seed=1,
+                                   forcing=bad)
+        with pytest.raises(ValueError, match="shape"):
+            run_estimators(ball_scen, exp_model, 0.15, 5,
+                           [None, np.zeros(shape[::-1])], seed=1)
+
+    def test_k_at_least_one(self, ball_scen, exp_model):
+        with pytest.raises(ValueError, match="K must be at least 1"):
+            sample_terminal_states(ball_scen, exp_model, 0.15, 0, seed=1)
+
+    def test_importance_weights_checked(self, exp_model, table1_grid):
+        good = np.zeros((table1_grid.N, table1_grid.M - 2))
+        with pytest.raises(ValueError, match="shape"):
+            importance_weights(exp_model, 0.1, 5, good[:1], seed=1)
+        with pytest.raises(ValueError, match="K must be at least 1"):
+            importance_weights(exp_model, 0.1, 0, good, seed=1)
+        assert np.all(importance_weights(exp_model, 0.1, 5, good.tolist(),
+                                         seed=1) == 1.0)
+
+
+class TestKernelLayout:
+    @pytest.mark.parametrize("chunk", [None, 7])
+    @pytest.mark.parametrize("kind", ["displacement", "speed_change"])
+    @pytest.mark.parametrize("model_name", ["exp_model", "identity_model"])
+    def test_matches_row_major_kernel_bit_for_bit(self, model_name, kind,
+                                                  chunk, wave, request,
+                                                  monkeypatch):
+        model = request.getfixturevalue(model_name)
+        grid = model.grid
+        if kind == "displacement":   # fixed states, width 1
+            scen = RareEventSpec(kind, wave, x0=5.0, delta=1.5)
+        else:                        # time-interpolated, width 2
+            scen = RareEventSpec(kind, wave, delta=1.3,
+                                 target_wave=WaveSpec(2.2, 0.8, 1.0, 1.5))
+        assert isinstance(boundary_policy(scen, grid),
+                          FixedStates if kind == "displacement"
+                          else TimeInterpolated)
+        rng = np.random.default_rng(12)
+        h = 0.002 * rng.standard_normal((grid.N, grid.M - 2))
+        if chunk is not None:
+            monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+        K, eps = 17, 0.15
+        ref = row_major_kernel(scen, model, eps, K, 31, 2, [None, h])
+        reports = run_estimators(scen, model, eps, K, [None, h], seed=31,
+                                 run_key=2)
+        assert [report_bits(r) for r in reports] == \
+            [report_bits(r) for r, _ in ref]
+        assert 0 < reports[0].hits < K
+        for h_i, (_, q_ref) in zip([None, h], ref):
+            q = sample_terminal_states(scen, model, eps, K, seed=31,
+                                       run_key=2, forcing=h_i)
+            assert np.array_equal(q.view(np.int64), q_ref.view(np.int64))
+
+
 class TestStreams:
     @pytest.mark.parametrize("seed", [0, 2**32 + 5, 2**70 + 3])
     @pytest.mark.parametrize("run_key", [0, 2**33])
@@ -286,15 +415,17 @@ class TestStreams:
             run_basic_mc(ball_scen, exp_model, 0.1, 10, seed=-1)
 
     @pytest.mark.parametrize("chunk", [1, 7])
-    def test_chunk_size_does_not_matter(self, chunk, ball_scen, exp_model,
+    @pytest.mark.parametrize("model_name", ["exp_model", "identity_model"])
+    def test_chunk_size_does_not_matter(self, model_name, chunk, ball_scen,
                                         ball_exp_opt, pinned_exp_opt,
-                                        monkeypatch):
+                                        request, monkeypatch):
+        model = request.getfixturevalue(model_name)
         forcings = [None, pinned_exp_opt.forcing, ball_exp_opt.forcing]
 
         def outputs():
-            return (run_estimators(ball_scen, exp_model, 0.15, 30, forcings,
+            return (run_estimators(ball_scen, model, 0.15, 30, forcings,
                                    seed=21, run_key=3),
-                    sample_terminal_states(ball_scen, exp_model, 0.15, 30,
+                    sample_terminal_states(ball_scen, model, 0.15, 30,
                                            seed=21, forcing=ball_exp_opt.forcing))
 
         reports, terminals = outputs()
