@@ -27,8 +27,7 @@ from .noise import (NoiseModel, build_noise_model, sample_increments,
 from .optimize import (OptimalPath, RareEventSpec, linear_interpolation_path,
                        linear_shift_path, midpoint_convexity_test,
                        minimize_ball, minimize_pinned)
-from .rate import (PathMatrix, discrete_lower_bound, forcing_from_path, rate,
-                   rate_gradient, residual)
+from .rate import PathMatrix, discrete_lower_bound, forcing_from_path, rate
 
 __all__ = [
     "SpaceTimeGrid", "WaveSpec", "profile", "rankine_hugoniot_speed",
@@ -37,8 +36,7 @@ __all__ = [
     "cfl_number",
     "NoiseModel", "build_noise_model", "sample_increments", "whiten",
     "total_covariance_mass",
-    "PathMatrix", "residual", "rate", "rate_gradient", "forcing_from_path",
-    "discrete_lower_bound",
+    "PathMatrix", "rate", "forcing_from_path", "discrete_lower_bound",
     "RareEventSpec", "OptimalPath", "minimize_pinned", "minimize_ball",
     "linear_shift_path", "linear_interpolation_path",
     "midpoint_convexity_test",

@@ -140,8 +140,7 @@ def cmd_optimize(cfg: RunConfig, out_dir: str, threads: int) -> None:
                 {"subcommand": "optimize", "I_star": opt.rate_value,
                  "message": opt.message,
                  "optimizer": {"iterations": opt.iterations,
-                               "evaluations": opt.evaluations,
-                               "outer_steps": opt.outer_steps}})
+                               "evaluations": opt.evaluations}})
     print(f"optimize: I*={opt.rate_value:.6g} grad={opt.gradient_norm:.3g} "
           f"iters={opt.iterations} converged={opt.converged}")
 

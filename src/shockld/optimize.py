@@ -7,10 +7,10 @@ allowed):
 * pinned terminal profile -> unconstrained limited-memory BFGS (two-loop
   recursion over the last 20 curvature pairs), strong Wolfe line search
   with c1 = 1e-4, c2 = 0.9, unit initial step;
-* terminal profile within a weighted L2 ball of radius delta -> augmented
-  Lagrangian around the same inner engine, driving the KKT residual down.
+* terminal profile within a weighted L2 ball of radius delta -> the same
+  engine, with the free terminal cells held on the sphere if the ball binds.
 
-Both solves start L-BFGS from the same initial inverse Hessian h0, taken
+Every solve starts L-BFGS from the same initial inverse Hessian h0, taken
 from the action with the drift cut to its diffusion term,
 r^n ~ (Q^{n+1} - (I + dt D Lap) Q^n) / dt (Nocedal & Wright, Numerical
 Optimization, 2006, sec. 7.2; E, Ren & Vanden-Eijnden, CPAM 57, 2004).  In
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fluxes import FixedStates, TimeInterpolated
+from .fluxes import FixedStates, TimeInterpolated, euler_step
 from .grid import SpaceTimeGrid, WaveSpec, sample_profile
 from .noise import NoiseModel, whiten
 from .rate import PathMatrix, forcing_from_path, rate, rate_and_gradient
@@ -55,6 +55,10 @@ __all__ = [
 ]
 
 SCENARIO_KINDS = ("displacement", "speed_change", "weak_to_strong", "strong_to_weak")
+
+# stopping rule shared by every path solve: ||grad||_inf <= GTOL_REL max(1, I)
+GTOL_REL = 1e-6
+MAX_ITER = 5000
 
 
 @dataclass(frozen=True)
@@ -362,8 +366,8 @@ class OptimalPath:
     """Result of a path optimization.
 
     iterations and evaluations (calls of the objective) are summed over the
-    inner L-BFGS solves; outer_steps counts the augmented-Lagrangian steps
-    of a ball solve and is None for a pinned one.
+    L-BFGS solves: one for a pinned path, one or two for a ball.  multiplier
+    and terminal_distance_sq are None for a pinned path.
     """
 
     path: PathMatrix
@@ -376,7 +380,6 @@ class OptimalPath:
     message: str
     multiplier: float | None = None
     terminal_distance_sq: float | None = None
-    outer_steps: int | None = None
 
 
 def _diffusion_preconditioner(scen: RareEventSpec, model: NoiseModel,
@@ -438,12 +441,51 @@ def _diffusion_preconditioner(scen: RareEventSpec, model: NoiseModel,
     return h0
 
 
+def _path_solve(scen: RareEventSpec, model: NoiseModel, free_terminal: bool,
+                x0: np.ndarray, sphere=None):
+    """One preconditioned L-BFGS solve of the rate over the free entries.
+
+    sphere = (centre, r) turns the last centre.size variables into v, which
+    places the free interior terminal cells at centre + r v / |v|.  Returns
+    the MinimizeResult and the final path.
+    """
+    grid = model.grid
+    mask = free_mask(scen, grid, free_terminal)
+    work = _scaffold(scen, grid, free_terminal)
+    path = PathMatrix(work, grid, scen.wave)
+
+    def place(x):
+        work[mask] = x
+        if sphere is None:
+            return None
+        centre, r = sphere
+        norm = float(np.linalg.norm(x[-centre.size:]))
+        u = x[-centre.size:] / norm
+        work[grid.N, mask[grid.N]] = centre + r * u
+        return u, r / norm
+
+    def fun_grad(x):
+        chart = place(x)
+        value, grad = rate_and_gradient(path, model)
+        g = grad[mask]
+        if chart is not None:  # d/dv of centre + r v/|v| is (r/|v|)(I - u u')
+            u, scale = chart
+            g_term = g[-u.size:]
+            g[-u.size:] = scale * (g_term - float(u @ g_term) * u)
+        return value, g
+
+    res = minimize_smooth(fun_grad, x0, gtol=lambda f: GTOL_REL * max(1.0, f),
+                          max_iter=MAX_ITER,
+                          h0=_diffusion_preconditioner(scen, model, free_terminal))
+    place(res.x)
+    return res, PathMatrix(work.copy(), grid, scen.wave)
+
+
 def minimize_pinned(scen: RareEventSpec, model: NoiseModel,
-                    init: PathMatrix | None = None,
-                    gtol_rel: float = 1e-6, max_iter: int = 5000) -> OptimalPath:
+                    init: PathMatrix | None = None) -> OptimalPath:
     """Minimize the rate with the terminal slice pinned to the target.
 
-    Stops when ||grad||_inf <= gtol_rel * max(1, I) or after max_iter
+    Stops when ||grad||_inf <= GTOL_REL * max(1, I) or after MAX_ITER
     iterations; the best iterate is returned either way.  Free entries of
     `init` (default: the linear interpolation path) seed the search; its
     pinned entries are replaced by the scenario scaffold.
@@ -454,20 +496,7 @@ def minimize_pinned(scen: RareEventSpec, model: NoiseModel,
     if init is None:
         init = linear_interpolation_path(scen, grid)
     mask = free_mask(scen, grid, free_terminal=False)
-    work = _scaffold(scen, grid, free_terminal=False)
-    path = PathMatrix(work, grid, scen.wave)
-
-    def fun_grad(x):
-        work[mask] = x
-        value, grad = rate_and_gradient(path, model)
-        return value, grad[mask]
-
-    res = minimize_smooth(fun_grad, init.q[mask],
-                          gtol=lambda f: gtol_rel * max(1.0, f),
-                          max_iter=max_iter,
-                          h0=_diffusion_preconditioner(scen, model, False))
-    work[mask] = res.x
-    final = PathMatrix(work.copy(), grid, scen.wave)
+    res, final = _path_solve(scen, model, False, init.q[mask])
     return OptimalPath(path=final, rate_value=res.f,
                        gradient_norm=float(np.max(np.abs(res.grad))) if res.grad.size else 0.0,
                        iterations=res.iterations, evaluations=res.evaluations,
@@ -482,104 +511,74 @@ def terminal_distance_sq(q_terminal: np.ndarray, target: np.ndarray,
     return dx * float(d @ d)
 
 
-def minimize_ball(scen: RareEventSpec, model: NoiseModel,
-                  init: PathMatrix | None = None,
-                  kkt_tol: float = 1e-5, activity_tol: float = 1e-8,
-                  max_outer: int = 40, max_iter: int = 5000) -> OptimalPath:
+def minimize_ball(scen: RareEventSpec, model: NoiseModel) -> OptimalPath:
     """Minimize the rate subject to dx sum_m (q^N_m - target_m)^2 <= delta^2.
 
-    Augmented Lagrangian over the pinned-style free variables plus the free
-    interior terminal slice; the multiplier/penalty loop runs until the KKT
-    residual (stationarity, feasibility, complementarity) is at most kkt_tol
-    and any active constraint holds to activity_tol relative.
+    One solve with the terminal slice free starts from the noiseless Euler
+    trajectory, which costs nothing and is kept at iteration 0 for width-1
+    boundaries.  If its result ends outside the ball, one more solve holds
+    the free interior terminal cells on the sphere target + r v / |v|,
+    started from the linear interpolation between q^0 and the sphere point
+    nearest that result's terminal slice.  The multiplier solves
+    stationarity on the terminal slice; a negative one is reported as not
+    converged, and gradient_norm is the KKT stationarity.  Raises ValueError
+    when the pinned terminal cells alone lie at distance delta or more.
     """
     if not scen.delta > 0:
         raise ValueError("minimize_ball requires delta > 0 on the scenario")
     grid = model.grid
-    dx = grid.dx
-    if init is None:
-        init = linear_interpolation_path(scen, grid)
+    dx, N = grid.dx, grid.N
     target = target_values(scen, grid)
     delta_sq = scen.delta ** 2
     mask = free_mask(scen, grid, free_terminal=True)
-    work = _scaffold(scen, grid, free_terminal=True)
-    path = PathMatrix(work, grid, scen.wave)
-    term_row = grid.N
-    h0 = _diffusion_preconditioner(scen, model, True)
+    cols = mask[N]
+    pinned_sq = terminal_distance_sq(
+        _scaffold(scen, grid, True)[N, ~cols], target[~cols], dx)
+    r_sq = (delta_sq - pinned_sq) / dx
+    if r_sq <= 0:
+        raise ValueError(
+            f"terminal ball of radius {scen.delta:g} is infeasible: the pinned "
+            f"terminal cells alone lie at squared distance {pinned_sq:.6g}")
 
+    q = np.tile(initial_values(scen, grid), (N + 1, 1))  # noiseless path
+    bc = boundary_policy(scen, grid)
+    for n in range(N):
+        q[n + 1] = euler_step(q[n], grid, scen.wave, bc, n=n)
+    res, path = _path_solve(scen, model, True, q[mask])
+    iterations, evaluations = res.iterations, res.evaluations
+    active = terminal_distance_sq(path.q[N], target, dx) > delta_sq
+    if active:
+        # |v0| = r, so the sphere map starts as a projection and h0 keeps
+        # its scale
+        r = float(np.sqrt(r_sq))
+        v0 = path.q[N, cols] - target[cols]
+        v0 *= r / np.linalg.norm(v0)
+        end = path.q[N].copy()
+        end[cols] = target[cols] + v0
+        s = (np.arange(N + 1) / N)[:, None]
+        x0 = ((1.0 - s) * path.q[0] + s * end)[mask]
+        x0[-v0.size:] = v0
+        res, path = _path_solve(scen, model, True, x0,
+                                sphere=(target[cols], r))
+        iterations += res.iterations
+        evaluations += res.evaluations
+
+    value, grad = rate_and_gradient(path, model)
     lam = 0.0
-    mu = 10.0
-    x = init.q[mask].copy()
-    inner_tol = 1e-2
-    total_iters = total_evals = outer_steps = 0
-    message = "converged"
-    converged = True
-    c_prev = np.inf
-
-    def constraint(x):
-        work[mask] = x
-        return terminal_distance_sq(work[term_row], target, dx) - delta_sq
-
-    for outer_steps in range(1, max_outer + 1):
-        def fun_grad(xv, lam=lam, mu=mu):
-            work[mask] = xv
-            value, grad = rate_and_gradient(path, model)
-            c = terminal_distance_sq(work[term_row], target, dx) - delta_sq
-            t = lam + mu * c
-            if t > 0:
-                value = value + 0.5 * (t * t - lam * lam) / mu
-                gc = np.zeros_like(grad)
-                gc[term_row] = 2.0 * dx * (work[term_row] - target)
-                grad = grad + t * gc
-            else:
-                value = value - 0.5 * lam * lam / mu
-            return value, grad[mask]
-
-        res = minimize_smooth(
-            fun_grad, x,
-            gtol=lambda f: max(kkt_tol * 0.01, inner_tol) * max(1.0, abs(f)),
-            max_iter=max_iter, h0=h0)
-        x = res.x
-        total_iters += res.iterations
-        total_evals += res.evaluations
-        c = constraint(x)
-        lam = max(0.0, lam + mu * c)
-
-        # KKT residual at the current multiplier estimate
-        work[mask] = x
-        value, grad = rate_and_gradient(path, model)
-        gc = np.zeros_like(grad)
-        gc[term_row] = 2.0 * dx * (work[term_row] - target)
-        stat = float(np.max(np.abs((grad + lam * gc)[mask])))
-        feas = max(0.0, c)
-        comp = abs(lam * c)
-        active_ok = (lam == 0.0) or (abs(c) <= activity_tol * delta_sq)
-        if stat <= kkt_tol * max(1.0, value) and feas <= kkt_tol and \
-                comp <= kkt_tol * max(1.0, value) and active_ok and \
-                inner_tol <= 20.0 * kkt_tol * 0.01:
-            break
-        inner_tol = max(inner_tol * 0.2, kkt_tol * 0.01)
-        if lam > 0 and abs(c) > 0.25 * abs(c_prev):
-            mu = min(mu * 10.0, 1e12)  # feasibility progress stalled
-        c_prev = c
-    else:
-        message = "outer iteration limit reached"
-        converged = False
-
-    work[mask] = x
-    final = PathMatrix(work.copy(), grid, scen.wave)
-    value, grad = rate_and_gradient(final, model)
-    gc = np.zeros_like(grad)
-    gc[term_row] = 2.0 * dx * (final.q[term_row] - target)
-    stat = float(np.max(np.abs((grad + lam * gc)[mask])))
-    return OptimalPath(path=final, rate_value=value, gradient_norm=stat,
-                       iterations=total_iters, evaluations=total_evals,
-                       forcing=forcing_from_path(final, model),
-                       converged=converged, message=message,
-                       multiplier=lam,
+    if active:  # lam = -<grad_N I, grad_N c> / |grad_N c|^2
+        grad_c = 2.0 * dx * (path.q[N, cols] - target[cols])
+        lam = -float(grad[N, cols] @ grad_c) / float(grad_c @ grad_c)
+        grad[N, cols] += lam * grad_c
+    converged, message = res.converged and lam >= 0, res.message
+    if lam < 0:
+        message = "negative multiplier: not a KKT point of the ball problem"
+    return OptimalPath(path=path, rate_value=value,
+                       gradient_norm=float(np.max(np.abs(grad[mask]))),
+                       iterations=iterations, evaluations=evaluations,
+                       forcing=forcing_from_path(path, model),
+                       converged=converged, message=message, multiplier=lam,
                        terminal_distance_sq=terminal_distance_sq(
-                           final.q[term_row], target, dx),
-                       outer_steps=outer_steps)
+                           path.q[N], target, dx))
 
 
 def midpoint_convexity_test(center: PathMatrix, model: NoiseModel,

@@ -24,11 +24,9 @@ from .noise import NoiseModel, whiten
 
 __all__ = [
     "PathMatrix",
-    "residual",
     "residuals",
     "rate",
     "rate_and_gradient",
-    "rate_gradient",
     "forcing_from_path",
     "discrete_lower_bound",
     "frozen_drift_rate",
@@ -59,16 +57,6 @@ def residuals(path: PathMatrix) -> np.ndarray:
     dt = path.grid.dt
     b = drift(q[:-1], path.grid, path.wave)
     return (q[1:, 1:-1] - q[:-1, 1:-1]) / dt - b
-
-
-def residual(path: PathMatrix, n: int) -> np.ndarray:
-    """Residual at step n, 0 <= n <= N-1."""
-    if not 0 <= n <= path.grid.N - 1:
-        raise ValueError(f"step index {n} outside 0..{path.grid.N - 1}")
-    q = path.q
-    dt = path.grid.dt
-    b = drift(q[n], path.grid, path.wave)
-    return (q[n + 1, 1:-1] - q[n, 1:-1]) / dt - b
 
 
 def rate(path: PathMatrix, model: NoiseModel) -> float:
@@ -121,13 +109,6 @@ def rate_and_gradient(path: PathMatrix, model: NoiseModel):
     grad[:-1] -= dt * dx * jt
 
     return value, grad
-
-
-def rate_gradient(path: PathMatrix, model: NoiseModel,
-                  free_mask: np.ndarray) -> np.ndarray:
-    """Gradient restricted to the free entries marked True in free_mask."""
-    _, grad = rate_and_gradient(path, model)
-    return grad[free_mask]
 
 
 def forcing_from_path(path: PathMatrix, model: NoiseModel) -> np.ndarray:

@@ -121,7 +121,6 @@ class TestSubcommands:
         record = meta["optimizer"]
         assert record["iterations"] == int(row["iterations"])
         assert record["evaluations"] > record["iterations"]
-        assert record["outer_steps"] is None
 
     def test_optimize_meta_records_ball_outer_steps(self, tmp_path):
         cfg_path = make_config(
@@ -135,7 +134,18 @@ class TestSubcommands:
         record = json.loads((out / "optimize_meta.json").read_text())["optimizer"]
         assert record["iterations"] == int(row["iterations"])
         assert record["evaluations"] > record["iterations"]
-        assert record["outer_steps"] >= 1
+        assert set(record) == {"iterations", "evaluations"}
+
+    def test_infeasible_ball_fails_with_diagnostic(self, tmp_path, capsys):
+        # the pinned boundary cells alone sit at squared distance 0.00362
+        # from the x0 = 15 target, beyond delta^2 = 0.0025
+        cfg_path = make_config(tmp_path, **{"scenario.x0": 15.0,
+                                            "scenario.delta": 0.05})
+        assert main(["optimize", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "shockld optimize" in err and "infeasible" in err
 
     def test_same_seed_byte_identical(self, tmp_path):
         cfg_path = self.small_optimize_config(tmp_path)

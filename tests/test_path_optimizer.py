@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from shockld import optimize
-from shockld.fluxes import drift
+from shockld.fluxes import drift, euler_step
 from shockld.grid import SpaceTimeGrid, WaveSpec, sample_profile
 from shockld.noise import build_noise_model, whiten
 from shockld.optimize import (RareEventSpec, _diffusion_preconditioner,
@@ -223,8 +223,9 @@ class TestMinimizePinned:
         assert pinned_exp_opt.iterations <= 25
         assert ball_exp_opt.iterations <= 60
         assert pinned_exp_opt.evaluations > pinned_exp_opt.iterations
-        assert ball_exp_opt.outer_steps >= 1
-        assert pinned_exp_opt.outer_steps is None
+        # a multiplier loop around the same engine spent 106 evaluations
+        assert ball_exp_opt.evaluations <= 106
+        assert pinned_exp_opt.multiplier is None
 
     def test_forcing_matches_rate(self, pinned_exp_opt, table1_grid, exp_model):
         h = pinned_exp_opt.forcing
@@ -275,12 +276,38 @@ class TestPreconditioner:
 
 
 class TestMinimizeBall:
-    def test_slack_ball_reaches_deterministic_path(self, wave, identity_model):
-        # delta far beyond the noiseless terminal distance: constraint inactive
+    @pytest.mark.parametrize("noise_kind", ["identity", "exponential"])
+    def test_slack_ball_reaches_deterministic_path(self, wave, table1_grid,
+                                                   noise_kind):
+        # delta far beyond the noiseless terminal distance: constraint
+        # inactive, and the eps = 0 trajectory costs nothing
+        model = build_noise_model(noise_kind, table1_grid, sigma=1.0, l_c=5.0)
         scen = RareEventSpec("displacement", wave, x0=1.0, delta=5.0)
+        opt = minimize_ball(scen, model)
+        bc = boundary_policy(scen, table1_grid)
+        rows = [sample_profile(wave, table1_grid)]
+        for n in range(table1_grid.N):
+            rows.append(euler_step(rows[-1], table1_grid, wave, bc, n=n))
+        assert opt.iterations == 0
+        assert np.array_equal(opt.path.q, np.stack(rows))
+        assert opt.rate_value <= 1e-20
+        assert opt.converged and opt.multiplier == 0.0
+
+    @pytest.mark.parametrize("delta", [5.0, 4.2])
+    def test_slack_ball_with_pinned_interior_cells(self, table1_grid,
+                                                   identity_model, delta):
+        # width-2 boundaries pin interior cells whose residuals count, so the
+        # eps = 0 trajectory (rate 1.097, terminal distance^2 17.96) is not
+        # the free minimizer (rate 0.7785, distance^2 17.30); at delta = 4.2
+        # the trajectory ends outside the ball but the minimizer inside
+        scen = RareEventSpec("weak_to_strong", WaveSpec(1.75, 1.25, 1.0, gamma=1.5),
+                             target_wave=WaveSpec(2.5, 0.5, 1.0, gamma=1.5),
+                             delta=delta)
         opt = minimize_ball(scen, identity_model)
-        assert opt.rate_value <= 1e-10
-        assert opt.multiplier == 0.0
+        assert opt.converged and opt.multiplier == 0.0
+        assert opt.terminal_distance_sq < delta ** 2
+        assert opt.rate_value == pytest.approx(0.778535334623, rel=1e-9)
+        assert opt.gradient_norm <= 1e-6 * max(1.0, opt.rate_value)
 
     def test_benchmark_ball_constraint_active(self, ball_exp_opt):
         opt = ball_exp_opt
@@ -291,7 +318,7 @@ class TestMinimizeBall:
         assert opt.gradient_norm <= 1e-5 * max(1.0, opt.rate_value)
 
     def test_ball_ladder_meets_activity_default(self, ball_ladder):
-        # minimize_ball's default activity_tol; criterion 05 asks only 1e-6
+        # criterion 05 asks only 1e-6
         for delta, opt in ball_ladder.items():
             assert opt.converged
             act = abs(opt.terminal_distance_sq - delta ** 2) / delta ** 2
@@ -304,6 +331,25 @@ class TestMinimizeBall:
         with pytest.raises(ValueError):
             minimize_ball(RareEventSpec("displacement", wave, x0=1.0),
                           identity_model)
+
+    def test_rejects_infeasible_ball(self, wave, exp_model):
+        # the pinned boundary cells alone sit at squared distance 0.00362
+        # from the x0 = 15 target, beyond delta^2 = 0.0025
+        scen = RareEventSpec("displacement", wave, x0=15.0, delta=0.05)
+        with pytest.raises(ValueError, match="infeasible"):
+            minimize_ball(scen, exp_model)
+
+    def test_weak_to_strong_ball_is_active(self, exp_model):
+        # the L-BFGS run stalls on a Godunov kink, so convergence is not
+        # asserted; the terminal slice still sits on the sphere with a
+        # positive multiplier
+        scen = RareEventSpec("weak_to_strong", WaveSpec(1.75, 1.25, 1.0, gamma=1.5),
+                             target_wave=WaveSpec(2.5, 0.5, 1.0, gamma=1.5),
+                             delta=0.5)
+        opt = minimize_ball(scen, exp_model)
+        assert opt.multiplier > 0
+        assert abs(opt.terminal_distance_sq - 0.25) <= 1e-8 * 0.25
+        assert opt.evaluations <= 500
 
 
 class TestPathBuilders:

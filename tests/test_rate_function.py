@@ -8,7 +8,7 @@ from shockld.optimize import (RareEventSpec, _scaffold, free_mask,
                               linear_interpolation_path)
 from shockld.rate import (PathMatrix, discrete_lower_bound, forcing_from_path,
                           frozen_drift_rate, rate, rate_and_gradient,
-                          rate_gradient, residual, residuals)
+                          residuals)
 
 
 def noiseless_path(grid, wave, q0):
@@ -46,12 +46,7 @@ class TestResidual:
 
     def test_single_perturbation_arithmetic(self, single_step_setup):
         path, _ = single_step_setup
-        assert np.allclose(residual(path, 0), [2.0, 0.0], atol=1e-12)
-
-    def test_step_index_bounds(self, single_step_setup):
-        path, _ = single_step_setup
-        with pytest.raises(ValueError):
-            residual(path, 1)
+        assert np.allclose(residuals(path)[0], [2.0, 0.0], atol=1e-12)
 
     def test_affine_in_next_slice(self, table1_grid, wave):
         rng = np.random.default_rng(10)
@@ -62,8 +57,9 @@ class TestResidual:
         mid = a.copy()
         mid.q[3] = 0.5 * (a.q[3] + b.q[3])
         # paths share slice 2; residual at n=2 is affine in slice 3
-        assert np.allclose(residual(mid, 2),
-                           0.5 * (residual(a, 2) + residual(b, 2)), atol=1e-12)
+        assert np.allclose(residuals(mid)[2],
+                           0.5 * (residuals(a)[2] + residuals(b)[2]),
+                           atol=1e-12)
 
 
 class TestRate:
@@ -129,15 +125,6 @@ class TestRateGradient:
         for n, j in changed:
             assert n in (N - 1, N)
             assert abs(j - m) <= 1
-
-    def test_free_mask_selection(self, table1_grid, wave, identity_model):
-        rng = np.random.default_rng(14)
-        scen = RareEventSpec("displacement", wave, x0=5.0)
-        path = perturbed_path(scen, table1_grid, rng)
-        mask = free_mask(scen, table1_grid, free_terminal=False)
-        g = rate_gradient(path, identity_model, mask)
-        _, full = rate_and_gradient(path, identity_model)
-        assert np.array_equal(g, full[mask])
 
 
 class TestForcingFromPath:
