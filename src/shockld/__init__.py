@@ -11,19 +11,15 @@ entry point lives in shockld.cli.
 
 __version__ = "0.1.0"
 
-from .diagnostics import (CenterSeries, analytic_center_law,
-                          analytic_exit_log_probability,
-                          analytic_exit_probability, center_series,
-                          fit_scaling, wave_center)
+from .diagnostics import (analytic_center_law, analytic_exit_probability,
+                          fit_scaling)
 from .fluxes import (FixedStates, TimeInterpolated, cfl_number, drift,
                      euler_step, godunov_flux)
 from .grid import (SpaceTimeGrid, WaveSpec, profile, rankine_hugoniot_speed,
                    sample_profile)
-from .montecarlo import (EstimatorReport, epsilon_sweep, event_indicator,
-                         likelihood_ratio, run_basic_mc,
+from .montecarlo import (EstimatorReport, epsilon_sweep, run_basic_mc,
                          run_importance_sampling)
-from .noise import (NoiseModel, build_noise_model, sample_increments,
-                    total_covariance_mass, whiten)
+from .noise import NoiseModel, build_noise_model, whiten
 from .optimize import (OptimalPath, RareEventSpec, linear_interpolation_path,
                        linear_shift_path, midpoint_convexity_test,
                        minimize_ball, minimize_pinned)
@@ -34,15 +30,12 @@ __all__ = [
     "sample_profile",
     "FixedStates", "TimeInterpolated", "godunov_flux", "drift", "euler_step",
     "cfl_number",
-    "NoiseModel", "build_noise_model", "sample_increments", "whiten",
-    "total_covariance_mass",
+    "NoiseModel", "build_noise_model", "whiten",
     "PathMatrix", "rate", "forcing_from_path", "discrete_lower_bound",
     "RareEventSpec", "OptimalPath", "minimize_pinned", "minimize_ball",
     "linear_shift_path", "linear_interpolation_path",
     "midpoint_convexity_test",
-    "EstimatorReport", "event_indicator", "run_basic_mc", "likelihood_ratio",
-    "run_importance_sampling", "epsilon_sweep",
-    "CenterSeries", "wave_center", "center_series", "analytic_center_law",
-    "analytic_exit_probability", "analytic_exit_log_probability",
-    "fit_scaling",
+    "EstimatorReport", "run_basic_mc", "run_importance_sampling",
+    "epsilon_sweep",
+    "analytic_center_law", "analytic_exit_probability", "fit_scaling",
 ]

@@ -3,10 +3,10 @@
     shockld <subcommand> --config cfg.json [--out DIR] [--seed SEED] [--threads N]
 
 Subcommands: optimize, mc, is, sweep-x0, sweep-T, sweep-eps, convexity,
-center-diagnostics.  SHOCKLD_THREADS is the fallback for --threads.  All
-numeric output is written with 17 significant digits so that reruns with the
-same seed are byte-identical and path files round-trip through the rate
-function exactly.
+center-diagnostics.  SHOCKLD_THREADS is the fallback for --threads; a thread
+count below 1 is refused.  All numeric output is written with 17 significant
+digits so that reruns with the same seed are byte-identical and path files
+round-trip through the rate function exactly.
 """
 
 from __future__ import annotations
@@ -100,6 +100,26 @@ def _optimize(cfg: RunConfig, model):
     return minimize_pinned(cfg.scenario, model)
 
 
+def _test_path_rates(scen, grid: SpaceTimeGrid, model) -> list[float]:
+    """I of the shifted-profile and interpolation test paths, projected onto
+    the pinned-terminal feasible set, so each bounds the pinned optimum."""
+    pin = dataclasses.replace(scen, delta=0.0)
+    return [rate(project_onto_pinning(pin, grid, path(pin, grid)), model)
+            for path in (linear_shift_path, linear_interpolation_path)]
+
+
+def _threads(flag: int | None) -> int:
+    """--threads, else SHOCKLD_THREADS, else 1; refused below 1."""
+    raw = os.environ.get("SHOCKLD_THREADS", "1") if flag is None else flag
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ValueError(f"thread count must be a positive integer, got {raw!r}")
+    return threads
+
+
 def _require(value, key: str):
     if value is None:
         raise ConfigError(f"missing field: run.{key}")
@@ -120,13 +140,7 @@ def cmd_optimize(cfg: RunConfig, out_dir: str, threads: int) -> None:
     scen = cfg.scenario
     i_shift = i_interp = ""
     if scen.kind == "displacement":
-        pin = dataclasses.replace(scen, delta=0.0)
-        i_shift = rate(project_onto_pinning(
-            pin, cfg.grid, linear_shift_path(pin, cfg.grid),
-            free_terminal=False), model)
-        i_interp = rate(project_onto_pinning(
-            pin, cfg.grid, linear_interpolation_path(pin, cfg.grid),
-            free_terminal=False), model)
+        i_shift, i_interp = _test_path_rates(scen, cfg.grid, model)
     header = ["format_version", "scenario", "delta", "I_star", "gradient_norm",
               "iterations", "converged", "lower_bound", "I_shift_path",
               "I_interp_path", "terminal_distance_sq", "multiplier", "seed"]
@@ -184,11 +198,7 @@ def _sweep_point(args):
     model = build_noise_model(cfg.noise_kind, grid, sigma=cfg.sigma, l_c=cfg.l_c)
     opt = minimize_pinned(scen, model)
     bound = discrete_lower_bound(opt.path, model)
-    i_shift = rate(project_onto_pinning(scen, grid, linear_shift_path(scen, grid),
-                                        free_terminal=False), model)
-    i_interp = rate(project_onto_pinning(
-        scen, grid, linear_interpolation_path(scen, grid),
-        free_terminal=False), model)
+    i_shift, i_interp = _test_path_rates(scen, grid, model)
     return [FORMAT_VERSION, x0, grid.T, cfg.wave.D, opt.rate_value,
             opt.gradient_norm, opt.iterations, opt.converged, bound,
             i_shift, i_interp, cfg.run.seed]
@@ -336,10 +346,8 @@ def main(argv=None) -> int:
                              "(SHOCKLD_THREADS as fallback)")
     args = parser.parse_args(argv)
 
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("SHOCKLD_THREADS", "1"))
     try:
+        threads = _threads(args.threads)
         with open(args.config) as fh:
             text = fh.read()
         cfg = parse_config(text)

@@ -1,4 +1,4 @@
-"""Wave-center tracking, the Gaussian displacement law, and scaling fits.
+"""Wave centers, the Gaussian displacement law, and scaling fits.
 
 The center of a state relative to the reference profile is the mass excess
 converted to a position,
@@ -20,63 +20,31 @@ Gaussian tail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy.special import erfc, erfcx
+from scipy.special import erfc
 
 from .grid import SpaceTimeGrid, WaveSpec
 from .noise import NoiseModel
-from .rate import PathMatrix
 
 __all__ = [
-    "CenterSeries",
-    "wave_center",
-    "center_series",
     "analytic_center_law",
     "analytic_exit_probability",
-    "analytic_exit_log_probability",
     "fit_scaling",
     "transition_margin_ok",
 ]
 
 
-@dataclass(frozen=True)
-class CenterSeries:
-    """Center positions along a path; centers[0] is 0 when the path starts
-    at the reference profile."""
-
-    times: np.ndarray
-    centers: np.ndarray
-    wave: WaveSpec
-
-
-def wave_center(values: np.ndarray, reference: np.ndarray, wave: WaveSpec,
-                dx: float) -> float:
-    """dx sum (Q - ref) / (u_minus - u_plus); linear in the state.
-
-    Positive for a profile displaced to the right of the reference.
-    """
-    if wave.u_minus == wave.u_plus:
-        raise ValueError("wave_center undefined for equal end states")
-    diff = np.asarray(values, dtype=float) - np.asarray(reference, dtype=float)
-    return dx * float(diff.sum()) / (wave.u_minus - wave.u_plus)
-
-
 def wave_centers(states: np.ndarray, reference: np.ndarray, wave: WaveSpec,
                  dx: float) -> np.ndarray:
-    """Vectorized wave_center over the leading axis of `states`."""
+    """dx sum (Q - ref) / (u_minus - u_plus) over the last axis of `states`.
+
+    Linear in the state, and positive for a profile displaced to the right
+    of the reference.
+    """
     if wave.u_minus == wave.u_plus:
-        raise ValueError("wave_center undefined for equal end states")
+        raise ValueError("wave center undefined for equal end states")
     diff = np.asarray(states, dtype=float) - np.asarray(reference, dtype=float)
     return dx * diff.sum(axis=-1) / (wave.u_minus - wave.u_plus)
-
-
-def center_series(path: PathMatrix, reference: np.ndarray) -> CenterSeries:
-    grid = path.grid
-    times = np.arange(grid.N + 1) * grid.dt
-    centers = wave_centers(path.q, reference, path.wave, grid.dx)
-    return CenterSeries(times=times, centers=centers, wave=path.wave)
 
 
 def analytic_center_law(eps: float, t: float, model: NoiseModel, dx: float,
@@ -90,25 +58,6 @@ def analytic_center_law(eps: float, t: float, model: NoiseModel, dx: float,
     mean = wave.wave_speed() * t
     variance = eps * eps * t * dx * float(model.C.sum()) / wave.jump ** 2
     return mean, variance
-
-
-def analytic_exit_log_probability(x0: float, T: float, eps: float,
-                                  model: NoiseModel, dx: float,
-                                  wave: WaveSpec) -> float:
-    """log P(center exceeds its mean by at least x0 at time T).
-
-    Evaluated through the scaled complementary error function so the value
-    stays accurate far in the tail where the probability itself underflows.
-    """
-    if not T > 0:
-        raise ValueError("T must be positive")
-    _, var = analytic_center_law(eps, T, model, dx, wave)
-    if var == 0.0:
-        return 0.0 if x0 <= 0 else -np.inf
-    z = x0 / np.sqrt(2.0 * var)
-    if z < -25.0:
-        return 0.0  # doubly certain; erfcx would overflow
-    return float(np.log(0.5) - z * z + np.log(erfcx(z)))
 
 
 def analytic_exit_probability(x0: float, T: float, eps: float,

@@ -46,11 +46,6 @@ class FixedStates:
         values[..., 0] = self.u_minus
         values[..., -1] = self.u_plus
 
-    def pinned_columns(self, M: int) -> np.ndarray:
-        mask = np.zeros(M, dtype=bool)
-        mask[0] = mask[-1] = True
-        return mask
-
 
 @dataclass(frozen=True)
 class TimeInterpolated:
@@ -75,11 +70,6 @@ class TimeInterpolated:
         s = n / self.n_steps
         values[..., : self.width] = (1.0 - s) * self.left0 + s * self.leftN
         values[..., -self.width:] = (1.0 - s) * self.right0 + s * self.rightN
-
-    def pinned_columns(self, M: int) -> np.ndarray:
-        mask = np.zeros(M, dtype=bool)
-        mask[: self.width] = mask[-self.width:] = True
-        return mask
 
 
 def godunov_flux(q_left, q_right, gamma: float):
@@ -112,35 +102,24 @@ def godunov_flux(q_left, q_right, gamma: float):
 
 
 def godunov_flux_derivs(q_left, q_right, gamma: float):
-    """Flux together with one-sided partials (dF/dq_left, dF/dq_right).
+    """One-sided partials (dF/dq_left, dF/dq_right) of godunov_flux.
 
-    At the sonic kink and at ties q_left == q_right the left-state branch is
-    selected, so the returned partials are a consistent subgradient choice.
+    With a = max(q_left, gamma) - gamma and b = min(q_right, gamma) - gamma
+    the flux is max(a^2, b^2) / 2, so the partials are (a, 0) when a >= -b
+    and (0, b) otherwise.  A tie q_left == q_right takes the left state's
+    branch instead, which is (b, 0) where the closed form gives (0, b): a
+    tie below gamma.  These are the subgradient choices at the sonic kink
+    and at ties.
     """
     ql = np.asarray(q_left, dtype=float)
     qr = np.asarray(q_right, dtype=float)
-    dl = ql - gamma
-    dr = qr - gamma
-    fl = 0.5 * dl * dl
-    fr = 0.5 * dr * dr
-
-    increasing = ql <= qr
-    sonic_inside = increasing & (ql <= gamma) & (gamma <= qr)
-    # increasing data: min at left endpoint iff gamma <= q_left; decreasing
-    # data: max at the endpoint farther from the sonic state, ties -> left
-    min_at_left = gamma <= ql
-    max_at_left = np.abs(dl) >= np.abs(dr)
-    take_left = np.where(increasing, min_at_left, max_at_left)
-    # ties q_left == q_right fall in the increasing branch; force left state
-    take_left = take_left | (ql == qr)
-
-    value = np.where(take_left, fl, fr)
-    dleft = np.where(take_left, dl, 0.0)
-    dright = np.where(take_left, 0.0, dr)
-    value = np.where(sonic_inside, 0.0, value)
-    dleft = np.where(sonic_inside, 0.0, dleft)
-    dright = np.where(sonic_inside, 0.0, dright)
-    return value, dleft, dright
+    a = np.maximum(ql, gamma) - gamma
+    b = np.minimum(qr, gamma) - gamma
+    left = a >= -b
+    tie = ql == qr
+    dleft = np.where(left, a, np.where(tie, b, 0.0))
+    dright = np.where(left | tie, 0.0, b)
+    return dleft, dright
 
 
 def drift(values: np.ndarray, grid: SpaceTimeGrid, wave: WaveSpec) -> np.ndarray:
@@ -166,33 +145,26 @@ def drift(values: np.ndarray, grid: SpaceTimeGrid, wave: WaveSpec) -> np.ndarray
 
 
 def euler_step(values: np.ndarray, grid: SpaceTimeGrid, wave: WaveSpec, bc,
-               forcing: np.ndarray | None = None,
-               noise: np.ndarray | None = None,
-               eps: float = 0.0,
-               n: int = 0) -> np.ndarray:
+               forcing: np.ndarray | None = None, n: int = 0) -> np.ndarray:
     """One explicit Euler step from time level n to n+1.
 
-    `forcing` and `noise` are interior vectors (shape (..., M-2)); forcing is
-    added as-is (it already carries its own dt scaling), noise is scaled by
-    eps.  Boundary cells are overwritten per `bc` at level n+1.  Returns a
-    fresh array.
+    `forcing` is an interior vector (shape (..., M-2)) added as-is; it
+    already carries its own dt scaling.  Boundary cells are overwritten per
+    `bc` at level n+1.  Returns a fresh array.
     """
     values = np.asarray(values, dtype=float)
     out = values.copy()
     incr = grid.dt * drift(values, grid, wave)
     if forcing is not None:
         incr = incr + forcing
-    if noise is not None and eps != 0.0:
-        incr = incr + eps * np.asarray(noise)
     out[..., 1:-1] += incr
     bc.apply(out, n + 1)
     return out
 
 
-def cfl_number(grid: SpaceTimeGrid, wave: WaveSpec, margin: float = 0.0) -> float:
-    """dt (max|F'|/dx + 2 D/dx^2) over states within `margin` of [u_plus, u_minus]."""
-    speed = max(abs(wave.u_minus + margin - wave.gamma),
-                abs(wave.u_plus - margin - wave.gamma))
+def cfl_number(grid: SpaceTimeGrid, wave: WaveSpec) -> float:
+    """dt (max|F'|/dx + 2 D/dx^2) over states in [u_plus, u_minus]."""
+    speed = max(abs(wave.u_minus - wave.gamma), abs(wave.u_plus - wave.gamma))
     return grid.dt * (speed / grid.dx + 2.0 * wave.D / grid.dx ** 2)
 
 

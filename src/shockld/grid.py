@@ -106,7 +106,6 @@ class WaveSpec:
     u_plus: float
     D: float
     gamma: float = 0.0
-    flux_kind: str = "burgers_moving"
 
     def __post_init__(self):
         if not self.u_minus > self.u_plus:
@@ -116,8 +115,6 @@ class WaveSpec:
             )
         if not self.D > 0:
             raise ValueError(f"viscosity must be positive, got D={self.D}")
-        if self.flux_kind != "burgers_moving":
-            raise ValueError(f"unsupported flux_kind: {self.flux_kind!r}")
 
     @property
     def jump(self) -> float:

@@ -16,6 +16,9 @@ and reweights each sample by the exact Gaussian likelihood ratio
                                   - ||Phi^{-1} dW~^n||^2 ] ),
 
 so that E[indicator * w] is the original-event probability for any forcing.
+_log_weights is the one implementation of this weight; the kernel and
+importance_weights both apply it to the whitened draws
+Phi^{-1} dW~^n = sqrt(dt/dx) z^n, never to the colored increments.
 
 One trajectory kernel serves every estimator.  It takes a sequence of
 forcings (None for the untilted scheme) and works through the samples in
@@ -53,15 +56,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fluxes import drift
-from .noise import NoiseModel, unwhiten, whiten
+from .noise import NoiseModel, unwhiten
 from .optimize import RareEventSpec, boundary_policy, initial_values, target_values
 
 __all__ = [
     "EstimatorReport",
-    "event_indicator",
     "run_basic_mc",
     "run_estimators",
-    "likelihood_ratio",
     "run_importance_sampling",
     "importance_weights",
     "epsilon_sweep",
@@ -228,13 +229,6 @@ def _draws(seed: int, run_key: int, K: int, shape: tuple[int, ...]):
             yield start, start + len(z), z
 
 
-def event_indicator(terminal: np.ndarray, target: np.ndarray, delta: float,
-                    dx: float) -> bool:
-    """Exact weighted-L2 ball test dx sum (Q - target)^2 <= delta^2."""
-    d = np.asarray(terminal) - np.asarray(target)
-    return bool(dx * float(d @ d) <= delta * delta)
-
-
 def _report(p: np.ndarray, eps: float, hits: int) -> EstimatorReport:
     K = p.size
     mean = float(np.mean(p))
@@ -284,8 +278,8 @@ def _simulate(scen: RareEventSpec, model: NoiseModel, eps: float, K: int,
     untilted scheme.  Returns (p, hits, terminals): p has one row of
     per-sample values per forcing, hits one count per forcing, terminals the
     terminal slices (len(forcings), K, M) when keep_terminals, else None.
-    The weights are computed from the whitened draws directly, which equals
-    likelihood_ratio() on the colored increments up to roundoff.
+    The weights come from the whitened draws through _log_weights, so no
+    colored increment is ever whitened back.
 
     A trajectory batch qT is stored cells-major, shape (M, B); drift sees
     the Fortran-ordered (B, M) view qT.T.  The terminal slices are copied
@@ -366,23 +360,6 @@ def run_basic_mc(scen: RareEventSpec, model: NoiseModel, eps: float, K: int,
                  seed: int, run_key: int = 0) -> EstimatorReport:
     """Hit-fraction estimator over K independent noisy trajectories."""
     return run_estimators(scen, model, eps, K, [None], seed, run_key)[0]
-
-
-def likelihood_ratio(noise_path: np.ndarray, forcing: np.ndarray,
-                     model: NoiseModel, eps: float, dt: float,
-                     dx: float) -> float:
-    """Exact density ratio of the untilted vs tilted increment law.
-
-    noise_path holds the zero-mean colored increments dW~^n (shape (N, M-2))
-    drawn under the tilted measure; forcing holds h^n.  Always positive, and
-    exactly 1 when the forcing vanishes.
-    """
-    noise_path = np.asarray(noise_path, dtype=float)
-    forcing = np.asarray(forcing, dtype=float)
-    if noise_path.shape != forcing.shape:
-        raise ValueError("noise_path and forcing must have matching shapes")
-    y = whiten(model, noise_path)
-    return float(np.exp(_log_weights(y, forcing / eps, dx / (2.0 * dt))))
 
 
 def run_importance_sampling(scen: RareEventSpec, model: NoiseModel, eps: float,

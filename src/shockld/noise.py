@@ -32,10 +32,8 @@ from .grid import SpaceTimeGrid
 __all__ = [
     "NoiseModel",
     "build_noise_model",
-    "sample_increments",
     "whiten",
     "unwhiten",
-    "total_covariance_mass",
 ]
 
 
@@ -96,23 +94,6 @@ def build_noise_model(kind: str, grid: SpaceTimeGrid,
                       sigma=sigma, l_c=l_c)
 
 
-def sample_increments(model: NoiseModel, dt: float, dx: float,
-                      rng: np.random.Generator,
-                      size: int | None = None) -> np.ndarray:
-    """Draw sqrt(dt/dx) Phi z with z standard normal.
-
-    Returns shape (M-2,) or (size, M-2); successive calls on the same rng are
-    independent, matching noise that is white in time.
-    """
-    n = model.size
-    shape = (n,) if size is None else (size, n)
-    z = rng.standard_normal(shape)
-    scale = np.sqrt(dt / dx)
-    if model.is_identity:
-        return scale * z
-    return scale * (z @ model.Phi.T)
-
-
 def whiten(model: NoiseModel, r: np.ndarray) -> np.ndarray:
     """Solve Phi y = r by forward substitution; the space axis is last.
 
@@ -136,7 +117,3 @@ def unwhiten(model: NoiseModel, y: np.ndarray) -> np.ndarray:
         return y.copy()
     return y @ model.Phi.T
 
-
-def total_covariance_mass(model: NoiseModel, dx: float) -> float:
-    """Plain quadrature mass dx^2 sum_ij C_ij of the covariance matrix."""
-    return dx * dx * float(model.C.sum())

@@ -46,7 +46,6 @@ __all__ = [
     "free_mask",
     "linear_shift_path",
     "linear_interpolation_path",
-    "random_path",
     "project_onto_pinning",
     "minimize_pinned",
     "minimize_ball",
@@ -177,18 +176,6 @@ def project_onto_pinning(scen: RareEventSpec, grid: SpaceTimeGrid,
     mask = free_mask(scen, grid, free_terminal)
     q[mask] = source.q[mask]
     return PathMatrix(q, grid, source.wave)
-
-
-def random_path(scen: RareEventSpec, grid: SpaceTimeGrid,
-                rng: np.random.Generator) -> PathMatrix:
-    """Random initial guess: free entries uniform over the state range."""
-    lo = min(scen.wave.u_plus, target_values(scen, grid).min())
-    hi = max(scen.wave.u_minus, target_values(scen, grid).max())
-    pad = 0.5 * (hi - lo)
-    q = _scaffold(scen, grid, free_terminal=scen.delta > 0)
-    mask = free_mask(scen, grid)
-    q[mask] = rng.uniform(lo - pad, hi + pad, size=int(mask.sum()))
-    return PathMatrix(q, grid, scen.wave)
 
 
 # ---------------------------------------------------------------------------
@@ -582,28 +569,23 @@ def minimize_ball(scen: RareEventSpec, model: NoiseModel) -> OptimalPath:
 
 
 def midpoint_convexity_test(center: PathMatrix, model: NoiseModel,
-                            trials: int, rng: np.random.Generator,
-                            rel_scale: float = 1e-2,
-                            mask: np.ndarray | None = None,
-                            rate_fn=None) -> float:
+                            trials: int, rng: np.random.Generator) -> float:
     """Fraction of random nearby path pairs satisfying midpoint convexity.
 
-    Pairs are Gaussian perturbations of the free entries with standard
-    deviation rel_scale times the RMS of the center's free values; the test
-    is I((p+q)/2) <= (I(p) + I(q))/2 + 1e-12.  trials = 0 returns 1.0.
+    Pairs are Gaussian perturbations of the interior cells of time levels
+    1..N-1 with standard deviation 1e-2 times the RMS of the center's values
+    there; the test is I((p+q)/2) <= (I(p) + I(q))/2 + 1e-12.  trials = 0
+    returns 1.0.
     """
     if trials < 0:
         raise ValueError("trials must be nonnegative")
     if trials == 0:
         return 1.0
     grid = center.grid
-    if mask is None:
-        mask = np.zeros((grid.N + 1, grid.M), dtype=bool)
-        mask[1:grid.N, 1:-1] = True
-    if rate_fn is None:
-        rate_fn = lambda p: rate(p, model)
+    mask = np.zeros((grid.N + 1, grid.M), dtype=bool)
+    mask[1:grid.N, 1:-1] = True
     base = center.q[mask]
-    scale = rel_scale * float(np.sqrt(np.mean(base * base)))
+    scale = 1e-2 * float(np.sqrt(np.mean(base * base)))
     work = center.q.copy()
     probe = PathMatrix(work, grid, center.wave)
     passed = 0
@@ -611,11 +593,11 @@ def midpoint_convexity_test(center: PathMatrix, model: NoiseModel,
         e1 = rng.normal(0.0, scale, size=base.shape)
         e2 = rng.normal(0.0, scale, size=base.shape)
         work[mask] = base + e1
-        f1 = rate_fn(probe)
+        f1 = rate(probe, model)
         work[mask] = base + e2
-        f2 = rate_fn(probe)
+        f2 = rate(probe, model)
         work[mask] = base + 0.5 * (e1 + e2)
-        fm = rate_fn(probe)
+        fm = rate(probe, model)
         if fm <= 0.5 * (f1 + f2) + 1e-12:
             passed += 1
     work[mask] = base

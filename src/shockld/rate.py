@@ -5,10 +5,13 @@ A path is the full matrix Q = (Q^0, ..., Q^N) of time slices.  Its cost is
     I(Q) = (dt dx / 2) sum_n || Phi^{-1} r^n ||_2^2,
     r^n  = (Q^{n+1} - Q^n) / dt - b(Q^n)          (interior cells),
 
-which is zero exactly on the noiseless trajectory.  The module also provides
-the analytic gradient of I (chained through the piecewise-smooth Godunov
-flux), the pre-whitened forcing h^n = dt Phi^{-1} r^n that replays a path
-through the Euler scheme, and a Cauchy-Schwarz lower bound on I.
+which is zero exactly on the noiseless trajectory.  Every function here
+takes r from residuals(), whose b is fluxes.drift, the drift the Monte Carlo
+kernel steps with.  The module provides I, its analytic gradient (chained
+through the one-sided partials of the Godunov flux, with the left-state
+choice at kinks and ties), the pre-whitened forcing h^n = dt Phi^{-1} r^n
+that replays a path through the Euler scheme, and a Cauchy-Schwarz lower
+bound on I.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ __all__ = [
     "rate_and_gradient",
     "forcing_from_path",
     "discrete_lower_bound",
-    "frozen_drift_rate",
 ]
 
 
@@ -79,20 +81,16 @@ def _whitened_pair(model: NoiseModel, r: np.ndarray):
 def rate_and_gradient(path: PathMatrix, model: NoiseModel):
     """Rate value and its full gradient dI/dq, shape (N+1, M).
 
-    The gradient covers every entry including pinned ones; callers mask.  At
-    Godunov kinks the left-state one-sided derivative is used.
+    The value is rate(path) bit for bit.  The gradient covers every entry
+    including pinned ones; callers mask.  At Godunov kinks and ties it
+    chains through the left-state partial of godunov_flux_derivs.
     """
     q = path.q
     grid, wave = path.grid, path.wave
     dt, dx, D = grid.dt, grid.dx, wave.D
     Npt, M = q.shape
 
-    F, dFl, dFr = godunov_flux_derivs(q[:-1, :-1], q[:-1, 1:], wave.gamma)
-    conv = -(F[:, 1:] - F[:, :-1]) / dx
-    diff = (q[:-1, 2:] - 2.0 * q[:-1, 1:-1] + q[:-1, :-2]) / (dx * dx)
-    r = (q[1:, 1:-1] - q[:-1, 1:-1]) / dt - (conv + D * diff)
-
-    y, g = _whitened_pair(model, r)
+    y, g = _whitened_pair(model, residuals(path))
     value = 0.5 * dt * dx * float(np.sum(y * y))
 
     grad = np.zeros((Npt, M))
@@ -101,6 +99,7 @@ def rate_and_gradient(path: PathMatrix, model: NoiseModel):
 
     # chain rule through b(Q^n): scatter J_b(Q^n)^T g^n onto the three-cell
     # stencil of each interior cell
+    dFl, dFr = godunov_flux_derivs(q[:-1, :-1], q[:-1, 1:], wave.gamma)
     dd = D / (dx * dx)
     jt = np.zeros((Npt - 1, M))
     jt[:, 0:M - 2] += g * (dFl[:, 0:M - 2] / dx + dd)
@@ -133,16 +132,3 @@ def discrete_lower_bound(path: PathMatrix, model: NoiseModel) -> float:
     denom = float(pt1 @ pt1)
     dt, dx, N = path.grid.dt, path.grid.dx, path.grid.N
     return dt * dx / (2.0 * denom) * float(sums.sum()) ** 2 / N
-
-
-def frozen_drift_rate(path: PathMatrix, model: NoiseModel,
-                      b0: np.ndarray) -> float:
-    """Rate with the drift frozen to the constant vector b0 (shape (M-2,)).
-
-    Exactly quadratic in the path; used to sanity-check convexity tests.
-    """
-    q = path.q
-    dt, dx = path.grid.dt, path.grid.dx
-    r = (q[1:, 1:-1] - q[:-1, 1:-1]) / dt - b0
-    y = whiten(model, r)
-    return 0.5 * dt * dx * float(np.sum(y * y))

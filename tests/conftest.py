@@ -11,9 +11,12 @@ import warnings
 
 import pytest
 
+from shockld.fluxes import euler_step
 from shockld.grid import SpaceTimeGrid, WaveSpec
+from shockld.montecarlo import sample_terminal_states
 from shockld.noise import build_noise_model
-from shockld.optimize import RareEventSpec, minimize_ball, minimize_pinned
+from shockld.optimize import (RareEventSpec, boundary_policy, initial_values,
+                              minimize_ball, minimize_pinned)
 
 warnings.filterwarnings("ignore", category=RuntimeWarning,
                         message="explicit Euler stability heuristic")
@@ -76,3 +79,20 @@ def ball_ladder(ball_scen, exp_model, ball_exp_opt):
                              delta=delta)
         out[delta] = minimize_ball(scen, exp_model)
     return out
+
+
+@pytest.fixture(scope="session")
+def one_step_increments(wave, displacement_scen):
+    """The kernel's own noise increments: (increments, model), K = 1e5.
+
+    sample_terminal_states on the benchmark grid cut to one step (T = dt),
+    at eps = 1, minus the noiseless euler_step, leaves each sample's
+    colored increment on the interior cells, with covariance (dt/dx) C.
+    """
+    grid = SpaceTimeGrid.from_spacing(-15.0, 20.0, 0.5, 0.05, 0.05)
+    model = build_noise_model("exponential", grid, sigma=1.0, l_c=5.0)
+    terminals = sample_terminal_states(displacement_scen, model, 1.0, 100_000,
+                                       seed=1003)
+    noiseless = euler_step(initial_values(displacement_scen, grid), grid, wave,
+                           boundary_policy(displacement_scen, grid))
+    return terminals[:, 1:-1] - noiseless[1:-1], model

@@ -19,7 +19,7 @@ from shockld.fluxes import godunov_flux
 from shockld.grid import SpaceTimeGrid, WaveSpec, sample_profile
 from shockld.montecarlo import (epsilon_sweep, importance_weights,
                                 sample_terminal_states)
-from shockld.noise import build_noise_model, sample_increments
+from shockld.noise import build_noise_model
 from shockld.optimize import (RareEventSpec, _scaffold, free_mask,
                               linear_interpolation_path, linear_shift_path,
                               midpoint_convexity_test, minimize_pinned,
@@ -362,12 +362,10 @@ class TestCriterion10:
         emit(10, "Phi Phi^T = C", ok, f"relative Frobenius error {err:.2e}")
         assert ok
 
-    def test_sampler_covariance(self, exp_model, table1_grid):
-        rng = np.random.default_rng(1003)
-        K = 100_000
-        draws = sample_increments(exp_model, table1_grid.dt, table1_grid.dx,
-                                  rng, size=K)
-        target = (table1_grid.dt / table1_grid.dx) * exp_model.C
+    def test_sampler_covariance(self, one_step_increments):
+        draws, model = one_step_increments
+        K = draws.shape[0]
+        target = (model.grid.dt / model.grid.dx) * model.C
         emp = (draws.T @ draws) / K
         rel = np.linalg.norm(emp - target) / np.linalg.norm(target)
         ok = rel <= 0.05

@@ -280,3 +280,29 @@ class TestSubcommands:
         assert main(["sweep-x0", "--config", str(cfg_path),
                      "--out", str(out)]) == 0
         assert len(read_rows(out / "rate_summary.csv")) == 2
+
+    def test_threads_env_not_an_integer(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SHOCKLD_THREADS", "two")
+        out = tmp_path / "out"
+        assert main(["optimize", "--config", str(make_config(tmp_path)),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "shockld optimize" in err and "'two'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, env", [("0", None), (None, "-1")],
+                             ids=["flag", "env"])
+    def test_threads_below_one_refused(self, tmp_path, monkeypatch, capsys,
+                                       flag, env):
+        if env is None:
+            monkeypatch.delenv("SHOCKLD_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("SHOCKLD_THREADS", env)
+        argv = ["optimize", "--config", str(make_config(tmp_path)),
+                "--out", str(tmp_path / "out")]
+        if flag is not None:
+            argv += ["--threads", flag]
+        assert main(argv) == 1
+        assert "thread count must be a positive integer" in \
+            capsys.readouterr().err

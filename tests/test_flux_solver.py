@@ -22,6 +22,26 @@ def branch_form_drift(values, grid, wave):
     return conv + wave.D * diff
 
 
+def branch_form_partials(ql, qr, gamma):
+    """One-sided flux partials from the case split of the flux definition.
+
+    Increasing data take the min of F over [q_l, q_r] (zero with the sonic
+    point inside), decreasing data the max over the endpoints; ties and
+    equal distances from gamma take the left state.
+    """
+    dl = ql - gamma
+    dr = qr - gamma
+    increasing = ql <= qr
+    sonic_inside = increasing & (ql <= gamma) & (gamma <= qr)
+    take_left = np.where(increasing, gamma <= ql, np.abs(dl) >= np.abs(dr))
+    take_left = take_left | (ql == qr)
+    dleft = np.where(take_left, dl, 0.0)
+    dright = np.where(take_left, 0.0, dr)
+    dleft = np.where(sonic_inside, 0.0, dleft)
+    dright = np.where(sonic_inside, 0.0, dright)
+    return dleft, dright
+
+
 def same_bits(a, b):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return a.shape == b.shape and np.array_equal(a.view(np.int64),
@@ -78,7 +98,7 @@ class TestGodunovFlux:
             if abs(ql - qr) < 1e-3 or abs(ql + qr - 2 * gamma) < 1e-3 or \
                     abs(ql - gamma) < 1e-3 or abs(qr - gamma) < 1e-3:
                 continue
-            _, da, db = godunov_flux_derivs(ql, qr, gamma)
+            da, db = godunov_flux_derivs(ql, qr, gamma)
             h = 1e-7
             fa = (godunov_flux(ql + h, qr, gamma) - godunov_flux(ql - h, qr, gamma)) / (2 * h)
             fb = (godunov_flux(ql, qr + h, gamma) - godunov_flux(ql, qr - h, gamma)) / (2 * h)
@@ -87,21 +107,33 @@ class TestGodunovFlux:
             checked += 1
 
     def test_derivs_left_state_at_tie(self):
-        v, da, db = godunov_flux_derivs(2.0, 2.0, 0.5)
-        assert v == pytest.approx(0.5 * 1.5 ** 2)
-        assert da == pytest.approx(1.5) and db == 0.0
+        da, db = godunov_flux_derivs(2.0, 2.0, 0.5)
+        assert da == 1.5 and db == 0.0
+        # a tie below gamma: the closed form alone would take the right state
+        da, db = godunov_flux_derivs(0.25, 0.25, 0.5)
+        assert da == -0.25 and db == 0.0
 
-    def test_value_equals_derivs_value_bit_for_bit(self):
+    @pytest.mark.parametrize("gamma", [1.5, 0.4, 0.0, -0.3])
+    def test_partials_match_branch_form_bit_for_bit(self, gamma):
         rng = np.random.default_rng(6)
-        gamma = 0.4
-        states = np.concatenate([rng.uniform(-3, 3, 400),
-                                 [gamma, gamma + 0.5, gamma - 0.5]])
-        ql, qr = np.meshgrid(states[::7], states, indexing="ij")
-        value, _, _ = godunov_flux_derivs(ql, qr, gamma)
-        assert same_bits(godunov_flux(ql, qr, gamma), value)
+        up, down = np.nextafter(gamma, np.inf), np.nextafter(gamma, -np.inf)
+        # ties above, at and below gamma, the sonic point and its neighbours
+        levels = np.array([gamma - 0.5, down, gamma, up, gamma + 0.5,
+                           gamma - 1e-300, gamma + 1e-9, -3.0, 3.0])
+        grid = np.meshgrid(levels, levels, indexing="ij")
+        a = rng.uniform(-3, 3, 20_000)
+        b = rng.uniform(-3, 3, 20_000)
+        tie = rng.random(a.size) < 0.1
+        b[tie] = a[tie]
+        for ql, qr in (grid, (a, b), (rng.choice(levels, 5000),
+                                      rng.choice(levels, 5000))):
+            new = godunov_flux_derivs(ql, qr, gamma)
+            ref = branch_form_partials(ql, qr, gamma)
+            assert all(same_bits(x, y) for x, y in zip(new, ref))
         for pair in ((gamma, gamma), (1.0, 1.0), (-1.0, -1.0), (1.0, -0.2)):
-            assert same_bits(godunov_flux(*pair, gamma),
-                             godunov_flux_derivs(*pair, gamma)[0])
+            assert all(same_bits(x, y) for x, y in zip(
+                godunov_flux_derivs(*pair, gamma),
+                branch_form_partials(*map(np.float64, pair), gamma)))
 
 
 class TestDrift:
@@ -221,15 +253,13 @@ class TestEulerStep:
             (q[-1] - q[-2]) - (q[1] - q[0]))
         assert interior_change == pytest.approx(expected, abs=1e-12)
 
-    def test_forcing_and_noise_enter_additively(self):
+    def test_forcing_enters_additively(self):
         q = sample_profile(self.w, self.g)
-        forcing = 0.01 * np.ones(self.g.M - 2)
-        noise = np.linspace(-1, 1, self.g.M - 2)
+        forcing = np.linspace(-0.01, 0.02, self.g.M - 2)
         base = euler_step(q, self.g, self.w, self.bc)
-        both = euler_step(q, self.g, self.w, self.bc, forcing=forcing,
-                          noise=noise, eps=0.2)
-        assert np.allclose(both[1:-1] - base[1:-1], forcing + 0.2 * noise,
-                           atol=1e-15)
+        forced = euler_step(q, self.g, self.w, self.bc, forcing=forcing)
+        assert np.allclose(forced[1:-1] - base[1:-1], forcing, atol=1e-15)
+        assert np.array_equal(forced[[0, -1]], base[[0, -1]])
 
     def test_time_interpolated_pins_outer_cells(self):
         w = 2

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import threading
 
@@ -7,9 +8,8 @@ from scipy.stats import norm
 
 from shockld import montecarlo
 from shockld.fluxes import FixedStates, TimeInterpolated, drift
-from shockld.grid import SpaceTimeGrid, WaveSpec
-from shockld.montecarlo import (epsilon_sweep, event_indicator,
-                                importance_weights, likelihood_ratio,
+from shockld.grid import WaveSpec
+from shockld.montecarlo import (epsilon_sweep, importance_weights,
                                 run_basic_mc, run_estimators,
                                 run_importance_sampling, sample_stream,
                                 sample_terminal_states)
@@ -78,20 +78,19 @@ def report_bits(rep):
 
 
 class TestEventIndicator:
-    def test_equal_is_inside(self):
-        t = np.array([1.0, 2.0, 3.0])
-        assert event_indicator(t, t, 0.1, dx=0.5)
-
-    def test_boundary_case_counts_as_inside(self):
-        # dx*M = 1 with exact binary values -> equality holds exactly
-        target = np.zeros(4)
-        terminal = target + 0.5
-        assert event_indicator(terminal, target, 0.5, dx=0.25)
-
-    def test_zero_radius(self):
-        t = np.array([1.0, 2.0, 3.0])
-        assert not event_indicator(t + 1e-12, t, 0.0, dx=0.5)
-        assert event_indicator(t, t, 0.0, dx=0.5)
+    def test_boundary_case_counts_as_inside(self, wave, table1_grid, exp_model):
+        # at eps = 0 every sample ends on the noiseless terminal slice, here
+        # at a squared distance that delta^2 can equal exactly
+        scen = RareEventSpec("displacement", wave, x0=1.0, delta=1.0)
+        t = sample_terminal_states(scen, exp_model, 0.0, 1, seed=1)
+        d = t - target_values(scen, table1_grid)
+        d_sq = table1_grid.dx * np.sum(d * d, axis=1)[0]
+        delta = float(np.sqrt(d_sq))
+        below = float(np.nextafter(delta, 0.0))
+        assert delta ** 2 == d_sq and below ** 2 < d_sq
+        for radius, hits in ((delta, 8), (below, 0)):
+            edge = dataclasses.replace(scen, delta=radius)
+            assert run_basic_mc(edge, exp_model, 0.0, 8, seed=1).hits == hits
 
 
 class TestBasicMc:
@@ -135,48 +134,30 @@ class TestBasicMc:
 
 class TestLikelihoodRatio:
     def test_unit_weight_for_zero_forcing(self, exp_model, table1_grid):
-        rng = np.random.default_rng(30)
-        n = table1_grid.N
-        noise = rng.standard_normal((n, exp_model.size))
-        w = likelihood_ratio(noise, np.zeros_like(noise), exp_model, 0.1,
-                             table1_grid.dt, table1_grid.dx)
-        assert w == 1.0
+        zero = np.zeros((table1_grid.N, exp_model.size))
+        w = importance_weights(exp_model, 0.1, 50, zero, seed=30)
+        assert np.all(w == 1.0)
 
     def test_scalar_one_step_against_gaussian_densities(self):
         # single interior dimension, one step -> scalar Gaussian ratio
-        from shockld.noise import NoiseModel
-        grid = SpaceTimeGrid.from_spacing(0.0, 2.0, 0.5, 0.05, 0.05)
-        model = NoiseModel(kind="identity", C=np.eye(1), Phi=np.eye(1),
-                           grid=grid)
-        dt, dx = grid.dt, grid.dx
+        dt, dx = 0.05, 0.5
         eps, h = 0.15, 0.04
         sd = np.sqrt(dt / dx)
         for w_tilde in (-0.3, -0.05, 0.0, 0.17, 0.6):
-            lr = likelihood_ratio(np.array([[w_tilde]]), np.array([[h]]),
-                                  model, eps, dt, dx)
+            lr = np.exp(montecarlo._log_weights(np.array([[w_tilde]]),
+                                                np.array([[h / eps]]),
+                                                dx / (2.0 * dt)))
             # increment under the tilted law: mean h/eps, same variance
             x = w_tilde + h / eps
             expected = norm.pdf(x, 0.0, sd) / norm.pdf(x, h / eps, sd)
             assert lr == pytest.approx(expected, rel=1e-12)
 
-    def test_weights_positive(self, exp_model, table1_grid, ball_exp_opt):
-        # realistic inputs: colored sampler draws tilted by an optimized forcing
-        from shockld.noise import sample_increments
-        rng = np.random.default_rng(31)
+    def test_weights_positive(self, exp_model, ball_exp_opt):
+        # realistic inputs: kernel draws tilted by an optimized forcing
         for eps in (0.05, 0.1, 0.2):
-            for _ in range(20):
-                noise = sample_increments(exp_model, table1_grid.dt,
-                                          table1_grid.dx, rng,
-                                          size=table1_grid.N)
-                w = likelihood_ratio(noise, ball_exp_opt.forcing, exp_model,
-                                     eps, table1_grid.dt, table1_grid.dx)
-                assert w > 0
-
-    def test_shape_mismatch_rejected(self, exp_model, table1_grid):
-        with pytest.raises(ValueError):
-            likelihood_ratio(np.zeros((3, exp_model.size)),
-                             np.zeros((4, exp_model.size)), exp_model, 0.1,
-                             table1_grid.dt, table1_grid.dx)
+            w = importance_weights(exp_model, eps, 20, ball_exp_opt.forcing,
+                                   seed=31)
+            assert np.all(w > 0)
 
     def test_unbiased_at_moderate_sample_size(self, ball_scen, exp_model,
                                               ball_exp_opt, table1_grid):
@@ -315,6 +296,26 @@ class TestEpsilonSweep:
             epsilon_sweep(ball_scen, exp_model, [0.1], 10, ["is0"], seed=1)
         with pytest.raises(ValueError):
             epsilon_sweep(ball_scen, exp_model, [0.1], 10, ["is-delta"], seed=1)
+
+
+class TestOneStepIncrements:
+    """The kernel's one-step increments: zero mean, independent samples."""
+
+    def test_zero_mean(self, one_step_increments):
+        draws, model = one_step_increments
+        K = draws.shape[0]
+        var = (model.grid.dt / model.grid.dx) * np.diag(model.C)
+        assert np.all(np.abs(draws.mean(axis=0)) < 4 * np.sqrt(var / K))
+
+    def test_independent_across_samples(self, one_step_increments):
+        draws, model = one_step_increments
+        half = draws.shape[0] // 2
+        a, b = draws[:half], draws[half:2 * half]
+        cross = (a.T @ b) / half
+        sd = np.sqrt((model.grid.dt / model.grid.dx) * np.diag(model.C))
+        # 5 standard errors: 68^2 entries would cross 4 about once in four
+        # seeds under independence
+        assert np.all(np.abs(cross) < 5 * np.outer(sd, sd) / np.sqrt(half))
 
 
 class TestTerminalStates:

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from shockld.grid import SpaceTimeGrid
-from shockld.noise import (build_noise_model, sample_increments,
-                           total_covariance_mass, unwhiten, whiten)
+from shockld.diagnostics import analytic_center_law
+from shockld.grid import SpaceTimeGrid, WaveSpec
+from shockld.noise import build_noise_model, unwhiten, whiten
 
 RHO = math.exp(-0.1)
+UNIT_JUMP = WaveSpec(2.0, 1.0, 1.0)
 
 
 def tiny_grid(M, dx=0.5):
@@ -66,42 +67,6 @@ class TestBuild:
             build_noise_model("exponential", tiny_grid(6), sigma=1.0, l_c=1.0)
 
 
-class TestSampleIncrements:
-    def test_moments(self):
-        g = tiny_grid(12, dx=0.5)
-        m = build_noise_model("exponential", g, sigma=1.0, l_c=2.0)
-        dt, dx = 0.05, 0.5
-        rng = np.random.default_rng(123)
-        K = 100_000
-        draws = sample_increments(m, dt, dx, rng, size=K)
-        target = (dt / dx) * m.C
-        # zero mean within 4 standard errors per component
-        se = np.sqrt(np.diag(target) / K)
-        assert np.all(np.abs(draws.mean(axis=0)) < 4 * se)
-        # covariance within 5% relative Frobenius error
-        emp = (draws.T @ draws) / K
-        rel = np.linalg.norm(emp - target) / np.linalg.norm(target)
-        assert rel < 0.05
-
-    def test_independent_across_calls(self):
-        g = tiny_grid(12, dx=0.5)
-        m = build_noise_model("exponential", g, sigma=1.0, l_c=2.0)
-        rng = np.random.default_rng(99)
-        K = 100_000
-        a = sample_increments(m, 0.05, 0.5, rng, size=K)
-        b = sample_increments(m, 0.05, 0.5, rng, size=K)
-        cross = (a.T @ b) / K
-        se = np.sqrt(np.outer(np.diag((0.1) * m.C), np.diag(0.1 * m.C))) / np.sqrt(K)
-        assert np.all(np.abs(cross) < 4 * se)
-
-    def test_identity_shape_and_scale(self):
-        g = tiny_grid(6)
-        m = build_noise_model("identity", g)
-        rng = np.random.default_rng(1)
-        one = sample_increments(m, 0.05, 0.5, rng)
-        assert one.shape == (4,)
-
-
 class TestWhiten:
     def test_identity_passthrough(self):
         m = build_noise_model("identity", tiny_grid(6))
@@ -134,21 +99,28 @@ class TestWhiten:
         assert np.allclose(unwhiten(exp_model, batch), r, atol=1e-10)
 
 
+def covariance_mass(model):
+    """dx^2 sum_ij C_ij, read off the center law's variance eps^2 t dx sum C
+    / jump^2 at eps = t = jump = 1."""
+    dx = model.grid.dx
+    return dx * analytic_center_law(1.0, 1.0, model, dx, UNIT_JUMP)[1]
+
+
 class TestTotalCovarianceMass:
     def test_identity_three_interior_cells(self):
         m = build_noise_model("identity", tiny_grid(5))
-        assert total_covariance_mass(m, 0.5) == pytest.approx(0.75, abs=1e-15)
+        assert covariance_mass(m) == pytest.approx(0.75, abs=1e-15)
 
     def test_sigma_scaling_to_zero(self):
         g = tiny_grid(8)
         small = build_noise_model("exponential", g, sigma=1e-8, l_c=2.0)
         unit = build_noise_model("exponential", g, sigma=1.0, l_c=2.0)
-        assert total_covariance_mass(small, 0.5) == pytest.approx(
-            1e-16 * total_covariance_mass(unit, 0.5), rel=1e-12)
-        assert total_covariance_mass(small, 0.5) < 1e-12
+        assert covariance_mass(small) == pytest.approx(
+            1e-16 * covariance_mass(unit), rel=1e-12)
+        assert covariance_mass(small) < 1e-12
 
     def test_short_correlation_limit_keeps_diagonal(self):
         g = tiny_grid(8)
         m = build_noise_model("exponential", g, sigma=1.3, l_c=1e-4)
-        assert total_covariance_mass(m, g.dx) == pytest.approx(
+        assert covariance_mass(m) == pytest.approx(
             g.dx ** 2 * 6 * 1.3 ** 2, rel=1e-12)

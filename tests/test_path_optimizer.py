@@ -9,10 +9,21 @@ from shockld.optimize import (RareEventSpec, _diffusion_preconditioner,
                               _scaffold, boundary_policy, free_mask,
                               linear_interpolation_path, linear_shift_path,
                               midpoint_convexity_test, minimize_ball,
-                              minimize_pinned, minimize_smooth, random_path)
-from shockld.rate import PathMatrix, discrete_lower_bound, frozen_drift_rate, rate
+                              minimize_pinned, minimize_smooth, target_values)
+from shockld.rate import PathMatrix, discrete_lower_bound, rate
 
 DELTA = np.sqrt(0.5)
+
+
+def random_path(scen, grid, rng):
+    """Random initial guess: free entries uniform over the state range."""
+    lo = min(scen.wave.u_plus, target_values(scen, grid).min())
+    hi = max(scen.wave.u_minus, target_values(scen, grid).max())
+    pad = 0.5 * (hi - lo)
+    q = _scaffold(scen, grid, free_terminal=scen.delta > 0)
+    mask = free_mask(scen, grid)
+    q[mask] = rng.uniform(lo - pad, hi + pad, size=int(mask.sum()))
+    return PathMatrix(q, grid, scen.wave)
 
 
 @pytest.fixture(scope="module")
@@ -409,12 +420,22 @@ class TestMidpointConvexity:
                                        0, rng) == 1.0
 
     def test_frozen_drift_is_exactly_convex(self, pinned_identity_opt,
-                                            identity_model, table1_grid, wave):
-        rng = np.random.default_rng(2)
+                                            identity_model, table1_grid, wave,
+                                            monkeypatch):
+        # with the drift frozen to a constant b0 the rate is quadratic in the
+        # path, so every midpoint passes
         b0 = drift(pinned_identity_opt.path.q[0], table1_grid, wave)
-        frac = midpoint_convexity_test(
-            pinned_identity_opt.path, identity_model, 500, rng,
-            rate_fn=lambda p: frozen_drift_rate(p, identity_model, b0))
+
+        def frozen_drift_rate(path, model):
+            q = path.q
+            r = (q[1:, 1:-1] - q[:-1, 1:-1]) / table1_grid.dt - b0
+            y = whiten(model, r)
+            return 0.5 * table1_grid.dt * table1_grid.dx * float(np.sum(y * y))
+
+        monkeypatch.setattr(optimize, "rate", frozen_drift_rate)
+        rng = np.random.default_rng(2)
+        frac = midpoint_convexity_test(pinned_identity_opt.path,
+                                       identity_model, 500, rng)
         assert frac == 1.0
 
     def test_high_pass_fraction_near_optimum(self, pinned_identity_opt,

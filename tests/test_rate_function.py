@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from shockld.fluxes import FixedStates, drift, euler_step
+from shockld.fluxes import FixedStates, euler_step
 from shockld.grid import SpaceTimeGrid, WaveSpec, sample_profile
 from shockld.noise import build_noise_model, unwhiten
 from shockld.optimize import (RareEventSpec, _scaffold, free_mask,
                               linear_interpolation_path)
 from shockld.rate import (PathMatrix, discrete_lower_bound, forcing_from_path,
-                          frozen_drift_rate, rate, rate_and_gradient,
-                          residuals)
+                          rate, rate_and_gradient, residuals)
 
 
 def noiseless_path(grid, wave, q0):
@@ -85,6 +84,21 @@ class TestRate:
 
 
 class TestRateGradient:
+    @pytest.mark.parametrize("noise_kind", ["identity", "exponential"])
+    @pytest.mark.parametrize("kind", ["displacement", "weak_to_strong"])
+    def test_value_is_rate_bit_for_bit(self, table1_grid, wave, exp_model,
+                                       identity_model, kind, noise_kind):
+        model = exp_model if noise_kind == "exponential" else identity_model
+        if kind == "displacement":   # width-1 fixed states
+            scen = RareEventSpec(kind, wave, x0=5.0)
+        else:                        # width-2 time-interpolated boundaries
+            scen = RareEventSpec(kind, WaveSpec(1.75, 1.25, 1.0, gamma=1.5),
+                                 target_wave=WaveSpec(2.5, 0.5, 1.0, gamma=1.5))
+        rng = np.random.default_rng(14)
+        for amp in (0.0, 0.03, 0.3):
+            path = perturbed_path(scen, table1_grid, rng, amp=amp)
+            assert rate_and_gradient(path, model)[0] == rate(path, model)
+
     def test_zero_at_deterministic_path(self, table1_grid, wave, exp_model):
         q0 = sample_profile(wave, table1_grid)
         path = noiseless_path(table1_grid, wave, q0)
@@ -176,20 +190,3 @@ class TestDiscreteLowerBound:
                                   amp=float(rng.uniform(0.005, 0.1)))
             assert discrete_lower_bound(path, model) <= rate(path, model) + 1e-12
 
-
-class TestFrozenDriftRate:
-    def test_exactly_quadratic_midpoint(self, table1_grid, wave, identity_model):
-        rng = np.random.default_rng(18)
-        scen = RareEventSpec("displacement", wave, x0=5.0)
-        center = perturbed_path(scen, table1_grid, rng)
-        b0 = drift(center.q[0], table1_grid, wave)
-        for _ in range(20):
-            pa = center.copy()
-            pb = center.copy()
-            pa.q += 0.01 * rng.standard_normal(pa.q.shape)
-            pb.q += 0.01 * rng.standard_normal(pb.q.shape)
-            mid = PathMatrix(0.5 * (pa.q + pb.q), table1_grid, wave)
-            fa = frozen_drift_rate(pa, identity_model, b0)
-            fb = frozen_drift_rate(pb, identity_model, b0)
-            fm = frozen_drift_rate(mid, identity_model, b0)
-            assert fm <= 0.5 * (fa + fb) + 1e-12
