@@ -199,6 +199,9 @@ def parse_config(text: str) -> RunConfig:
     eps = _number(r, "run", "eps", required=False)
     if eps is not None and eps < 0:
         raise ConfigError("run.eps must be nonnegative")
+    eps_grid = _number_list(r, "run", "eps_grid")
+    if eps_grid is not None and any(e < 0 for e in eps_grid):
+        raise ConfigError("run.eps_grid entries must be nonnegative")
     trials = _integer(r, "run", "trials", required=False)
     if trials is not None and trials < 0:
         raise ConfigError("run.trials must be nonnegative")
@@ -220,7 +223,7 @@ def parse_config(text: str) -> RunConfig:
         estimators = tuple(est)
 
     run = RunSettings(seed=seed, K=K, eps=eps,
-                      eps_grid=_number_list(r, "run", "eps_grid"),
+                      eps_grid=eps_grid,
                       x0_grid=_number_list(r, "run", "x0_grid"),
                       T_grid=_number_list(r, "run", "T_grid"),
                       trials=trials, estimators=estimators,

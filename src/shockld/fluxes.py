@@ -7,9 +7,11 @@ The interior update for cells m = 2..M-1 is
     b_m(Q) = -(F_{m+1/2} - F_{m-1/2}) / dx + D (Q_{m+1} - 2 Q_m + Q_{m-1}) / dx^2,
 
 with first-order Godunov interface fluxes for F(u) = (u - gamma)^2 / 2 and
-boundary cells overwritten after every step.  All flux/drift routines
-broadcast over leading batch axes so that ensembles of trajectories evolve in
-one vectorized call.
+boundary cells overwritten after every step.  drift evaluates b_m as
+G_{m-1/2} - G_{m+1/2}, the difference of the total interface fluxes
+G_{m+1/2} = F_{m+1/2} / dx - D (Q_{m+1} - Q_m) / dx^2.  All flux/drift
+routines broadcast over leading batch axes so that ensembles of trajectories
+evolve in one vectorized call.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ def godunov_flux(q_left, q_right, gamma: float):
     point q = gamma as an interior candidate), max over the endpoints
     otherwise.  For this convex flux both cases are the closed form
 
-        F = max((max(q_left, gamma) - gamma)^2, (min(q_right, gamma) - gamma)^2) / 2,
+        F = max(q_left - gamma, gamma - q_right, 0)^2 / 2,
 
     which selects the same float as the case split, on ties and at the sonic
     point too.  Broadcasts over array inputs; the result takes q_left's
@@ -88,13 +90,10 @@ def godunov_flux(q_left, q_right, gamma: float):
     ql = np.asarray(q_left, dtype=float)
     qr = np.asarray(q_right, dtype=float)
     shape = np.broadcast_shapes(ql.shape, qr.shape)
-    out = np.maximum(ql, gamma, out=np.empty_like(ql, shape=shape))
-    out -= gamma
+    out = np.subtract(ql, gamma, out=np.empty_like(ql, shape=shape))
+    np.maximum(out, gamma - qr, out=out)
+    np.maximum(out, 0.0, out=out)
     out *= out
-    right = np.minimum(qr, gamma, out=np.empty_like(ql, shape=shape))
-    right -= gamma
-    right *= right
-    np.maximum(out, right, out=out)
     out *= 0.5
     if out.ndim == 0:
         return float(out)
@@ -122,26 +121,28 @@ def godunov_flux_derivs(q_left, q_right, gamma: float):
     return dleft, dright
 
 
-def drift(values: np.ndarray, grid: SpaceTimeGrid, wave: WaveSpec) -> np.ndarray:
+def drift(values: np.ndarray, grid: SpaceTimeGrid, wave: WaveSpec,
+          out: np.ndarray | None = None) -> np.ndarray:
     """Interior drift b_m for m = 2..M-1; shape (..., M-2).
 
-    Godunov fluxes at the M-1 interfaces plus the three-point diffusion
-    stencil.  values may be in either memory order (a batch stored
-    cells-major is a Fortran-ordered (B, M) view); the result has the same
-    order and the same bits.
+    The difference of the total fluxes through the two faces of each cell,
+
+        G = F(q_l, q_r) (1/dx) - (D/dx^2) (q_r - q_l),   b = G[:-1] - G[1:],
+
+    over the M-1 interfaces: Godunov convection and the three-point
+    diffusion stencil, with no division.  values may be in either memory
+    order (a batch stored cells-major is a Fortran-ordered (B, M) view); the
+    result has the same order and the same bits.  out, if given, receives
+    the drift and is returned.
     """
     values = np.asarray(values, dtype=float)
-    dx = grid.dx
-    F = godunov_flux(values[..., :-1], values[..., 1:], wave.gamma)
-    out = np.subtract(F[..., :-1], F[..., 1:])
-    out /= dx
-    lap = values[..., 1:-1] * -2.0
-    lap += values[..., 2:]
-    lap += values[..., :-2]
-    lap /= dx * dx
-    lap *= wave.D
-    out += lap
-    return out
+    ql, qr = values[..., :-1], values[..., 1:]
+    G = godunov_flux(ql, qr, wave.gamma)
+    G *= 1.0 / grid.dx
+    jump = qr - ql
+    jump *= wave.D / (grid.dx * grid.dx)
+    G -= jump
+    return np.subtract(G[..., :-1], G[..., 1:], out=out)
 
 
 def euler_step(values: np.ndarray, grid: SpaceTimeGrid, wave: WaveSpec, bc,

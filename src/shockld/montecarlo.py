@@ -37,7 +37,10 @@ ones over strided row slices.  The per-element arithmetic and its order are
 those of a row-major (B, M) batch, so every value is bit-identical to it.
 The coloring stays the stacked z @ Phi^T, one small product per sample: a
 single 2-D product over the chunk is large enough for a threaded BLAS to
-spread over every core, which then starves the draw thread.
+spread over every core, which then starves the draw thread.  Its scaling by
+sqrt(dt/dx) writes it cells-major, as (N, M-2, B), so each step adds one
+contiguous slice.  The batch, the step increment and that store are
+allocated once per kernel call, and the drift is written into the increment.
 
 Seeding contract: a 64-bit root seed expands into one independent stream per
 sample index (counter-based spawn keys), so the draws of sample k never
@@ -213,19 +216,24 @@ def _draws(seed: int, run_key: int, K: int, shape: tuple[int, ...]):
 
     Chunk c+1 is drawn on a helper thread while the caller works on chunk c;
     an exception raised there surfaces from the next chunk's result.  The
-    caller's thread allocates every chunk, so all large buffers live in one
-    malloc arena.
+    chunks alternate between two buffers, allocated once on the caller's
+    thread (so both live in its malloc arena): chunk c+2 is drawn into
+    chunk c's memory.  A consumer may overwrite a chunk in place, but must
+    not keep it past its loop iteration.
     """
+    size = min(K, _CHUNK)
+    n_buffers = 1 if K <= _CHUNK else 2
+    buffers = [np.empty((size,) + shape) for _ in range(n_buffers)]
     with ThreadPoolExecutor(max_workers=1) as helper:
-        def draw(start):
-            z = np.empty((min(start + _CHUNK, K) - start,) + shape)
+        def draw(start, buf):
+            z = buf[:min(start + _CHUNK, K) - start]
             return helper.submit(_normals, z, seed, run_key, start)
 
-        pending = draw(0)
-        for start in range(0, K, _CHUNK):
+        pending = draw(0, buffers[0])
+        for c, start in enumerate(range(0, K, _CHUNK)):
             z = pending.result()
             if start + _CHUNK < K:
-                pending = draw(start + _CHUNK)
+                pending = draw(start + _CHUNK, buffers[(c + 1) % 2])
             yield start, start + len(z), z
 
 
@@ -270,6 +278,19 @@ def _checked(K: int, forcings, shape: tuple[int, int]) -> list:
     return forcings
 
 
+def _inside(qT: np.ndarray, target: np.ndarray, dx: float,
+            delta_sq: float) -> np.ndarray:
+    """Event indicator dx ||q - target||^2 <= delta^2 of a cells-major batch.
+
+    The terminal slices are copied back to C order first, so the distance
+    sums keep the summation order of a row-major batch.
+    """
+    d = np.ascontiguousarray(qT.T)
+    d -= target
+    d *= d
+    return dx * np.sum(d, axis=1) <= delta_sq
+
+
 def _simulate(scen: RareEventSpec, model: NoiseModel, eps: float, K: int,
               seed: int, run_key: int, forcings, keep_terminals: bool = False):
     """Evolve K trajectories per forcing from one set of per-sample draws.
@@ -281,16 +302,20 @@ def _simulate(scen: RareEventSpec, model: NoiseModel, eps: float, K: int,
     The weights come from the whitened draws through _log_weights, so no
     colored increment is ever whitened back.
 
-    A trajectory batch qT is stored cells-major, shape (M, B); drift sees
-    the Fortran-ordered (B, M) view qT.T.  The terminal slices are copied
-    back to C order before they are scored, so the distance sums keep their
-    summation order.
+    Every buffer is allocated once per call and viewed at each chunk's
+    size B: the trajectory batch qT, stored cells-major as (M, B); the step
+    increment inc, (M-2, B); and the colored increments dW of the chunk,
+    (N, M-2, B), so each step adds one contiguous slice dW[n].  drift
+    writes each step's drift into inc through the Fortran-ordered (B, M)
+    views qT.T and inc.T.
     """
     grid, wave = model.grid, scen.wave
     N, M = grid.N, grid.M
     dt, dx = grid.dt, grid.dx
     n_int = M - 2
     forcings = _checked(K, forcings, (N, n_int))
+    if eps < 0:
+        raise ValueError("eps must be nonnegative")
     q0 = initial_values(scen, grid)
     target = target_values(scen, grid)
     bc = boundary_policy(scen, grid)
@@ -306,36 +331,38 @@ def _simulate(scen: RareEventSpec, model: NoiseModel, eps: float, K: int,
     p = np.empty((len(forcings), K))
     hits = [0] * len(forcings)
     terminals = np.empty((len(forcings), K, M)) if keep_terminals else None
+    size = min(K, _CHUNK)
+    q_mem, inc_mem, dW_mem = (np.empty(n * size)
+                              for n in (M, n_int, N * n_int))
     for start, stop, z in _draws(seed, run_key, K, (N, n_int)):
         B = stop - start
+        qT = q_mem[:M * B].reshape(M, B)
+        inc = inc_mem[:n_int * B].reshape(n_int, B)
+        dW = dW_mem[:N * n_int * B].reshape(N, n_int, B)
         if model.is_identity:
             z *= rho
-            dW = eps * z
+            np.multiply(z.transpose(1, 2, 0), eps, out=dW)
         else:
-            dW = z @ model.Phi.T
-            dW *= rho
+            np.multiply((z @ model.Phi.T).transpose(1, 2, 0), rho, out=dW)
             dW *= eps
             if tilted:
                 z *= rho
         y_sq = np.sum(z * z, axis=(1, 2)) if tilted else None
 
         for i, (h, tilt) in enumerate(zip(forcings, tilts)):
-            qT = np.repeat(q0[:, None], B, axis=1)
+            qT[...] = q0[:, None]
             for n in range(N):
-                incr = drift(qT.T, grid, wave).T
-                incr *= dt
-                incr += dW[:, n, :].T
+                drift(qT.T, grid, wave, out=inc.T)
+                inc *= dt
+                inc += dW[n]
                 if tilt is not None:
-                    incr += tilt[n]
-                qT[1:-1] += incr
+                    inc += tilt[n]
+                qT[1:-1] += inc
                 bc.apply(qT.T, n + 1)
 
             if keep_terminals:
                 terminals[i, start:stop] = qT.T
-            d = np.ascontiguousarray(qT.T)
-            d -= target
-            d *= d
-            ind = dx * np.sum(d, axis=1) <= delta_sq
+            ind = _inside(qT, target, dx, delta_sq)
             hits[i] += int(np.count_nonzero(ind))
             if h is None:
                 p[i, start:stop] = ind.astype(float)

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 
 import pytest
 
@@ -70,6 +71,13 @@ class TestParseConfig:
     def test_run_mode_rejected_as_unknown(self, tmp_path):
         text = make_config(tmp_path, **{"run.mode": "mc"}).read_text()
         with pytest.raises(ConfigError, match="unknown key: run.mode"):
+            parse_config(text)
+
+    @pytest.mark.parametrize("key, value", [("run.eps", -0.1),
+                                            ("run.eps_grid", [-0.1, 0.1])])
+    def test_negative_eps_rejected(self, tmp_path, key, value):
+        text = make_config(tmp_path, **{key: value}).read_text()
+        with pytest.raises(ConfigError, match=re.escape(key) + " "):
             parse_config(text)
 
     def test_estimator_names_validated(self, tmp_path):
@@ -254,6 +262,18 @@ class TestSubcommands:
         row = read_rows(out / "center_diagnostics.csv")[0]
         assert float(row["var_ratio"]) == pytest.approx(1.0, abs=0.2)
         assert row["margin_ok"] == "true"
+
+    def test_negative_eps_grid_fails_with_diagnostic(self, tmp_path, capsys):
+        cfg_path = make_config(tmp_path, **{"run.K": 50, "run.eps": None,
+                                            "run.eps_grid": [-0.1, 0.1],
+                                            "run.estimators": ["mc"]})
+        out = tmp_path / "out"
+        assert main(["sweep-eps", "--config", str(cfg_path),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "shockld sweep-eps" in err and "run.eps_grid" in err
+        assert not (out / "reports.csv").exists()
 
     def test_missing_run_field_fails_with_diagnostic(self, tmp_path, capsys):
         cfg_path = make_config(tmp_path, **{"run.K": None})

@@ -7,19 +7,30 @@ from shockld.fluxes import (FixedStates, TimeInterpolated, cfl_number,
 from shockld.grid import SpaceTimeGrid, WaveSpec, sample_profile
 
 
-def branch_form_drift(values, grid, wave):
-    """The drift written with the flux as an explicit case split."""
-    ql, qr, gamma = values[..., :-1], values[..., 1:], wave.gamma
+def branch_form_flux(ql, qr, gamma):
+    """The Godunov flux as an explicit case split of its definition."""
     fl = 0.5 * (ql - gamma) ** 2
     fr = 0.5 * (qr - gamma) ** 2
     increasing = ql <= qr
     sonic_inside = increasing & (ql <= gamma) & (gamma <= qr)
     F = np.where(increasing, np.minimum(fl, fr), np.maximum(fl, fr))
-    F = np.where(sonic_inside, 0.0, F)
-    conv = -(F[..., 1:] - F[..., :-1]) / grid.dx
-    diff = (values[..., 2:] - 2.0 * values[..., 1:-1] + values[..., :-2]) \
-        / (grid.dx * grid.dx)
-    return conv + wave.D * diff
+    return np.where(sonic_inside, 0.0, F)
+
+
+def branch_form_drift(values, grid, wave):
+    """The drift from case-split fluxes, as a difference of total fluxes."""
+    ql, qr = values[..., :-1], values[..., 1:]
+    G = branch_form_flux(ql, qr, wave.gamma) * (1.0 / grid.dx) \
+        - (qr - ql) * (wave.D / (grid.dx * grid.dx))
+    return G[..., :-1] - G[..., 1:]
+
+
+def divide_form_drift(values, grid, wave):
+    """The drift as flux and stencil differences divided by dx and dx^2."""
+    F = godunov_flux(values[..., :-1], values[..., 1:], wave.gamma)
+    conv = (F[..., :-1] - F[..., 1:]) / grid.dx
+    lap = values[..., 1:-1] * -2.0 + values[..., 2:] + values[..., :-2]
+    return conv + wave.D * (lap / (grid.dx * grid.dx))
 
 
 def branch_form_partials(ql, qr, gamma):
@@ -153,6 +164,48 @@ class TestDrift:
         }
         for name, q in cases.items():
             assert same_bits(drift(q, g, w), branch_form_drift(q, g, w)), name
+
+    @pytest.mark.parametrize("dx", [0.5, 0.35, 0.1, 0.7, 0.25])
+    @pytest.mark.parametrize("D", [1.0, 0.37, 1e-300])
+    def test_matches_branch_form_across_spacings(self, dx, D):
+        g = SpaceTimeGrid.from_spacing(-15.0, 20.0, dx, 1.0, 0.05)
+        rng = np.random.default_rng(9)
+        for gamma in (1.5, 0.0, -0.3, 0.4):
+            w = WaveSpec(2.0, 1.0, D, gamma=gamma)
+            levels = np.array([gamma - 0.5, gamma, gamma + 0.5])
+            for q in (rng.normal(gamma, 1.0, (64, g.M)),
+                      rng.choice(levels, (64, g.M)),
+                      rng.normal(gamma, 1e-9, (16, g.M))):
+                assert same_bits(drift(q, g, w), branch_form_drift(q, g, w))
+
+    @pytest.mark.parametrize("dx", [0.5, 0.35, 0.1])
+    @pytest.mark.parametrize("D", [1.0, 0.37])
+    def test_within_ulps_of_divide_form(self, dx, D):
+        # the rounding differs from dividing the flux and stencil
+        # differences; bound it in ulps of the summed term magnitudes
+        g = SpaceTimeGrid.from_spacing(-15.0, 20.0, dx, 1.0, 0.05)
+        w = WaveSpec(2.0, 1.0, D, gamma=1.5)
+        q = np.random.default_rng(10).normal(1.5, 1.0, (256, g.M))
+        F = godunov_flux(q[:, :-1], q[:, 1:], w.gamma)
+        scale = (F[:, :-1] + F[:, 1:]) / dx + D * (
+            np.abs(q[:, :-2]) + 2.0 * np.abs(q[:, 1:-1]) + np.abs(q[:, 2:])) \
+            / (dx * dx)
+        err = np.abs(drift(q, g, w) - divide_form_drift(q, g, w))
+        assert np.all(err <= 8 * np.spacing(scale))
+        assert np.any(err > 0)
+
+    def test_out_matches_allocating_call(self):
+        g = SpaceTimeGrid.from_spacing(-15.0, 20.0, 0.5, 1.0, 0.05)
+        w = WaveSpec(2.0, 1.0, 1.0, gamma=1.5)
+        qT = np.random.default_rng(11).normal(1.5, 1.0, (g.M, 40))
+        for q in (np.ascontiguousarray(qT.T), qT.T):   # C and Fortran order
+            ref = drift(q, g, w)
+            out = np.empty_like(ref)
+            assert drift(q, g, w, out=out) is out
+            assert same_bits(out, ref)
+        incT = np.empty((g.M - 2, 40))
+        drift(qT.T, g, w, out=incT.T)
+        assert same_bits(incT.T, drift(qT.T, g, w))
 
     def test_constant_state(self):
         g = SpaceTimeGrid.from_spacing(0.0, 5.0, 0.5, 1.0, 0.1)

@@ -1,6 +1,7 @@
 import dataclasses
 import re
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -130,6 +131,13 @@ class TestBasicMc:
     def test_k_validation(self, ball_scen, exp_model):
         with pytest.raises(ValueError):
             run_basic_mc(ball_scen, exp_model, 0.1, 0, seed=1)
+
+    def test_negative_eps_refused(self, ball_scen, exp_model):
+        with pytest.raises(ValueError, match="eps must be nonnegative"):
+            run_basic_mc(ball_scen, exp_model, -0.1, 10, seed=1)
+        with pytest.raises(ValueError, match="eps must be nonnegative"):
+            epsilon_sweep(ball_scen, exp_model, [0.1, -0.1], 10, ["mc"],
+                          seed=1)
 
 
 class TestLikelihoodRatio:
@@ -393,6 +401,62 @@ class TestKernelLayout:
             q = sample_terminal_states(scen, model, eps, K, seed=31,
                                        run_key=2, forcing=h_i)
             assert np.array_equal(q.view(np.int64), q_ref.view(np.int64))
+
+
+class TestKernelBuffers:
+    def test_overwritten_chunks_match_fresh_draws(self, monkeypatch):
+        # the kernel scales each chunk in place; while it does, the next
+        # chunk is being drawn into the other buffer
+        monkeypatch.setattr(montecarlo, "_CHUNK", 7)
+        K, shape = 30, (3, 4)
+        chunks = []
+        for start, stop, z in montecarlo._draws(5, 1, K, shape):
+            fresh = montecarlo._normals(np.empty((stop - start,) + shape), 5,
+                                        1, start)
+            assert np.array_equal(z.view(np.int64), fresh.view(np.int64))
+            z.fill(np.nan)
+            chunks.append((start, stop))
+        assert chunks == [(0, 7), (7, 14), (14, 21), (21, 28), (28, 30)]
+
+    def test_numpy_peak_stays_within_four_chunk_blocks(self, ball_scen,
+                                                       exp_model, ball_exp_opt,
+                                                       pinned_exp_opt):
+        # two draw buffers, the colored store and one chunk-sized temporary
+        # (coloring product, squared draws or shifted draws), plus the
+        # per-batch arrays: 4.19 blocks of 5.6 MB at this K on the
+        # benchmark grid
+        grid = exp_model.grid
+        block = montecarlo._CHUNK * grid.N * (grid.M - 2) * 8
+        forcings = [None, pinned_exp_opt.forcing, ball_exp_opt.forcing]
+        tracemalloc.start()
+        try:
+            run_estimators(ball_scen, exp_model, 0.1,
+                           2 * montecarlo._CHUNK + 100, forcings, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.19 * block
+
+    def test_one_traced_drift_call_per_step(self, ball_scen, exp_model,
+                                            ball_exp_opt, pinned_exp_opt,
+                                            monkeypatch):
+        # perfbench/tracing.py times the kernel's drift by patching this
+        # module attribute; the kernel must look it up on every step
+        calls = []
+        original = montecarlo.drift
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "_CHUNK", 7)
+        monkeypatch.setattr(montecarlo, "drift", counting)
+        forcings = [None, pinned_exp_opt.forcing, ball_exp_opt.forcing]
+        run_estimators(ball_scen, exp_model, 0.15, 20, forcings, seed=4)
+        grid = exp_model.grid
+        per_chunk = grid.N * len(forcings)
+        assert calls == ([(7, grid.M)] * 2 * per_chunk
+                         + [(6, grid.M)] * per_chunk)
 
 
 class TestStreams:
