@@ -18,9 +18,9 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import __version__
 from .config import ConfigError, RunConfig, parse_config
@@ -298,7 +298,7 @@ def cmd_center_diagnostics(cfg: RunConfig, out_dir: str, threads: int) -> None:
     mean, var = analytic_center_law(eps, grid.T, model, grid.dx, wave)
 
     p_target = cfg.run.exit_probability or 0.01
-    threshold = float(np.sqrt(var) * ndtri(1.0 - p_target))
+    threshold = float(np.sqrt(var) * NormalDist().inv_cdf(1.0 - p_target))
     exceed = (centers >= mean + threshold).astype(float)
     mc_p = float(np.mean(exceed))
     mc_std = float(np.std(exceed))

@@ -20,8 +20,9 @@ Gaussian tail.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.special import erfc
 
 from .grid import SpaceTimeGrid, WaveSpec
 from .noise import NoiseModel
@@ -73,7 +74,7 @@ def analytic_exit_probability(x0: float, T: float, eps: float,
     _, var = analytic_center_law(eps, T, model, dx, wave)
     if var == 0.0:
         return 1.0 if x0 <= 0 else 0.0
-    return float(0.5 * erfc(x0 / np.sqrt(2.0 * var)))
+    return 0.5 * math.erfc(x0 / math.sqrt(2.0 * var))
 
 
 _FORMS = {

@@ -265,8 +265,8 @@ def _log_weights(y: np.ndarray, shift: np.ndarray, scale: float,
     return -scale * (np.sum(s, axis=(-2, -1)) - y_sq)
 
 
-def _checked(K: int, forcings, shape: tuple[int, int]) -> list:
-    """The forcings as float arrays of the interior shape (N, M-2); K >= 1."""
+def _checked(K: int, eps: float, forcings, shape: tuple[int, int]) -> list:
+    """Forcings as (N, M-2) float arrays; refuses K < 1 and eps out of range."""
     if K < 1:
         raise ValueError("K must be at least 1")
     forcings = [None if h is None else np.asarray(h, dtype=float)
@@ -275,6 +275,10 @@ def _checked(K: int, forcings, shape: tuple[int, int]) -> list:
         if h is not None and h.shape != shape:
             raise ValueError(f"forcing must have shape (N, M-2) = {shape}, "
                              f"got {h.shape}")
+    if eps < 0:
+        raise ValueError("eps must be nonnegative")
+    if eps <= 0 and any(h is not None for h in forcings):
+        raise ValueError("importance sampling requires eps > 0")
     return forcings
 
 
@@ -313,9 +317,7 @@ def _simulate(scen: RareEventSpec, model: NoiseModel, eps: float, K: int,
     N, M = grid.N, grid.M
     dt, dx = grid.dt, grid.dx
     n_int = M - 2
-    forcings = _checked(K, forcings, (N, n_int))
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+    forcings = _checked(K, eps, forcings, (N, n_int))
     q0 = initial_values(scen, grid)
     target = target_values(scen, grid)
     bc = boundary_policy(scen, grid)
@@ -323,8 +325,6 @@ def _simulate(scen: RareEventSpec, model: NoiseModel, eps: float, K: int,
     rho = np.sqrt(dt / dx)
     scale = dx / (2.0 * dt)
     tilted = any(h is not None for h in forcings)
-    if tilted and eps <= 0:
-        raise ValueError("importance sampling requires eps > 0")
     tilts = [None if h is None else unwhiten(model, h)[:, :, None]
              for h in forcings]
 
@@ -422,7 +422,7 @@ def importance_weights(model: NoiseModel, eps: float, K: int,
     N, n_int = grid.N, grid.M - 2
     rho = np.sqrt(grid.dt / grid.dx)
     scale = grid.dx / (2.0 * grid.dt)
-    (forcing,) = _checked(K, [forcing], (N, n_int))
+    (forcing,) = _checked(K, eps, [forcing], (N, n_int))
     shift = forcing / eps
     w = np.empty(K)
     for start, stop, z in _draws(seed, run_key, K, (N, n_int)):

@@ -1,14 +1,14 @@
 """Spatial covariance models for the driving noise on interior cells.
 
 The per-step noise increments on cells 2..M-1 are zero-mean Gaussian with
-covariance (dt/dx) C and independent across time steps.  C is either the
-identity or the exponential kernel
-
-    C_ij = sigma^2 exp(-|x_i - x_j| / l_c)
-
-evaluated at interior cell centers.  Phi is the lower-triangular Cholesky
-factor of C, used both to color samples (Phi z) and to whiten residuals
-(Phi^{-1} r).
+covariance (dt/dx) C and independent across time steps.  C is the identity or
+the exponential kernel sigma^2 exp(-|x_i - x_j| / l_c) at interior cell
+centers, which on the uniform grid is the AR(1) (Kac-Murdock-Szego) matrix
+sigma^2 rho^|i-j|, rho = exp(-dx / l_c).  Its Cholesky factor Phi colors
+samples (Phi z) and is explicit: Phi_i0 = sigma rho^i, Phi_ij =
+sigma s rho^(i-j) for 1 <= j <= i, s = sqrt(1 - rho^2).  Phi^{-1} is
+bidiagonal, so whitening is y_0 = r_0 / sigma, y_i = (r_i - rho r_{i-1}) /
+(sigma s); identity noise is the case rho = 0, sigma = s = 1.
 
 Grid dependence: identity noise has a grid limit, but the exponential kernel
 is fixed in physical units (sigma, l_c), so its noise power per unit length
@@ -22,10 +22,10 @@ the model is kept as written.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .grid import SpaceTimeGrid
 
@@ -56,17 +56,18 @@ class NoiseModel:
     def is_identity(self) -> bool:
         return self.kind == "identity"
 
+    @property
+    def rho(self) -> float:
+        """Correlation exp(-dx / l_c) of neighboring cells; 0 for identity."""
+        return 0.0 if self.is_identity else math.exp(-self.grid.dx / self.l_c)
+
 
 def build_noise_model(kind: str, grid: SpaceTimeGrid,
                       sigma: float | None = None,
                       l_c: float | None = None) -> NoiseModel:
-    """Assemble C at interior cell centers and factor it.
+    """Assemble C at interior cell centers and its closed-form factor Phi.
 
-    kind "identity" sets C = Phi = I exactly.  kind "exponential" needs
-    sigma > 0 and l_c > 0.  If the Cholesky factorization fails, a single
-    diagonal jitter of 1e-12 tr(C)/(M-2) is added and the factorization
-    retried; a second failure is a hard error (exponential kernels are
-    positive definite in exact arithmetic, so jitter only covers roundoff).
+    kind "identity" sets C = Phi = I; "exponential" needs sigma, l_c > 0.
     """
     n = grid.M - 2
     if kind == "identity":
@@ -80,34 +81,33 @@ def build_noise_model(kind: str, grid: SpaceTimeGrid,
         raise ValueError(f"exponential noise needs l_c > 0, got {l_c}")
 
     x = grid.interior_centers()
-    dist = np.abs(x[:, None] - x[None, :])
-    C = sigma * sigma * np.exp(-dist / l_c)
-    try:
-        Phi = np.linalg.cholesky(C)
-    except np.linalg.LinAlgError:
-        jitter = 1e-12 * np.trace(C) / n
-        try:
-            Phi = np.linalg.cholesky(C + jitter * np.eye(n))
-        except np.linalg.LinAlgError as err:
-            raise ValueError("covariance not positive definite") from err
+    C = sigma * sigma * np.exp(-np.abs(x[:, None] - x[None, :]) / l_c)
+    # 1 - rho^2 cancels to 0 once rho rounds to 1 (l_c beyond ~1e16 dx), while
+    # -expm1(-2 dx / l_c) keeps full precision; only its underflow gives s = 0
+    s = math.sqrt(-math.expm1(-2.0 * grid.dx / l_c))
+    if s == 0.0:
+        raise ValueError("covariance not positive definite")
+    i = np.arange(n)
+    powers = math.exp(-grid.dx / l_c) ** i
+    Phi = np.tril(sigma * s * powers[np.abs(i[:, None] - i)])
+    Phi[:, 0] = sigma * powers
     return NoiseModel(kind="exponential", C=C, Phi=Phi, grid=grid,
                       sigma=sigma, l_c=l_c)
 
 
 def whiten(model: NoiseModel, r: np.ndarray) -> np.ndarray:
-    """Solve Phi y = r by forward substitution; the space axis is last.
+    """Phi^{-1} r along the last axis, which must hold the M-2 interior cells.
 
-    Accepts shape (M-2,) or (..., M-2) and satisfies Phi @ whiten(r) = r to
-    roundoff.
+    r_i - rho r_{i-1} (r_0 alone) divided by diag(Phi) = (sigma, sigma s, ...).
     """
     r = np.asarray(r, dtype=float)
-    if model.is_identity:
-        return r.copy()
-    if r.ndim == 1:
-        return solve_triangular(model.Phi, r, lower=True)
-    flat = r.reshape(-1, model.size)
-    out = solve_triangular(model.Phi, flat.T, lower=True).T
-    return out.reshape(r.shape)
+    if r.shape[-1:] != (model.size,):
+        raise ValueError(f"last axis must hold the {model.size} interior "
+                         f"cells, got shape {r.shape}")
+    y = r.copy()
+    y[..., 1:] -= model.rho * r[..., :-1]
+    y /= model.Phi.diagonal()
+    return y
 
 
 def unwhiten(model: NoiseModel, y: np.ndarray) -> np.ndarray:
@@ -116,4 +116,3 @@ def unwhiten(model: NoiseModel, y: np.ndarray) -> np.ndarray:
     if model.is_identity:
         return y.copy()
     return y @ model.Phi.T
-

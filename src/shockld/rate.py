@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .fluxes import drift, godunov_flux_derivs
 from .grid import SpaceTimeGrid, WaveSpec
@@ -63,18 +62,19 @@ def residuals(path: PathMatrix) -> np.ndarray:
 
 def rate(path: PathMatrix, model: NoiseModel) -> float:
     """I(Q); nonnegative, zero iff every residual vanishes."""
-    r = residuals(path)
-    y = whiten(model, r)
+    y = whiten(model, residuals(path))
     dt, dx = path.grid.dt, path.grid.dx
     return 0.5 * dt * dx * float(np.sum(y * y))
 
 
 def _whitened_pair(model: NoiseModel, r: np.ndarray):
-    """Return (y, g) with y = Phi^{-1} r and g = C^{-1} r, space axis last."""
-    if model.is_identity:
-        return r, r
-    y = solve_triangular(model.Phi, r.T, lower=True).T
-    g = solve_triangular(model.Phi.T, y.T, lower=False).T
+    """Return (y, g) with y = Phi^{-1} r and g = C^{-1} r, space axis last.
+
+    g = Phi^{-T} y: with u = y / diag(Phi), g_i = u_i - rho u_{i+1}.
+    """
+    y = whiten(model, r)
+    g = y / model.Phi.diagonal()
+    g[..., :-1] -= model.rho * g[..., 1:]
     return y, g
 
 
@@ -126,9 +126,8 @@ def discrete_lower_bound(path: PathMatrix, model: NoiseModel) -> float:
     (dt dx / (2 ||Phi^T 1||^2)) (sum_n <r^n, 1>)^2 / N, using the exact
     residual sums including boundary flux contributions inside b.
     """
-    r = residuals(path)
-    sums = r.sum(axis=1)
-    pt1 = model.Phi.T.sum(axis=1) if not model.is_identity else np.ones(model.size)
+    sums = residuals(path).sum(axis=1)
+    pt1 = model.Phi.T.sum(axis=1)
     denom = float(pt1 @ pt1)
     dt, dx, N = path.grid.dt, path.grid.dx, path.grid.N
     return dt * dx / (2.0 * denom) * float(sums.sum()) ** 2 / N

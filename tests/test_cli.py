@@ -1,10 +1,14 @@
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import shockld
 from shockld.cli import main, read_path_csv
 from shockld.config import ConfigError, parse_config
 from shockld.grid import SpaceTimeGrid, WaveSpec
@@ -326,3 +330,15 @@ class TestSubcommands:
         assert main(argv) == 1
         assert "thread count must be a positive integer" in \
             capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test dependency only; a fresh interpreter shows what the
+    # command itself imports
+    src = os.path.dirname(os.path.dirname(shockld.__file__))
+    code = ("import sys, shockld.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "[]"

@@ -365,6 +365,11 @@ class TestInputChecks:
             importance_weights(exp_model, 0.1, 5, good[:1], seed=1)
         with pytest.raises(ValueError, match="K must be at least 1"):
             importance_weights(exp_model, 0.1, 0, good, seed=1)
+        with pytest.raises(ValueError, match="eps must be nonnegative"):
+            importance_weights(exp_model, -0.1, 5, good, seed=1)
+        with pytest.raises(ValueError,
+                           match="importance sampling requires eps > 0"):
+            importance_weights(exp_model, 0.0, 5, good, seed=1)
         assert np.all(importance_weights(exp_model, 0.1, 5, good.tolist(),
                                          seed=1) == 1.0)
 

@@ -58,20 +58,41 @@ class TestBuild:
         assert np.array_equal(m2.C, 4.0 * m1.C)
         assert np.array_equal(m2.Phi, 2.0 * m1.Phi)
 
-    def test_factorization_failure_is_reported(self, monkeypatch):
-        def boom(_):
-            raise np.linalg.LinAlgError("not spd")
+    def test_long_correlation_builds(self, table1_grid):
+        # rho rounds to 1, so C is numerically rank one and a dense Cholesky
+        # factorization of it fails without a diagonal jitter; the closed
+        # form keeps s = sqrt(1e-17)
+        m = build_noise_model("exponential", table1_grid, sigma=1.0, l_c=1e17)
+        assert m.rho == 1.0
+        err = np.linalg.norm(m.Phi @ m.Phi.T - m.C)
+        assert err <= 1e-12 * np.linalg.norm(m.C)
+        r = np.random.default_rng(3).standard_normal((3, m.size))
+        assert np.allclose(unwhiten(m, whiten(m, r)), r, rtol=0, atol=1e-12)
 
-        monkeypatch.setattr(np.linalg, "cholesky", boom)
+    def test_underflowing_spacing_is_refused(self):
+        # 2 dx / l_c = 2e-324 underflows to 0, so s = 0 and Phi is singular
+        g = SpaceTimeGrid.from_spacing(0.0, 4e-16, 1e-16, 1.0, 0.5)
         with pytest.raises(ValueError, match="covariance not positive definite"):
-            build_noise_model("exponential", tiny_grid(6), sigma=1.0, l_c=1.0)
+            build_noise_model("exponential", g, sigma=1.0, l_c=1e308)
+
+    @pytest.mark.parametrize("dx", [0.5, 0.25, 0.125])
+    def test_closed_form_matches_dense_cholesky(self, dx):
+        g = SpaceTimeGrid.from_spacing(-15.0, 20.0, dx, 1.0, 0.05)
+        m = build_noise_model("exponential", g, sigma=1.3, l_c=5.0)
+        ref = np.linalg.cholesky(m.C)
+        assert np.abs(m.Phi - ref).max() <= 1e-14 * 1.3
+        assert np.array_equal(m.Phi, np.tril(m.Phi))
 
 
 class TestWhiten:
     def test_identity_passthrough(self):
+        # identity noise runs the same recurrence with rho = 0
         m = build_noise_model("identity", tiny_grid(6))
         r = np.array([1.0, -2.0, 3.0, 0.5])
+        assert m.rho == 0.0
         assert np.array_equal(whiten(m, r), r)
+        assert np.array_equal(whiten(m, np.stack([r, -3.0 * r])),
+                              np.stack([r, -3.0 * r]))
 
     def test_two_cell_forward_substitution(self, two_cell_model):
         y = whiten(two_cell_model, np.array([1.0, RHO]))
@@ -89,6 +110,13 @@ class TestWhiten:
         lhs = whiten(exp_model, 2.5 * r - 0.3 * s)
         rhs = 2.5 * whiten(exp_model, r) - 0.3 * whiten(exp_model, s)
         assert np.allclose(lhs, rhs, atol=1e-12)
+
+    @pytest.mark.parametrize("model_name", ["identity_model", "exp_model"])
+    def test_wrong_last_axis_refused(self, model_name, request):
+        m = request.getfixturevalue(model_name)
+        for shape in [(m.size + 1,), (m.size, 3), (2, m.size - 1), ()]:
+            with pytest.raises(ValueError, match="interior cells"):
+                whiten(m, np.zeros(shape))
 
     def test_batch_axis(self, exp_model):
         rng = np.random.default_rng(9)

@@ -3,11 +3,12 @@ import pytest
 
 from shockld.fluxes import FixedStates, euler_step
 from shockld.grid import SpaceTimeGrid, WaveSpec, sample_profile
-from shockld.noise import build_noise_model, unwhiten
+from shockld.noise import build_noise_model, unwhiten, whiten
 from shockld.optimize import (RareEventSpec, _scaffold, free_mask,
                               linear_interpolation_path)
-from shockld.rate import (PathMatrix, discrete_lower_bound, forcing_from_path,
-                          rate, rate_and_gradient, residuals)
+from shockld.rate import (PathMatrix, _whitened_pair, discrete_lower_bound,
+                          forcing_from_path, rate, rate_and_gradient,
+                          residuals)
 
 
 def noiseless_path(grid, wave, q0):
@@ -98,6 +99,16 @@ class TestRateGradient:
         for amp in (0.0, 0.03, 0.3):
             path = perturbed_path(scen, table1_grid, rng, amp=amp)
             assert rate_and_gradient(path, model)[0] == rate(path, model)
+
+    @pytest.mark.parametrize("dx", [0.5, 0.25, 0.125])
+    def test_whitened_pair_against_dense_solve(self, dx):
+        grid = SpaceTimeGrid.from_spacing(-15.0, 20.0, dx, 1.0, 0.05)
+        model = build_noise_model("exponential", grid, sigma=1.3, l_c=5.0)
+        r = np.random.default_rng(15).standard_normal((4, model.size))
+        y, g = _whitened_pair(model, r)
+        ref = np.linalg.solve(model.C, r.T).T
+        assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.array_equal(y, whiten(model, r))
 
     def test_zero_at_deterministic_path(self, table1_grid, wave, exp_model):
         q0 = sample_profile(wave, table1_grid)
