@@ -3,10 +3,13 @@
     shockld <subcommand> --config cfg.json [--out DIR] [--seed SEED] [--threads N]
 
 Subcommands: optimize, mc, is, sweep-x0, sweep-T, sweep-eps, convexity,
-center-diagnostics.  SHOCKLD_THREADS is the fallback for --threads; a thread
-count below 1 is refused.  All numeric output is written with 17 significant
-digits so that reruns with the same seed are byte-identical and path files
-round-trip through the rate function exactly.
+center-diagnostics.  mc and is write the reports.csv row of a one-point
+sweep-eps at run.eps (is runs is0 when scenario.delta = 0, is-delta
+otherwise); sweep-x0 and sweep-T are one rate sweep over x0 or T.
+SHOCKLD_THREADS is the fallback for --threads; a thread count below 1 is
+refused.  All numeric output is written with 17 significant digits so that
+reruns with the same seed are byte-identical and path files round-trip
+through the rate function exactly.
 """
 
 from __future__ import annotations
@@ -28,8 +31,7 @@ from .diagnostics import (analytic_center_law, analytic_exit_probability,
                           transition_margin_ok, wave_centers)
 from .fluxes import check_cfl
 from .grid import SpaceTimeGrid
-from .montecarlo import (run_basic_mc, run_estimators, run_importance_sampling,
-                         sample_terminal_states)
+from .montecarlo import run_estimators, sample_terminal_states
 from .noise import build_noise_model
 from .optimize import (initial_values, linear_interpolation_path,
                        linear_shift_path, midpoint_convexity_test,
@@ -68,11 +70,6 @@ def write_path_csv(path_matrix: PathMatrix, fname: str) -> None:
             writer.writerow([_fmt(float(v)) for v in row])
 
 
-def read_path_csv(fname: str, grid: SpaceTimeGrid, wave) -> PathMatrix:
-    data = np.loadtxt(fname, delimiter=",", skiprows=1)
-    return PathMatrix(np.atleast_2d(data), grid, wave)
-
-
 def _write_meta(out_dir: str, name: str, cfg: RunConfig, extra: dict) -> None:
     meta = {"code_version": __version__, "config": cfg.raw}
     meta.update(extra)
@@ -92,12 +89,6 @@ def _report_row(eps: float, name: str, rep, seed: int):
     return [FORMAT_VERSION, eps, name, rep.estimate, rep.std, rep.ci_low,
             rep.ci_high, rep.relative_error, rep.K, seed,
             rep.flagged_saturated]
-
-
-def _optimize(cfg: RunConfig, model):
-    if cfg.scenario.delta > 0:
-        return minimize_ball(cfg.scenario, model)
-    return minimize_pinned(cfg.scenario, model)
 
 
 def _test_path_rates(scen, grid: SpaceTimeGrid, model) -> list[float]:
@@ -131,13 +122,14 @@ def _require(value, key: str):
 
 def cmd_optimize(cfg: RunConfig, out_dir: str, threads: int) -> None:
     model = _build(cfg)
-    opt = _optimize(cfg, model)
+    scen = cfg.scenario
+    solve = minimize_ball if scen.delta > 0 else minimize_pinned
+    opt = solve(scen, model)
     write_path_csv(opt.path, os.path.join(out_dir, "optimal_path.csv"))
     _write_csv(os.path.join(out_dir, "forcing.csv"),
                [_fmt(float(c)) for c in cfg.grid.interior_centers()],
                [[float(v) for v in row] for row in opt.forcing])
     bound = discrete_lower_bound(opt.path, model)
-    scen = cfg.scenario
     i_shift = i_interp = ""
     if scen.kind == "displacement":
         i_shift, i_interp = _test_path_rates(scen, cfg.grid, model)
@@ -159,41 +151,87 @@ def cmd_optimize(cfg: RunConfig, out_dir: str, threads: int) -> None:
           f"iters={opt.iterations} converged={opt.converged}")
 
 
-def cmd_mc(cfg: RunConfig, out_dir: str, threads: int) -> None:
+def _eps_point(args):
+    """Worker for the estimators: every forcing at one eps, one kernel call."""
+    scen, model, eps, K, forcings, seed, run_key = args
+    return run_estimators(scen, model, eps, K, forcings, seed, run_key=run_key)
+
+
+def _map_points(worker, items, threads: int):
+    if threads > 1 and len(items) > 1:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(worker, items))
+    return [worker(it) for it in items]
+
+
+def _estimate(cfg: RunConfig, out_dir: str, threads: int, eps_grid,
+              estimators):
+    """mc, is and sweep-eps: every estimator at every eps, into reports.csv.
+
+    Solves for the forcing each importance sampler needs and runs the eps
+    points under run keys 0, 1, ..., as epsilon_sweep does.  Returns the
+    reports, one list per eps, and the solves by estimator name.
+    """
     model = _build(cfg)
-    eps = _require(cfg.run.eps, "eps")
     K = _require(cfg.run.K, "K")
-    rep = run_basic_mc(cfg.scenario, model, eps, K, cfg.run.seed)
-    _write_csv(os.path.join(out_dir, "reports.csv"), REPORT_COLUMNS,
-               [_report_row(eps, "mc", rep, cfg.run.seed)])
+    scen = cfg.scenario
+    if "is-delta" in estimators and not scen.delta > 0:
+        raise ConfigError("estimator is-delta requires scenario.delta > 0")
+    solves = {}
+    if "is0" in estimators:
+        solves["is0"] = minimize_pinned(dataclasses.replace(scen, delta=0.0),
+                                        model)
+    if "is-delta" in estimators:
+        solves["is-delta"] = minimize_ball(scen, model)
+    forcings = [solves[name].forcing if name in solves else None
+                for name in estimators]
+    items = [(scen, model, eps, K, forcings, cfg.run.seed, i)
+             for i, eps in enumerate(eps_grid)]
+    results = _map_points(_eps_point, items, threads)
+    rows = [_report_row(eps, name, rep, cfg.run.seed)
+            for eps, reps in zip(eps_grid, results)
+            for name, rep in zip(estimators, reps)]
+    _write_csv(os.path.join(out_dir, "reports.csv"), REPORT_COLUMNS, rows)
+    return results, solves
+
+
+def cmd_mc(cfg: RunConfig, out_dir: str, threads: int) -> None:
+    eps = _require(cfg.run.eps, "eps")
+    [[rep]], _ = _estimate(cfg, out_dir, threads, [eps], ["mc"])
     _write_meta(out_dir, "mc_meta.json", cfg, {"subcommand": "mc"})
     print(f"mc: estimate={rep.estimate:.6g} rel_error={rep.relative_error:.3g} "
           f"hits={rep.hits}")
 
 
 def cmd_is(cfg: RunConfig, out_dir: str, threads: int) -> None:
-    model = _build(cfg)
     eps = _require(cfg.run.eps, "eps")
-    K = _require(cfg.run.K, "K")
-    opt = _optimize(cfg, model)
     name = "is-delta" if cfg.scenario.delta > 0 else "is0"
-    rep = run_importance_sampling(cfg.scenario, model, eps, K, opt.forcing,
-                                  cfg.run.seed)
-    _write_csv(os.path.join(out_dir, "reports.csv"), REPORT_COLUMNS,
-               [_report_row(eps, name, rep, cfg.run.seed)])
+    [[rep]], solves = _estimate(cfg, out_dir, threads, [eps], [name])
+    i_star = solves[name].rate_value
     _write_meta(out_dir, "is_meta.json", cfg,
-                {"subcommand": "is", "I_star": opt.rate_value})
+                {"subcommand": "is", "I_star": i_star})
     print(f"is: estimate={rep.estimate:.6g} rel_error={rep.relative_error:.3g} "
-          f"hits={rep.hits} I*={opt.rate_value:.6g}")
+          f"hits={rep.hits} I*={i_star:.6g}")
+
+
+def cmd_sweep_eps(cfg: RunConfig, out_dir: str, threads: int) -> None:
+    eps_grid = _require(cfg.run.eps_grid, "eps_grid")
+    estimators = cfg.run.estimators or ("mc", "is-delta")
+    _estimate(cfg, out_dir, threads, eps_grid, estimators)
+    _write_meta(out_dir, "sweep_eps_meta.json", cfg, {"subcommand": "sweep-eps"})
+    print(f"sweep-eps: {len(eps_grid) * len(estimators)} reports -> reports.csv")
+
+
+_SWEEP_HEADER = ["format_version", "x0", "T", "D", "I_star", "gradient_norm",
+                 "iterations", "converged", "lower_bound", "I_shift_path",
+                 "I_interp_path", "seed"]
 
 
 def _sweep_point(args):
-    """Worker for sweep-x0 / sweep-T: one pinned optimization."""
-    text, x0, T = args
-    cfg = parse_config(text)
-    grid = cfg.grid
-    if T is not None:
-        grid = SpaceTimeGrid.from_spacing(grid.L, grid.R, grid.dx, T, grid.dt)
+    """Worker for sweep-x0 / sweep-T: one pinned solve at (x0, T)."""
+    cfg, x0, T = args
+    g = cfg.grid
+    grid = SpaceTimeGrid.from_spacing(g.L, g.R, g.dx, T, g.dt)
     scen = dataclasses.replace(cfg.scenario, x0=x0, delta=0.0)
     model = build_noise_model(cfg.noise_kind, grid, sigma=cfg.sigma, l_c=cfg.l_c)
     opt = minimize_pinned(scen, model)
@@ -204,70 +242,31 @@ def _sweep_point(args):
             i_shift, i_interp, cfg.run.seed]
 
 
-_SWEEP_HEADER = ["format_version", "x0", "T", "D", "I_star", "gradient_norm",
-                 "iterations", "converged", "lower_bound", "I_shift_path",
-                 "I_interp_path", "seed"]
+def _rate_sweep(cfg: RunConfig, out_dir: str, threads: int, subcommand: str,
+                key: str, point) -> None:
+    """sweep-x0 and sweep-T: one pinned solve per value of run.<key>.
 
-
-def _map_points(worker, items, threads: int):
-    if threads > 1 and len(items) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(worker, items))
-    return [worker(it) for it in items]
-
-
-def cmd_sweep_x0(cfg: RunConfig, out_dir: str, threads: int, text: str = "") -> None:
+    point(value) gives the (x0, T) of that value's solve.
+    """
     if cfg.scenario.kind != "displacement":
-        raise ConfigError("sweep-x0 requires a displacement scenario")
-    x0s = _require(cfg.run.x0_grid, "x0_grid")
-    rows = _map_points(_sweep_point, [(text, x0, None) for x0 in x0s], threads)
-    _write_csv(os.path.join(out_dir, "rate_summary.csv"), _SWEEP_HEADER, rows)
-    _write_meta(out_dir, "sweep_x0_meta.json", cfg, {"subcommand": "sweep-x0"})
-    print(f"sweep-x0: {len(rows)} points -> rate_summary.csv")
-
-
-def cmd_sweep_T(cfg: RunConfig, out_dir: str, threads: int, text: str = "") -> None:
-    if cfg.scenario.kind != "displacement":
-        raise ConfigError("sweep-T requires a displacement scenario")
-    Ts = _require(cfg.run.T_grid, "T_grid")
-    items = [(text, cfg.scenario.x0, T) for T in Ts]
+        raise ConfigError(f"{subcommand} requires a displacement scenario")
+    values = _require(getattr(cfg.run, key), key)
+    items = [(cfg, *point(v)) for v in values]
     rows = _map_points(_sweep_point, items, threads)
     _write_csv(os.path.join(out_dir, "rate_summary.csv"), _SWEEP_HEADER, rows)
-    _write_meta(out_dir, "sweep_T_meta.json", cfg, {"subcommand": "sweep-T"})
-    print(f"sweep-T: {len(rows)} points -> rate_summary.csv")
+    _write_meta(out_dir, f"{subcommand.replace('-', '_')}_meta.json", cfg,
+                {"subcommand": subcommand})
+    print(f"{subcommand}: {len(rows)} points -> rate_summary.csv")
 
 
-def _eps_point(args):
-    """Worker for sweep-eps: every estimator at one eps, one kernel call."""
-    scen, model, eps, K, forcings, seed, run_key = args
-    return run_estimators(scen, model, eps, K, forcings, seed, run_key=run_key)
+def cmd_sweep_x0(cfg: RunConfig, out_dir: str, threads: int) -> None:
+    _rate_sweep(cfg, out_dir, threads, "sweep-x0", "x0_grid",
+                lambda x0: (x0, cfg.grid.T))
 
 
-def cmd_sweep_eps(cfg: RunConfig, out_dir: str, threads: int) -> None:
-    model = _build(cfg)
-    eps_grid = _require(cfg.run.eps_grid, "eps_grid")
-    K = _require(cfg.run.K, "K")
-    estimators = cfg.run.estimators or ("mc", "is-delta")
-    scen = cfg.scenario
-    forcing = {"mc": None}
-    if "is0" in estimators:
-        pin = dataclasses.replace(scen, delta=0.0)
-        forcing["is0"] = minimize_pinned(pin, model).forcing
-    if "is-delta" in estimators:
-        if not scen.delta > 0:
-            raise ConfigError("estimator is-delta requires scenario.delta > 0")
-        forcing["is-delta"] = minimize_ball(scen, model).forcing
-    forcings = [forcing[name] for name in estimators]
-    # run key i for the i-th eps, as in epsilon_sweep
-    items = [(scen, model, eps, K, forcings, cfg.run.seed, i)
-             for i, eps in enumerate(eps_grid)]
-    results = _map_points(_eps_point, items, threads)
-    rows = [_report_row(eps, name, rep, cfg.run.seed)
-            for eps, reps in zip(eps_grid, results)
-            for name, rep in zip(estimators, reps)]
-    _write_csv(os.path.join(out_dir, "reports.csv"), REPORT_COLUMNS, rows)
-    _write_meta(out_dir, "sweep_eps_meta.json", cfg, {"subcommand": "sweep-eps"})
-    print(f"sweep-eps: {len(rows)} reports -> reports.csv")
+def cmd_sweep_T(cfg: RunConfig, out_dir: str, threads: int) -> None:
+    _rate_sweep(cfg, out_dir, threads, "sweep-T", "T_grid",
+                lambda T: (cfg.scenario.x0, T))
 
 
 def cmd_convexity(cfg: RunConfig, out_dir: str, threads: int) -> None:
@@ -354,15 +353,10 @@ def main(argv=None) -> int:
         if args.seed is not None:
             doc = json.loads(text)
             doc["run"]["seed"] = args.seed
-            text = json.dumps(doc)
-            cfg = parse_config(text)
+            cfg = parse_config(json.dumps(doc))
         out_dir = args.out or cfg.run.out or "out"
         os.makedirs(out_dir, exist_ok=True)
-        handler = _COMMANDS[args.subcommand]
-        if args.subcommand in ("sweep-x0", "sweep-T"):
-            handler(cfg, out_dir, threads, text=text)
-        else:
-            handler(cfg, out_dir, threads)
+        _COMMANDS[args.subcommand](cfg, out_dir, threads)
     except Exception as err:  # single diagnostic line, nonzero exit
         print(f"shockld {args.subcommand}: "
               f"{err.__class__.__module__}.{err.__class__.__name__}: {err}",

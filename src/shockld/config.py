@@ -10,7 +10,9 @@ A configuration document has five sections:
       "run":      {"seed": 1234, "K": 10000, "eps": 0.15, ...}
     }
 
-Unknown keys are rejected and every reported error names the offending key.
+Unknown keys are rejected, every number must be finite (Python's json reads
+NaN and Infinity), and every reported error names the offending key.  The
+boundary width is not a key: it follows scenario.kind.
 Subcommand-specific run keys (eps_grid, x0_grid, T_grid, estimators, trials,
 exit_probability, out) are optional here and checked by the
 subcommands that need them.
@@ -19,6 +21,7 @@ subcommands that need them.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .grid import SpaceTimeGrid, WaveSpec
@@ -72,6 +75,12 @@ def _check_keys(sec: dict, name: str, allowed: set[str]) -> None:
             raise ConfigError(f"unknown key: {name}.{key}")
 
 
+def _finite(v, name: str, key: str) -> float:
+    if not math.isfinite(v):
+        raise ConfigError(f"{name}.{key} must be finite")
+    return float(v)
+
+
 def _number(sec: dict, name: str, key: str, required: bool = True):
     if key not in sec:
         if required:
@@ -80,7 +89,7 @@ def _number(sec: dict, name: str, key: str, required: bool = True):
     v = sec[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"type mismatch: {name}.{key} must be a number")
-    return float(v)
+    return _finite(v, name, key)
 
 
 def _integer(sec: dict, name: str, key: str, required: bool = True):
@@ -101,7 +110,7 @@ def _number_list(sec: dict, name: str, key: str):
     if not isinstance(v, list) or not v or \
             any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in v):
         raise ConfigError(f"type mismatch: {name}.{key} must be a nonempty number list")
-    return tuple(float(x) for x in v)
+    return tuple(_finite(x, name, key) for x in v)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -153,8 +162,7 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("noise.sigma/l_c only apply to the exponential kind")
 
     s = _section(doc, "scenario")
-    _check_keys(s, "scenario",
-                {"kind", "x0", "delta", "boundary_width", "target_wave"})
+    _check_keys(s, "scenario", {"kind", "x0", "delta", "target_wave"})
     skind = s.get("kind")
     if skind not in SCENARIO_KINDS:
         raise ConfigError(f"scenario.kind must be one of {SCENARIO_KINDS}, got {skind!r}")
@@ -162,7 +170,6 @@ def parse_config(text: str) -> RunConfig:
     delta = 0.0 if delta is None else delta
     if delta < 0:
         raise ConfigError("scenario.delta must be nonnegative")
-    width = _integer(s, "scenario", "boundary_width", required=False) or 0
     target_wave = None
     if skind == "displacement":
         x0 = _number(s, "scenario", "x0")
@@ -183,7 +190,7 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"scenario.target_wave: {err}") from err
     try:
         scen = RareEventSpec(kind=skind, wave=wave, x0=x0, delta=delta,
-                             target_wave=target_wave, boundary_width=width)
+                             target_wave=target_wave)
     except ValueError as err:
         raise ConfigError(f"scenario: {err}") from err
 

@@ -17,7 +17,7 @@ evolve in one vectorized call.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,8 +42,6 @@ class FixedStates:
     u_minus: float
     u_plus: float
 
-    width: int = field(default=1, init=False)
-
     def apply(self, values: np.ndarray, n: int) -> None:
         values[..., 0] = self.u_minus
         values[..., -1] = self.u_plus
@@ -51,27 +49,24 @@ class FixedStates:
 
 @dataclass(frozen=True)
 class TimeInterpolated:
-    """Pin the `width` outermost cells per side to (1 - n/N) q^0 + (n/N) q^N.
+    """Pin the outermost cells per side to (1 - n/N) q^0 + (n/N) q^N.
 
     left0/leftN and right0/rightN hold the pinned values at the initial and
-    terminal levels (arrays of length `width`), n_steps is N.
+    terminal levels; their common length is the number of cells pinned per
+    side.  n_steps is N.
     """
 
     left0: np.ndarray
     leftN: np.ndarray
     right0: np.ndarray
     rightN: np.ndarray
-    width: int
     n_steps: int
-
-    def __post_init__(self):
-        if self.width not in (1, 2):
-            raise ValueError(f"boundary width must be 1 or 2, got {self.width}")
 
     def apply(self, values: np.ndarray, n: int) -> None:
         s = n / self.n_steps
-        values[..., : self.width] = (1.0 - s) * self.left0 + s * self.leftN
-        values[..., -self.width:] = (1.0 - s) * self.right0 + s * self.rightN
+        w = len(self.left0)
+        values[..., :w] = (1.0 - s) * self.left0 + s * self.leftN
+        values[..., -w:] = (1.0 - s) * self.right0 + s * self.rightN
 
 
 def godunov_flux(q_left, q_right, gamma: float):

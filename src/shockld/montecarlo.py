@@ -35,7 +35,7 @@ contiguous axis runs over the samples, so each elementwise pass of a step
 (drift, increments, boundary cells) is one long loop rather than B short
 ones over strided row slices.  The per-element arithmetic and its order are
 those of a row-major (B, M) batch, so every value is bit-identical to it.
-The coloring stays the stacked z @ Phi^T, one small product per sample: a
+The coloring is unwhiten's stacked z @ Phi^T, one small product per sample: a
 single 2-D product over the chunk is large enough for a threaded BLAS to
 spread over every core, which then starves the draw thread.  Its scaling by
 sqrt(dt/dx) writes it cells-major, as (N, M-2, B), so each step adds one
@@ -275,8 +275,8 @@ def _checked(K: int, eps: float, forcings, shape: tuple[int, int]) -> list:
         if h is not None and h.shape != shape:
             raise ValueError(f"forcing must have shape (N, M-2) = {shape}, "
                              f"got {h.shape}")
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+    if not 0 <= eps < np.inf:
+        raise ValueError(f"eps must be nonnegative and finite, got {eps}")
     if eps <= 0 and any(h is not None for h in forcings):
         raise ValueError("importance sampling requires eps > 0")
     return forcings
@@ -339,14 +339,10 @@ def _simulate(scen: RareEventSpec, model: NoiseModel, eps: float, K: int,
         qT = q_mem[:M * B].reshape(M, B)
         inc = inc_mem[:n_int * B].reshape(n_int, B)
         dW = dW_mem[:N * n_int * B].reshape(N, n_int, B)
-        if model.is_identity:
+        np.multiply(unwhiten(model, z).transpose(1, 2, 0), rho, out=dW)
+        dW *= eps
+        if tilted:
             z *= rho
-            np.multiply(z.transpose(1, 2, 0), eps, out=dW)
-        else:
-            np.multiply((z @ model.Phi.T).transpose(1, 2, 0), rho, out=dW)
-            dW *= eps
-            if tilted:
-                z *= rho
         y_sq = np.sum(z * z, axis=(1, 2)) if tilted else None
 
         for i, (h, tilt) in enumerate(zip(forcings, tilts)):

@@ -27,6 +27,7 @@ midpoint-convexity spot check around a given path.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -66,7 +67,7 @@ class RareEventSpec:
 
     kind "displacement" targets the initial profile shifted by x0 and uses
     fixed-state boundaries; the other kinds target the profile of
-    `target_wave` and use time-interpolated boundaries (default width 2).
+    `target_wave` and use time-interpolated boundaries.
     delta = 0 means the terminal slice is pinned exactly; delta > 0 allows a
     weighted L2 ball of that radius.
     """
@@ -76,21 +77,22 @@ class RareEventSpec:
     x0: float = 0.0
     delta: float = 0.0
     target_wave: WaveSpec | None = None
-    boundary_width: int = 0  # 0 -> scenario default
 
     def __post_init__(self):
         if self.kind not in SCENARIO_KINDS:
             raise ValueError(f"unknown scenario kind: {self.kind!r}")
-        if self.delta < 0:
-            raise ValueError(f"delta must be nonnegative, got {self.delta}")
+        if not math.isfinite(self.x0):
+            raise ValueError(f"x0 must be finite, got {self.x0}")
+        if not 0 <= self.delta < math.inf:
+            raise ValueError(f"delta must be nonnegative and finite, "
+                             f"got {self.delta}")
         if self.kind != "displacement" and self.target_wave is None:
             raise ValueError(f"scenario {self.kind!r} needs a target_wave")
-        width = self.boundary_width
-        if width == 0:
-            width = 1 if self.kind == "displacement" else 2
-            object.__setattr__(self, "boundary_width", width)
-        if width not in (1, 2):
-            raise ValueError(f"boundary width must be 1 or 2, got {width}")
+
+    @property
+    def boundary_width(self) -> int:
+        """Cells pinned per side: 1 for displacement, 2 for the other kinds."""
+        return 1 if self.kind == "displacement" else 2
 
 
 def initial_values(scen: RareEventSpec, grid: SpaceTimeGrid) -> np.ndarray:
@@ -110,8 +112,7 @@ def boundary_policy(scen: RareEventSpec, grid: SpaceTimeGrid):
     q0 = initial_values(scen, grid)
     qN = target_values(scen, grid)
     return TimeInterpolated(left0=q0[:w], leftN=qN[:w],
-                            right0=q0[-w:], rightN=qN[-w:],
-                            width=w, n_steps=grid.N)
+                            right0=q0[-w:], rightN=qN[-w:], n_steps=grid.N)
 
 
 def free_mask(scen: RareEventSpec, grid: SpaceTimeGrid,

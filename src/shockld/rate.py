@@ -48,9 +48,6 @@ class PathMatrix:
         if self.q.shape != expected:
             raise ValueError(f"path shape {self.q.shape} != {expected}")
 
-    def copy(self) -> "PathMatrix":
-        return PathMatrix(self.q.copy(), self.grid, self.wave)
-
 
 def residuals(path: PathMatrix) -> np.ndarray:
     """All residuals r^n = (Q^{n+1} - Q^n)/dt - b(Q^n); shape (N, M-2)."""

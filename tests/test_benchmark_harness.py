@@ -1,0 +1,31 @@
+"""The benchmark harness runs against the package as it stands.
+
+perfbench/workloads.py is imported unchanged, so a change to a name or
+signature it calls fails here and not only in a benchmark run.
+"""
+
+import importlib.util
+import pathlib
+
+import pytest
+
+WORKLOADS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_optimal_paths_pass_checks(workloads, tmp_path):
+    workload = workloads.WORKLOADS["optimal-paths"](1, str(tmp_path))
+    workload.setup()
+    assert workload.check(workload.run_pass()) == (2, 0, [])
+
+
+@pytest.mark.parametrize("name", ["estimator-sweep", "center-law"])
+def test_setup(workloads, tmp_path, name):
+    workloads.WORKLOADS[name](1, str(tmp_path)).setup()

@@ -6,15 +6,16 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import shockld
-from shockld.cli import main, read_path_csv
+from shockld.cli import main
 from shockld.config import ConfigError, parse_config
 from shockld.grid import SpaceTimeGrid, WaveSpec
 from shockld.montecarlo import epsilon_sweep
 from shockld.noise import build_noise_model
-from shockld.rate import rate
+from shockld.rate import PathMatrix, rate
 
 TABLE1 = {
     "grid": {"L": -15.0, "R": 20.0, "dx": 0.5, "T": 1.0, "dt": 0.05},
@@ -24,6 +25,7 @@ TABLE1 = {
                  "delta": math.sqrt(0.5)},
     "run": {"seed": 1234, "K": 10000, "eps": 0.15},
 }
+DELTA = TABLE1["scenario"]["delta"]
 
 
 def make_config(tmp_path, **changes):
@@ -124,7 +126,8 @@ class TestSubcommands:
         grid = SpaceTimeGrid.from_spacing(-15.0, 20.0, 0.5, 1.0, 0.1)
         wave = WaveSpec(2.0, 1.0, 1.0, gamma=1.5)
         model = build_noise_model("identity", grid)
-        path = read_path_csv(out / "optimal_path.csv", grid, wave)
+        q = np.loadtxt(out / "optimal_path.csv", delimiter=",", skiprows=1)
+        path = PathMatrix(q, grid, wave)
         assert rate(path, model) == pytest.approx(float(row["I_star"]),
                                                   abs=1e-10)
         meta = json.loads((out / "optimize_meta.json").read_text())
@@ -244,6 +247,47 @@ class TestSubcommands:
         for r in rows:
             assert float(r["lower_bound"]) <= float(r["I_star"]) + 1e-10
 
+    @pytest.mark.parametrize("subcommand, delta, estimator",
+                             [("mc", DELTA, "mc"), ("is", 0.0, "is0"),
+                              ("is", DELTA, "is-delta")],
+                             ids=["mc", "is0", "is-delta"])
+    def test_estimator_row_is_one_point_sweep(self, tmp_path, subcommand,
+                                              delta, estimator):
+        cfg_path = make_config(
+            tmp_path, **{"run.K": 300, "run.eps": 0.2, "run.eps_grid": [0.2],
+                         "run.estimators": [estimator],
+                         "scenario.delta": delta})
+        one, sweep = tmp_path / "one", tmp_path / "sweep"
+        assert main([subcommand, "--config", str(cfg_path),
+                     "--out", str(one)]) == 0
+        assert main(["sweep-eps", "--config", str(cfg_path),
+                     "--out", str(sweep)]) == 0
+        reports = (one / "reports.csv").read_bytes()
+        assert reports == (sweep / "reports.csv").read_bytes()
+        assert read_rows(one / "reports.csv")[0]["estimator"] == estimator
+        if subcommand == "is":
+            meta = json.loads((one / "is_meta.json").read_text())
+            assert meta["I_star"] > 0
+
+    def test_sweep_T(self, tmp_path):
+        cfg_path = make_config(
+            tmp_path,
+            **{"grid.dt": 0.1, "noise.kind": "identity", "noise.sigma": None,
+               "noise.l_c": None, "scenario.x0": 2.0, "scenario.delta": 0.0,
+               "run.T_grid": [0.5, 1.0, 1.5], "run.K": None,
+               "run.eps": None})
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}"
+            assert main(["sweep-T", "--config", str(cfg_path), "--out",
+                         str(out), "--threads", threads]) == 0
+            outs.append((out / "rate_summary.csv").read_bytes())
+        assert outs[0] == outs[1]
+        rows = read_rows(tmp_path / "t1" / "rate_summary.csv")
+        assert [float(r["T"]) for r in rows] == [0.5, 1.0, 1.5]
+        istars = [float(r["I_star"]) for r in rows]
+        assert istars[0] > istars[1] > istars[2]
+
     def test_convexity_row(self, tmp_path):
         cfg_path = make_config(
             tmp_path,
@@ -278,6 +322,32 @@ class TestSubcommands:
         assert err.count("\n") == 1
         assert "shockld sweep-eps" in err and "run.eps_grid" in err
         assert not (out / "reports.csv").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("run.eps", math.nan), ("run.eps", math.inf),
+        ("scenario.x0", math.nan), ("wave.gamma_frame", math.nan),
+        ("scenario.delta", math.inf), ("run.eps_grid", [0.1, math.nan])],
+        ids=["eps-nan", "eps-inf", "x0-nan", "gamma_frame-nan", "delta-inf",
+             "eps_grid-nan"])
+    def test_non_finite_number_fails_with_diagnostic(self, tmp_path, capsys,
+                                                      key, value):
+        # json writes NaN and Infinity, and reads them back
+        cfg_path = make_config(tmp_path, **{"run.K": 50, key: value})
+        out = tmp_path / "out"
+        assert main(["mc", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "shockld mc" in err and f"{key} " in err and "finite" in err
+        assert not out.exists()
+
+    def test_boundary_width_key_fails_with_diagnostic(self, tmp_path, capsys):
+        # the width follows scenario.kind; the key is not settable
+        cfg_path = make_config(tmp_path, **{"scenario.boundary_width": 2})
+        assert main(["optimize", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "unknown key: scenario.boundary_width" in err
 
     def test_missing_run_field_fails_with_diagnostic(self, tmp_path, capsys):
         cfg_path = make_config(tmp_path, **{"run.K": None})

@@ -319,7 +319,7 @@ class TestEulerStep:
         q0 = sample_profile(self.w, self.g)
         qN = sample_profile(self.w, self.g, shift=5.0)
         bc = TimeInterpolated(left0=q0[:w], leftN=qN[:w], right0=q0[-w:],
-                              rightN=qN[-w:], width=w, n_steps=self.g.N)
+                              rightN=qN[-w:], n_steps=self.g.N)
         q = q0.copy()
         n_half = self.g.N // 2
         for n in range(n_half):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 import threading
 import tracemalloc
@@ -138,6 +139,15 @@ class TestBasicMc:
         with pytest.raises(ValueError, match="eps must be nonnegative"):
             epsilon_sweep(ball_scen, exp_model, [0.1, -0.1], 10, ["mc"],
                           seed=1)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_non_finite_eps_refused(self, ball_scen, exp_model, table1_grid,
+                                    eps):
+        with pytest.raises(ValueError, match="eps must be nonnegative and finite"):
+            run_basic_mc(ball_scen, exp_model, eps, 10, seed=1)
+        good = np.zeros((table1_grid.N, table1_grid.M - 2))
+        with pytest.raises(ValueError, match="eps must be nonnegative and finite"):
+            importance_weights(exp_model, eps, 5, good, seed=1)
 
 
 class TestLikelihoodRatio:

@@ -46,6 +46,13 @@ class TestScenario:
         with pytest.raises(ValueError):
             RareEventSpec("speed_change", wave)  # needs target_wave
 
+    @pytest.mark.parametrize("field, value", [("x0", np.nan), ("x0", np.inf),
+                                              ("delta", np.nan),
+                                              ("delta", np.inf)])
+    def test_non_finite_refused(self, wave, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            RareEventSpec("displacement", wave, **{field: value})
+
     def test_boundary_defaults(self, wave):
         disp = RareEventSpec("displacement", wave, x0=2.0)
         assert disp.boundary_width == 1

@@ -52,9 +52,9 @@ class TestResidual:
         rng = np.random.default_rng(10)
         scen = RareEventSpec("displacement", wave, x0=5.0)
         a = perturbed_path(scen, table1_grid, rng)
-        b = a.copy()
+        b = PathMatrix(a.q.copy(), a.grid, a.wave)
         b.q[3] = a.q[3] + 0.1 * rng.standard_normal(table1_grid.M)
-        mid = a.copy()
+        mid = PathMatrix(a.q.copy(), a.grid, a.wave)
         mid.q[3] = 0.5 * (a.q[3] + b.q[3])
         # paths share slice 2; residual at n=2 is affine in slice 3
         assert np.allclose(residuals(mid)[2],
@@ -67,7 +67,7 @@ class TestRate:
         q0 = sample_profile(wave, table1_grid)
         path = noiseless_path(table1_grid, wave, q0)
         assert rate(path, identity_model) < 1e-24
-        bumped = path.copy()
+        bumped = PathMatrix(path.q.copy(), path.grid, path.wave)
         bumped.q[2, 10] += 1e-3
         assert rate(bumped, identity_model) > 0
 
