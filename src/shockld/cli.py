@@ -36,7 +36,7 @@ from .noise import build_noise_model
 from .optimize import (initial_values, linear_interpolation_path,
                        linear_shift_path, midpoint_convexity_test,
                        minimize_ball, minimize_pinned, project_onto_pinning)
-from .rate import PathMatrix, discrete_lower_bound, rate
+from .rate import discrete_lower_bound, rate
 
 FORMAT_VERSION = 1
 
@@ -60,14 +60,18 @@ def _write_csv(path: str, header, rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def write_path_csv(path_matrix: PathMatrix, fname: str) -> None:
-    """Rows = time levels, columns = cells, header row = cell centers."""
-    centers = path_matrix.grid.centers()
+def _write_matrix(fname: str, header, matrix) -> None:
+    """Float CSV: a header row, then one row per row of `matrix`.
+
+    Every value is written as "%.17g", 17 significant digits, so the file
+    reads back bit for bit, and every line ends in CRLF, csv.writer's
+    terminator: the bytes equal those of _write_csv on the same floats.
+    The whole file is formatted by one %.
+    """
+    rows = np.vstack([header, matrix])
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\r\n"
     with open(fname, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([_fmt(float(c)) for c in centers])
-        for row in path_matrix.q:
-            writer.writerow([_fmt(float(v)) for v in row])
+        fh.write((line * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 def _write_meta(out_dir: str, name: str, cfg: RunConfig, extra: dict) -> None:
@@ -125,10 +129,10 @@ def cmd_optimize(cfg: RunConfig, out_dir: str, threads: int) -> None:
     scen = cfg.scenario
     solve = minimize_ball if scen.delta > 0 else minimize_pinned
     opt = solve(scen, model)
-    write_path_csv(opt.path, os.path.join(out_dir, "optimal_path.csv"))
-    _write_csv(os.path.join(out_dir, "forcing.csv"),
-               [_fmt(float(c)) for c in cfg.grid.interior_centers()],
-               [[float(v) for v in row] for row in opt.forcing])
+    _write_matrix(os.path.join(out_dir, "optimal_path.csv"),
+                  cfg.grid.centers(), opt.path.q)
+    _write_matrix(os.path.join(out_dir, "forcing.csv"),
+                  cfg.grid.interior_centers(), opt.forcing)
     bound = discrete_lower_bound(opt.path, model)
     i_shift = i_interp = ""
     if scen.kind == "displacement":

@@ -76,7 +76,11 @@ def _check_keys(sec: dict, name: str, allowed: set[str]) -> None:
 
 
 def _finite(v, name: str, key: str) -> float:
-    if not math.isfinite(v):
+    try:
+        finite = math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
         raise ConfigError(f"{name}.{key} must be finite")
     return float(v)
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fluxes import FixedStates, TimeInterpolated, euler_step
-from .grid import SpaceTimeGrid, WaveSpec, sample_profile
+from .grid import SpaceTimeGrid, WaveSpec, profile, sample_profile
 from .noise import NoiseModel, whiten
 from .rate import PathMatrix, forcing_from_path, rate, rate_and_gradient
 
@@ -124,12 +124,21 @@ def free_mask(scen: RareEventSpec, grid: SpaceTimeGrid,
     """
     if free_terminal is None:
         free_terminal = scen.delta > 0
-    w = scen.boundary_width
     mask = np.zeros((grid.N + 1, grid.M), dtype=bool)
-    mask[1:grid.N, w:grid.M - w] = True
-    if free_terminal:
-        mask[grid.N, w:grid.M - w] = True
+    mask[_free_block(scen, grid, free_terminal)] = True
     return mask
+
+
+def _free_block(scen: RareEventSpec, grid: SpaceTimeGrid,
+                free_terminal: bool) -> tuple[slice, slice]:
+    """Row and column slices of the free entries, a rectangle of the path.
+
+    Rows 1..N-1, or 1..N with a free terminal; the boundary-pinned columns
+    removed.  Its row-major order is free_mask order.
+    """
+    w = scen.boundary_width
+    return (slice(1, grid.N + 1 if free_terminal else grid.N),
+            slice(w, grid.M - w))
 
 
 def _scaffold(scen: RareEventSpec, grid: SpaceTimeGrid,
@@ -151,7 +160,7 @@ def linear_shift_path(scen: RareEventSpec, grid: SpaceTimeGrid) -> PathMatrix:
     if scen.kind != "displacement":
         raise ValueError("linear_shift_path is defined for displacement scenarios")
     shifts = np.arange(grid.N + 1) / grid.N * scen.x0
-    q = np.stack([sample_profile(scen.wave, grid, s) for s in shifts])
+    q = profile(scen.wave, grid.centers() - shifts[:, None])
     return PathMatrix(q, grid, scen.wave)
 
 
@@ -386,8 +395,10 @@ def _diffusion_preconditioner(scen: RareEventSpec, model: NoiseModel,
     bidiagonal E with unit diagonal, so it is positive definite.  With
     width-2 boundaries the diffusion of the free cells into the pinned
     interior cells next to them is left out.  Built in O(M^3 + N M); each
-    application costs two dense products with S and two sweeps over time.
-    Returns h0(v) for flat v in free_mask order.
+    application costs two dense products with S and two Thomas sweeps over
+    time, one vector update of length nf per time level, run on a list of
+    row views with per-row coefficients split at build time.  Returns h0(v)
+    for flat v in free_mask order.
     """
     grid = model.grid
     dt, dx = grid.dt, grid.dx
@@ -412,50 +423,52 @@ def _diffusion_preconditioner(scen: RareEventSpec, model: NoiseModel,
         piv[-1] = 1.0
     for n in range(1, rows):
         piv[n] -= a * a / piv[n - 1]
-    inv_piv = 1.0 / piv
-    lower = a * inv_piv
+    inv_piv = list(1.0 / piv)
+    lower = [a * p for p in inv_piv]
 
     def h0(v: np.ndarray) -> np.ndarray:
         y = v.reshape(rows, nf) @ S
         y *= scale
+        ys = list(y)  # row views of y: list indexing makes no new view
         for n in range(1, rows):
-            y[n] += lower[n - 1] * y[n - 1]
-        y[-1] *= inv_piv[-1]
+            ys[n] += lower[n - 1] * ys[n - 1]
+        ys[-1] *= inv_piv[-1]
         for n in range(rows - 2, -1, -1):
-            y[n] *= inv_piv[n]
-            y[n] += lower[n] * y[n + 1]
+            ys[n] *= inv_piv[n]
+            ys[n] += lower[n] * ys[n + 1]
         return (y @ S).ravel()
 
     return h0
 
 
 def _path_solve(scen: RareEventSpec, model: NoiseModel, free_terminal: bool,
-                x0: np.ndarray, sphere=None):
-    """One preconditioned L-BFGS solve of the rate over the free entries.
+                x0: np.ndarray, h0, sphere=None):
+    """One L-BFGS solve of the rate over the free entries, preconditioned by h0.
 
     sphere = (centre, r) turns the last centre.size variables into v, which
     places the free interior terminal cells at centre + r v / |v|.  Returns
     the MinimizeResult and the final path.
     """
     grid = model.grid
-    mask = free_mask(scen, grid, free_terminal)
+    free = _free_block(scen, grid, free_terminal)
     work = _scaffold(scen, grid, free_terminal)
+    block = work[free]
     path = PathMatrix(work, grid, scen.wave)
 
     def place(x):
-        work[mask] = x
+        block[...] = x.reshape(block.shape)
         if sphere is None:
             return None
         centre, r = sphere
         norm = float(np.linalg.norm(x[-centre.size:]))
         u = x[-centre.size:] / norm
-        work[grid.N, mask[grid.N]] = centre + r * u
+        block[-1] = centre + r * u
         return u, r / norm
 
     def fun_grad(x):
         chart = place(x)
         value, grad = rate_and_gradient(path, model)
-        g = grad[mask]
+        g = grad[free].ravel()
         if chart is not None:  # d/dv of centre + r v/|v| is (r/|v|)(I - u u')
             u, scale = chart
             g_term = g[-u.size:]
@@ -463,8 +476,7 @@ def _path_solve(scen: RareEventSpec, model: NoiseModel, free_terminal: bool,
         return value, g
 
     res = minimize_smooth(fun_grad, x0, gtol=lambda f: GTOL_REL * max(1.0, f),
-                          max_iter=MAX_ITER,
-                          h0=_diffusion_preconditioner(scen, model, free_terminal))
+                          max_iter=MAX_ITER, h0=h0)
     place(res.x)
     return res, PathMatrix(work.copy(), grid, scen.wave)
 
@@ -484,7 +496,8 @@ def minimize_pinned(scen: RareEventSpec, model: NoiseModel,
     if init is None:
         init = linear_interpolation_path(scen, grid)
     mask = free_mask(scen, grid, free_terminal=False)
-    res, final = _path_solve(scen, model, False, init.q[mask])
+    res, final = _path_solve(scen, model, False, init.q[mask],
+                             _diffusion_preconditioner(scen, model, False))
     return OptimalPath(path=final, rate_value=res.f,
                        gradient_norm=float(np.max(np.abs(res.grad))) if res.grad.size else 0.0,
                        iterations=res.iterations, evaluations=res.evaluations,
@@ -532,7 +545,8 @@ def minimize_ball(scen: RareEventSpec, model: NoiseModel) -> OptimalPath:
     bc = boundary_policy(scen, grid)
     for n in range(N):
         q[n + 1] = euler_step(q[n], grid, scen.wave, bc, n=n)
-    res, path = _path_solve(scen, model, True, q[mask])
+    h0 = _diffusion_preconditioner(scen, model, True)
+    res, path = _path_solve(scen, model, True, q[mask], h0)
     iterations, evaluations = res.iterations, res.evaluations
     active = terminal_distance_sq(path.q[N], target, dx) > delta_sq
     if active:
@@ -546,7 +560,7 @@ def minimize_ball(scen: RareEventSpec, model: NoiseModel) -> OptimalPath:
         s = (np.arange(N + 1) / N)[:, None]
         x0 = ((1.0 - s) * path.q[0] + s * end)[mask]
         x0[-v0.size:] = v0
-        res, path = _path_solve(scen, model, True, x0,
+        res, path = _path_solve(scen, model, True, x0, h0,
                                 sphere=(target[cols], r))
         iterations += res.iterations
         evaluations += res.evaluations

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import shockld
-from shockld.cli import main
+from shockld.cli import _write_matrix, main
 from shockld.config import ConfigError, parse_config
 from shockld.grid import SpaceTimeGrid, WaveSpec
 from shockld.montecarlo import epsilon_sweep
@@ -100,6 +100,38 @@ class TestParseConfig:
                            "target_wave": {"u_minus": 2.5, "u_plus": 0.5}}
         cfg = parse_config(json.dumps(doc))
         assert cfg.scenario.boundary_width == 2
+
+
+def csv_writer_reference(fname, header, matrix):
+    """The matrix files as csv.writer wrote them, one formatted value at a
+    time."""
+    with open(fname, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        for row in [header, *matrix]:
+            writer.writerow([f"{float(v):.17g}" for v in row])
+
+
+class TestMatrixWriter:
+    def test_bytes_match_csv_writer_and_read_back_exactly(self, tmp_path):
+        rng = np.random.default_rng(16)
+        bits = rng.integers(0, 2 ** 64, size=(41, 12), dtype=np.uint64)
+        matrix = bits.view(np.float64)
+        matrix[0] = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                     2.2250738585072014e-308, 1.7976931348623157e308, 0.1,
+                     1.0 / 3.0, -2.5]
+        header = rng.standard_normal(12)
+        ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+        _write_matrix(str(ours), header, matrix)
+        csv_writer_reference(str(ref), header, matrix)
+        assert ours.read_bytes() == ref.read_bytes()
+        assert ours.read_bytes().count(b"\r\n") == 42
+
+        back = np.loadtxt(ours, delimiter=",", skiprows=1)
+        nan = np.isnan(matrix)
+        assert np.array_equal(np.isnan(back), nan)
+        assert np.array_equal(back.view(np.uint64)[~nan], bits[~nan])
+        head = np.loadtxt(ours, delimiter=",", max_rows=1)
+        assert np.array_equal(head.view(np.uint64), header.view(np.uint64))
 
 
 def read_rows(path):
@@ -326,12 +358,14 @@ class TestSubcommands:
     @pytest.mark.parametrize("key, value", [
         ("run.eps", math.nan), ("run.eps", math.inf),
         ("scenario.x0", math.nan), ("wave.gamma_frame", math.nan),
-        ("scenario.delta", math.inf), ("run.eps_grid", [0.1, math.nan])],
+        ("scenario.delta", math.inf), ("run.eps_grid", [0.1, math.nan]),
+        ("scenario.x0", 10 ** 400), ("run.eps_grid", [0.1, 10 ** 400])],
         ids=["eps-nan", "eps-inf", "x0-nan", "gamma_frame-nan", "delta-inf",
-             "eps_grid-nan"])
+             "eps_grid-nan", "x0-overflow", "eps_grid-overflow"])
     def test_non_finite_number_fails_with_diagnostic(self, tmp_path, capsys,
                                                       key, value):
-        # json writes NaN and Infinity, and reads them back
+        # json writes NaN and Infinity, and reads them back; 10 ** 400 comes
+        # back as an int no float can hold
         cfg_path = make_config(tmp_path, **{"run.K": 50, key: value})
         out = tmp_path / "out"
         assert main(["mc", "--config", str(cfg_path), "--out", str(out)]) == 1

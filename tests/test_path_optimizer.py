@@ -293,6 +293,81 @@ class TestPreconditioner:
             assert v @ hv > 0
 
 
+def indexed_sweep_preconditioner(scen, model, free_terminal):
+    """The diffusion preconditioner with its Thomas sweeps indexing the 2-D
+    array row by row: the reference the row-view sweeps must match bit for
+    bit."""
+    grid = model.grid
+    dt, dx = grid.dt, grid.dx
+    w = scen.boundary_width
+    nf = grid.M - 2 * w
+    rows = grid.N if free_terminal else grid.N - 1
+    k = np.arange(1, nf + 1)
+    S = np.sqrt(2.0 / (nf + 1)) * np.sin(np.pi * np.outer(k, k) / (nf + 1))
+    a = 1.0 - 4.0 * dt * scen.wave.D / (dx * dx) \
+        * np.sin(0.5 * np.pi * k / (nf + 1)) ** 2
+    modes = np.zeros((nf, model.size))
+    modes[:, w - 1:w - 1 + nf] = S
+    c = np.sum(whiten(model, modes) ** 2, axis=1)
+    scale = dt / (dx * c)
+    piv = np.empty((rows, nf))
+    piv[:] = 1.0 + a * a
+    if free_terminal:
+        piv[-1] = 1.0
+    for n in range(1, rows):
+        piv[n] -= a * a / piv[n - 1]
+    inv_piv = 1.0 / piv
+    lower = a * inv_piv
+
+    def h0(v):
+        y = v.reshape(rows, nf) @ S
+        y *= scale
+        for n in range(1, rows):
+            y[n] += lower[n - 1] * y[n - 1]
+        y[-1] *= inv_piv[-1]
+        for n in range(rows - 2, -1, -1):
+            y[n] *= inv_piv[n]
+            y[n] += lower[n] * y[n + 1]
+        return (y @ S).ravel()
+
+    return h0
+
+
+class TestPreconditionerBits:
+    @pytest.mark.parametrize("free_terminal", [False, True])
+    @pytest.mark.parametrize("noise_kind", ["identity", "exponential"])
+    @pytest.mark.parametrize("kind", ["displacement", "weak_to_strong"])
+    def test_row_view_sweeps_match_indexed_sweeps(self, table1_grid, kind,
+                                                  noise_kind, free_terminal):
+        model = build_noise_model(noise_kind, table1_grid, sigma=1.0, l_c=5.0)
+        target = None if kind == "displacement" else WaveSpec(2.5, 0.5, 1.0,
+                                                              gamma=1.5)
+        scen = RareEventSpec(kind, WaveSpec(1.75, 1.25, 1.0, gamma=1.5),
+                             x0=3.0, target_wave=target)
+        assert scen.boundary_width == (1 if kind == "displacement" else 2)
+        n = int(free_mask(scen, table1_grid, free_terminal).sum())
+        h0 = _diffusion_preconditioner(scen, model, free_terminal)
+        ref = indexed_sweep_preconditioner(scen, model, free_terminal)
+        rng = np.random.default_rng(16)
+        for _ in range(3):
+            v = rng.standard_normal(n)
+            assert np.array_equal(h0(v), ref(v))
+
+    def test_ball_builds_one_preconditioner(self, ball_scen, exp_model,
+                                            monkeypatch):
+        built = []
+        real = optimize._diffusion_preconditioner
+
+        def counting(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(optimize, "_diffusion_preconditioner", counting)
+        opt = minimize_ball(ball_scen, exp_model)
+        assert opt.multiplier > 0  # active: two solves share the one h0
+        assert len(built) == 1
+
+
 class TestMinimizeBall:
     @pytest.mark.parametrize("noise_kind", ["identity", "exponential"])
     def test_slack_ball_reaches_deterministic_path(self, wave, table1_grid,
@@ -376,6 +451,15 @@ class TestPathBuilders:
         v = linear_shift_path(scen, table1_grid)
         assert np.array_equal(v.q[0], sample_profile(wave, table1_grid, 0.0))
         assert np.array_equal(v.q[-1], sample_profile(wave, table1_grid, 5.0))
+
+    @pytest.mark.parametrize("x0", [5.0, -3.7, 0.3])
+    def test_linear_shift_matches_sampled_slices(self, wave, table1_grid,
+                                                 fine_grid, x0):
+        scen = RareEventSpec("displacement", wave, x0=x0)
+        for grid in (table1_grid, fine_grid):
+            shifts = np.arange(grid.N + 1) / grid.N * x0
+            stacked = np.stack([sample_profile(wave, grid, s) for s in shifts])
+            assert np.array_equal(linear_shift_path(scen, grid).q, stacked)
 
     def test_zero_shift_constant_path(self, wave, table1_grid, identity_model):
         scen = RareEventSpec("displacement", wave, x0=0.0)
