@@ -4,8 +4,9 @@
 
 Subcommands: optimize, mc, is, sweep-x0, sweep-T, sweep-eps, convexity,
 center-diagnostics.  mc and is write the reports.csv row of a one-point
-sweep-eps at run.eps (is runs is0 when scenario.delta = 0, is-delta
-otherwise); sweep-x0 and sweep-T are one rate sweep over x0 or T.
+sweep-eps at run.eps (is runs is-delta); mc, is and sweep-eps refuse
+scenario.delta = 0, whose terminal event has probability 0.  sweep-x0 and
+sweep-T are one rate sweep over x0 or T.
 SHOCKLD_THREADS is the fallback for --threads; a thread count below 1 is
 refused.  All numeric output is written with 17 significant digits so that
 reruns with the same seed are byte-identical and path files round-trip
@@ -174,13 +175,15 @@ def _estimate(cfg: RunConfig, out_dir: str, threads: int, eps_grid,
 
     Solves for the forcing each importance sampler needs and runs the eps
     points under run keys 0, 1, ..., as epsilon_sweep does.  Returns the
-    reports, one list per eps, and the solves by estimator name.
+    reports, one list per eps, and the solves by estimator name.  Every
+    estimator scores the terminal ball, so scenario.delta = 0 is refused.
     """
     model = _build(cfg)
     K = _require(cfg.run.K, "K")
     scen = cfg.scenario
-    if "is-delta" in estimators and not scen.delta > 0:
-        raise ConfigError("estimator is-delta requires scenario.delta > 0")
+    if not scen.delta > 0:
+        raise ConfigError("scenario.delta must be positive for the estimators: "
+                          "the event dx |Q^N - target|^2 <= 0 has probability 0")
     solves = {}
     if "is0" in estimators:
         solves["is0"] = minimize_pinned(dataclasses.replace(scen, delta=0.0),
@@ -209,9 +212,8 @@ def cmd_mc(cfg: RunConfig, out_dir: str, threads: int) -> None:
 
 def cmd_is(cfg: RunConfig, out_dir: str, threads: int) -> None:
     eps = _require(cfg.run.eps, "eps")
-    name = "is-delta" if cfg.scenario.delta > 0 else "is0"
-    [[rep]], solves = _estimate(cfg, out_dir, threads, [eps], [name])
-    i_star = solves[name].rate_value
+    [[rep]], solves = _estimate(cfg, out_dir, threads, [eps], ["is-delta"])
+    i_star = solves["is-delta"].rate_value
     _write_meta(out_dir, "is_meta.json", cfg,
                 {"subcommand": "is", "I_star": i_star})
     print(f"is: estimate={rep.estimate:.6g} rel_error={rep.relative_error:.3g} "
@@ -298,7 +300,7 @@ def cmd_center_diagnostics(cfg: RunConfig, out_dir: str, threads: int) -> None:
     centers = wave_centers(terminals, reference, wave, grid.dx)
     emp_mean = float(np.mean(centers))
     emp_var = float(np.var(centers))
-    mean, var = analytic_center_law(eps, grid.T, model, grid.dx, wave)
+    mean, var = analytic_center_law(eps, grid.T, model, wave)
 
     p_target = cfg.run.exit_probability or 0.01
     threshold = float(np.sqrt(var) * NormalDist().inv_cdf(1.0 - p_target))
@@ -307,7 +309,7 @@ def cmd_center_diagnostics(cfg: RunConfig, out_dir: str, threads: int) -> None:
     mc_std = float(np.std(exceed))
     half = 2.6 * mc_std / np.sqrt(K)
     analytic_p = analytic_exit_probability(threshold, grid.T, eps, model,
-                                           grid.dx, wave)
+                                           wave)
     margin = transition_margin_ok(threshold, grid, wave)
     header = ["format_version", "eps", "K", "empirical_mean", "empirical_var",
               "analytic_mean", "analytic_var", "var_ratio", "exit_threshold",

@@ -214,8 +214,8 @@ def parse_config(text: str) -> RunConfig:
     if eps_grid is not None and any(e < 0 for e in eps_grid):
         raise ConfigError("run.eps_grid entries must be nonnegative")
     trials = _integer(r, "run", "trials", required=False)
-    if trials is not None and trials < 0:
-        raise ConfigError("run.trials must be nonnegative")
+    if trials is not None and trials < 1:
+        raise ConfigError("run.trials must be at least 1")
     exit_p = _number(r, "run", "exit_probability", required=False)
     if exit_p is not None and not 0 < exit_p < 1:
         raise ConfigError("run.exit_probability must be inside (0, 1)")

@@ -13,7 +13,8 @@ is Gaussian with mean (wave speed) * t and variance
 
     eps^2 t dx 1^T C 1 / (u_minus - u_plus)^2,
 
-each step contributing dx^2 Var(sum_m dW_m) / jump^2 = eps^2 dt dx sum C / jump^2.
+each step contributing dx^2 Var(sum_m dW_m) / jump^2 = eps^2 dt dx 1^T C 1 /
+jump^2, with 1^T C 1 the noise model's covariance_sum and dx its grid's.
 The exit probability of the center past a threshold follows from the exact
 Gaussian tail.
 """
@@ -48,22 +49,22 @@ def wave_centers(states: np.ndarray, reference: np.ndarray, wave: WaveSpec,
     return dx * diff.sum(axis=-1) / (wave.u_minus - wave.u_plus)
 
 
-def analytic_center_law(eps: float, t: float, model: NoiseModel, dx: float,
+def analytic_center_law(eps: float, t: float, model: NoiseModel,
                         wave: WaveSpec):
     """(mean, variance) of the center at time t under the discrete noise.
 
     Mean is the frame wave speed times t (zero in the co-moving frame).  The
-    variance accumulates eps^2 dt dx sum_ij C_ij / jump^2 per step, i.e.
-    eps^2 t dx 1^T C 1 / jump^2 at time t.
+    variance accumulates eps^2 dt dx 1^T C 1 / jump^2 per step, i.e.
+    eps^2 t dx 1^T C 1 / jump^2 at time t, on the model's grid spacing dx.
     """
     mean = wave.wave_speed() * t
-    variance = eps * eps * t * dx * float(model.C.sum()) / wave.jump ** 2
+    variance = eps * eps * t * model.grid.dx * model.covariance_sum \
+        / wave.jump ** 2
     return mean, variance
 
 
 def analytic_exit_probability(x0: float, T: float, eps: float,
-                              model: NoiseModel, dx: float,
-                              wave: WaveSpec) -> float:
+                              model: NoiseModel, wave: WaveSpec) -> float:
     """Exact Gaussian tail P(Z >= x0), Z ~ N(0, variance of the center law).
 
     erfc(0)/2 makes the half-probability at x0 = 0 exact; deep tails
@@ -71,7 +72,7 @@ def analytic_exit_probability(x0: float, T: float, eps: float,
     """
     if not T > 0:
         raise ValueError("T must be positive")
-    _, var = analytic_center_law(eps, T, model, dx, wave)
+    _, var = analytic_center_law(eps, T, model, wave)
     if var == 0.0:
         return 1.0 if x0 <= 0 else 0.0
     return 0.5 * math.erfc(x0 / math.sqrt(2.0 * var))
@@ -80,15 +81,14 @@ def analytic_exit_probability(x0: float, T: float, eps: float,
 _FORMS = {
     "quadratic": lambda x: np.column_stack([x * x, x, np.ones_like(x)]),
     "linear": lambda x: np.column_stack([x, np.ones_like(x)]),
-    "reciprocal": lambda x: np.column_stack([1.0 / x, np.ones_like(x)]),
 }
 
 
 def fit_scaling(xs, ys, form: str):
     """Least-squares fit of the named form; returns (coefficients, R^2).
 
-    Forms: quadratic a x^2 + b x + c, linear a x + b, reciprocal a/x + b;
-    the leading (stated) coefficient comes first.  Needs at least 3 points
+    Forms: quadratic a x^2 + b x + c and linear a x + b; the leading
+    (stated) coefficient comes first.  Needs at least 3 points
     and a full-rank design matrix.
     """
     if form not in _FORMS:

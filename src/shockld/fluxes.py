@@ -79,8 +79,9 @@ def godunov_flux(q_left, q_right, gamma: float):
         F = max(q_left - gamma, gamma - q_right, 0)^2 / 2,
 
     which selects the same float as the case split, on ties and at the sonic
-    point too.  Broadcasts over array inputs; the result takes q_left's
-    memory order (C order when the broadcast adds axes).
+    point too.  Broadcasts over array inputs and returns an array, 0-d for
+    scalars; the result takes q_left's memory order (C order when the
+    broadcast adds axes).
     """
     ql = np.asarray(q_left, dtype=float)
     qr = np.asarray(q_right, dtype=float)
@@ -90,8 +91,6 @@ def godunov_flux(q_left, q_right, gamma: float):
     np.maximum(out, 0.0, out=out)
     out *= out
     out *= 0.5
-    if out.ndim == 0:
-        return float(out)
     return out
 
 

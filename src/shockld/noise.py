@@ -4,11 +4,12 @@ The per-step noise increments on cells 2..M-1 are zero-mean Gaussian with
 covariance (dt/dx) C and independent across time steps.  C is the identity or
 the exponential kernel sigma^2 exp(-|x_i - x_j| / l_c) at interior cell
 centers, which on the uniform grid is the AR(1) (Kac-Murdock-Szego) matrix
-sigma^2 rho^|i-j|, rho = exp(-dx / l_c).  Its Cholesky factor Phi colors
-samples (Phi z) and is explicit: Phi_i0 = sigma rho^i, Phi_ij =
-sigma s rho^(i-j) for 1 <= j <= i, s = sqrt(1 - rho^2).  Phi^{-1} is
-bidiagonal, so whitening is y_0 = r_0 / sigma, y_i = (r_i - rho r_{i-1}) /
-(sigma s); identity noise is the case rho = 0, sigma = s = 1.
+sigma^2 rho^|i-j|, rho = exp(-dx / l_c).  The model holds only C's Cholesky
+factor Phi (1^T C 1 is |Phi^T 1|^2), which colors samples (Phi z) and is
+explicit: Phi_i0 = sigma rho^i, Phi_ij = sigma s rho^(i-j) for 1 <= j <= i,
+s = sqrt(1 - rho^2).  Phi^{-1} is bidiagonal, so whitening is y_0 = r_0 /
+sigma, y_i = (r_i - rho r_{i-1}) / (sigma s); identity noise is the case
+rho = 0, sigma = s = 1.
 
 Grid dependence: identity noise has a grid limit, but the exponential kernel
 is fixed in physical units (sigma, l_c), so its noise power per unit length
@@ -42,7 +43,6 @@ class NoiseModel:
     """Covariance C = Phi Phi^T on the M-2 interior cells of `grid`."""
 
     kind: str  # "identity" | "exponential"
-    C: np.ndarray
     Phi: np.ndarray
     grid: SpaceTimeGrid
     sigma: float | None = None
@@ -50,7 +50,7 @@ class NoiseModel:
 
     @property
     def size(self) -> int:
-        return self.C.shape[0]
+        return self.Phi.shape[0]
 
     @property
     def is_identity(self) -> bool:
@@ -61,18 +61,23 @@ class NoiseModel:
         """Correlation exp(-dx / l_c) of neighboring cells; 0 for identity."""
         return 0.0 if self.is_identity else math.exp(-self.grid.dx / self.l_c)
 
+    @property
+    def covariance_sum(self) -> float:
+        """1^T C 1 = |Phi^T 1|^2, the variance of the summed interior noise."""
+        pt1 = self.Phi.T.sum(axis=1)
+        return float(pt1 @ pt1)
+
 
 def build_noise_model(kind: str, grid: SpaceTimeGrid,
                       sigma: float | None = None,
                       l_c: float | None = None) -> NoiseModel:
-    """Assemble C at interior cell centers and its closed-form factor Phi.
+    """The closed-form factor Phi of C at interior cell centers.
 
-    kind "identity" sets C = Phi = I; "exponential" needs sigma, l_c > 0.
+    kind "identity" sets Phi = I; "exponential" needs sigma, l_c > 0.
     """
     n = grid.M - 2
     if kind == "identity":
-        eye = np.eye(n)
-        return NoiseModel(kind="identity", C=eye, Phi=eye.copy(), grid=grid)
+        return NoiseModel(kind="identity", Phi=np.eye(n), grid=grid)
     if kind != "exponential":
         raise ValueError(f"unknown noise kind: {kind!r}")
     if sigma is None or not sigma > 0:
@@ -80,8 +85,6 @@ def build_noise_model(kind: str, grid: SpaceTimeGrid,
     if l_c is None or not l_c > 0:
         raise ValueError(f"exponential noise needs l_c > 0, got {l_c}")
 
-    x = grid.interior_centers()
-    C = sigma * sigma * np.exp(-np.abs(x[:, None] - x[None, :]) / l_c)
     # 1 - rho^2 cancels to 0 once rho rounds to 1 (l_c beyond ~1e16 dx), while
     # -expm1(-2 dx / l_c) keeps full precision; only its underflow gives s = 0
     s = math.sqrt(-math.expm1(-2.0 * grid.dx / l_c))
@@ -91,7 +94,7 @@ def build_noise_model(kind: str, grid: SpaceTimeGrid,
     powers = math.exp(-grid.dx / l_c) ** i
     Phi = np.tril(sigma * s * powers[np.abs(i[:, None] - i)])
     Phi[:, 0] = sigma * powers
-    return NoiseModel(kind="exponential", C=C, Phi=Phi, grid=grid,
+    return NoiseModel(kind="exponential", Phi=Phi, grid=grid,
                       sigma=sigma, l_c=l_c)
 
 

@@ -44,7 +44,6 @@ __all__ = [
     "initial_values",
     "target_values",
     "boundary_policy",
-    "free_mask",
     "linear_shift_path",
     "linear_interpolation_path",
     "project_onto_pinning",
@@ -59,6 +58,9 @@ SCENARIO_KINDS = ("displacement", "speed_change", "weak_to_strong", "strong_to_w
 # stopping rule shared by every path solve: ||grad||_inf <= GTOL_REL max(1, I)
 GTOL_REL = 1e-6
 MAX_ITER = 5000
+_MEMORY = 20  # curvature pairs kept by the two-loop recursion
+# strong Wolfe: sufficient decrease, curvature, first trial, step limits
+_C1, _C2, _ALPHA0, _MAX_EXPAND, _MAX_ZOOM = 1e-4, 0.9, 1.0, 20, 40
 
 
 @dataclass(frozen=True)
@@ -115,26 +117,12 @@ def boundary_policy(scen: RareEventSpec, grid: SpaceTimeGrid):
                             right0=q0[-w:], rightN=qN[-w:], n_steps=grid.N)
 
 
-def free_mask(scen: RareEventSpec, grid: SpaceTimeGrid,
-              free_terminal: bool | None = None) -> np.ndarray:
-    """Boolean (N+1, M) mask of optimization variables.
-
-    Rows 1..N-1 with the boundary-pinned columns removed; row N is added when
-    the scenario allows a terminal ball (delta > 0) unless overridden.
-    """
-    if free_terminal is None:
-        free_terminal = scen.delta > 0
-    mask = np.zeros((grid.N + 1, grid.M), dtype=bool)
-    mask[_free_block(scen, grid, free_terminal)] = True
-    return mask
-
-
 def _free_block(scen: RareEventSpec, grid: SpaceTimeGrid,
                 free_terminal: bool) -> tuple[slice, slice]:
     """Row and column slices of the free entries, a rectangle of the path.
 
     Rows 1..N-1, or 1..N with a free terminal; the boundary-pinned columns
-    removed.  Its row-major order is free_mask order.
+    removed.  Its row-major order is the order of the optimizer's variables.
     """
     w = scen.boundary_width
     return (slice(1, grid.N + 1 if free_terminal else grid.N),
@@ -173,18 +161,17 @@ def linear_interpolation_path(scen: RareEventSpec, grid: SpaceTimeGrid) -> PathM
 
 
 def project_onto_pinning(scen: RareEventSpec, grid: SpaceTimeGrid,
-                         source: PathMatrix,
-                         free_terminal: bool | None = None) -> PathMatrix:
-    """Replace every pinned entry of `source` by the scenario scaffold.
+                         source: PathMatrix) -> PathMatrix:
+    """Replace every entry of `source` that the pinned-terminal problem
+    fixes by the scenario scaffold.
 
-    The result lies in the optimizer's feasible set, so its rate is a valid
-    upper bound for the pinned optimum; free entries are copied unchanged.
+    The result lies in the pinned optimizer's feasible set, so its rate is a
+    valid upper bound for the pinned optimum; free entries are copied
+    unchanged.
     """
-    if free_terminal is None:
-        free_terminal = scen.delta > 0
-    q = _scaffold(scen, grid, free_terminal)
-    mask = free_mask(scen, grid, free_terminal)
-    q[mask] = source.q[mask]
+    q = _scaffold(scen, grid, False)
+    free = _free_block(scen, grid, False)
+    q[free] = source.q[free]
     return PathMatrix(q, grid, source.wave)
 
 
@@ -202,8 +189,7 @@ class MinimizeResult:
     message: str
 
 
-def _strong_wolfe(evaluate, f0, d0, c1=1e-4, c2=0.9, alpha0=1.0,
-                  max_expand=20, max_zoom=40):
+def _strong_wolfe(evaluate, f0, d0):
     """Strong Wolfe line search (bracket + zoom).
 
     evaluate(alpha) -> (f, g, slope) along the search ray, with f finite.
@@ -211,7 +197,7 @@ def _strong_wolfe(evaluate, f0, d0, c1=1e-4, c2=0.9, alpha0=1.0,
     """
 
     def zoom(lo, f_lo, g_lo, d_lo, hi, f_hi):
-        for _ in range(max_zoom):
+        for _ in range(_MAX_ZOOM):
             # quadratic model from the lo-side value/slope, guarded bisection
             denom = 2.0 * (f_hi - f_lo - d_lo * (hi - lo))
             if denom != 0 and np.isfinite(denom):
@@ -222,27 +208,27 @@ def _strong_wolfe(evaluate, f0, d0, c1=1e-4, c2=0.9, alpha0=1.0,
             if not (min(lo, hi) + 0.1 * span <= a <= max(lo, hi) - 0.1 * span):
                 a = 0.5 * (lo + hi)
             f, g, d = evaluate(a)
-            if f > f0 + c1 * a * d0 or f >= f_lo:
+            if f > f0 + _C1 * a * d0 or f >= f_lo:
                 hi, f_hi = a, f
             else:
-                if abs(d) <= -c2 * d0:
+                if abs(d) <= -_C2 * d0:
                     return a, f, g
                 if d * (hi - lo) >= 0:
                     hi, f_hi = lo, f_lo
                 lo, f_lo, g_lo, d_lo = a, f, g, d
             if abs(hi - lo) <= 1e-16 * max(1.0, abs(lo)):
                 break
-        if lo > 0 and f_lo <= f0 + c1 * lo * d0:
+        if lo > 0 and f_lo <= f0 + _C1 * lo * d0:
             return lo, f_lo, g_lo  # sufficient decrease only
         return None
 
     alpha_prev, f_prev, g_prev, d_prev = 0.0, f0, None, d0
-    alpha = alpha0
-    for i in range(max_expand):
+    alpha = _ALPHA0
+    for i in range(_MAX_EXPAND):
         f, g, d = evaluate(alpha)
-        if f > f0 + c1 * alpha * d0 or (i > 0 and f >= f_prev):
+        if f > f0 + _C1 * alpha * d0 or (i > 0 and f >= f_prev):
             return zoom(alpha_prev, f_prev, g_prev, d_prev, alpha, f)
-        if abs(d) <= -c2 * d0:
+        if abs(d) <= -_C2 * d0:
             return alpha, f, g
         if d >= 0:
             return zoom(alpha, f, g, d, alpha_prev, f_prev)
@@ -251,24 +237,23 @@ def _strong_wolfe(evaluate, f0, d0, c1=1e-4, c2=0.9, alpha0=1.0,
     return None
 
 
-def minimize_smooth(fun_grad, x0: np.ndarray, gtol, max_iter: int = 5000,
-                    memory: int = 20, h0=None) -> MinimizeResult:
+def minimize_smooth(fun_grad, x0: np.ndarray, gtol: float,
+                    h0=None) -> MinimizeResult:
     """Limited-memory BFGS with a strong Wolfe line search.
 
-    fun_grad(x) -> (f, g).  gtol is a float or a callable f -> tolerance on
-    the sup norm of the gradient.  The search direction comes from the
-    two-loop recursion over the last `memory` curvature pairs (Nocedal &
-    Wright, Numerical Optimization, 2006, ch. 7).  h0(v), when given, applies
-    a fixed symmetric positive definite initial inverse Hessian: the two-loop
-    recursion uses it unscaled, and every restart steps along -h0(g).  With
-    h0 = None the initial matrix is the scalar s'y / y'y of the newest pair
-    and restarts use -g.  Raises ValueError as soon as fun_grad returns a
-    non-finite f, at x0 or during a line search.  Every accepted step
-    satisfies sufficient decrease along a descent direction, so f never
-    increases and the last iterate is the best one.  The result counts every
-    call of fun_grad in `evaluations`.
+    fun_grad(x) -> (f, g).  Stops when ||g||_inf <= gtol max(1, f), relative
+    to f once f exceeds 1, or after MAX_ITER iterations.  The search
+    direction comes from the two-loop recursion over the last _MEMORY
+    curvature pairs (Nocedal & Wright, Numerical Optimization, 2006, ch. 7).
+    h0(v), when given, applies a fixed symmetric positive definite initial
+    inverse Hessian: the two-loop recursion uses it unscaled, and every
+    restart steps along -h0(g).  With h0 = None the initial matrix is the
+    scalar s'y / y'y of the newest pair and restarts use -g.  Raises
+    ValueError as soon as fun_grad returns a non-finite f, at x0 or during a
+    line search.  Every accepted step satisfies sufficient decrease along a
+    descent direction, so f never increases and the last iterate is the best
+    one.  The result counts every call of fun_grad in `evaluations`.
     """
-    tol_of = gtol if callable(gtol) else (lambda f: gtol)
     x = np.asarray(x0, dtype=float).copy()
     n = x.size
     evaluations = 1
@@ -276,14 +261,14 @@ def minimize_smooth(fun_grad, x0: np.ndarray, gtol, max_iter: int = 5000,
     if not np.isfinite(f):
         raise ValueError("objective is not finite at the initial point")
 
-    pairs: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=memory)
+    pairs: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=_MEMORY)
 
     message = "converged"
     converged = True
     k = 0
-    while k < max_iter:
+    while k < MAX_ITER:
         gnorm = float(np.max(np.abs(g))) if n else 0.0
-        if gnorm <= tol_of(f):
+        if gnorm <= gtol * max(1.0, f):
             break
         p = _two_loop_direction(g, pairs, h0)
         d0 = float(p @ g)
@@ -398,7 +383,7 @@ def _diffusion_preconditioner(scen: RareEventSpec, model: NoiseModel,
     application costs two dense products with S and two Thomas sweeps over
     time, one vector update of length nf per time level, run on a list of
     row views with per-row coefficients split at build time.  Returns h0(v)
-    for flat v in free_mask order.
+    for flat v in the row-major order of the free block.
     """
     grid = model.grid
     dt, dx = grid.dt, grid.dx
@@ -475,8 +460,7 @@ def _path_solve(scen: RareEventSpec, model: NoiseModel, free_terminal: bool,
             g[-u.size:] = scale * (g_term - float(u @ g_term) * u)
         return value, g
 
-    res = minimize_smooth(fun_grad, x0, gtol=lambda f: GTOL_REL * max(1.0, f),
-                          max_iter=MAX_ITER, h0=h0)
+    res = minimize_smooth(fun_grad, x0, GTOL_REL, h0=h0)
     place(res.x)
     return res, PathMatrix(work.copy(), grid, scen.wave)
 
@@ -495,8 +479,8 @@ def minimize_pinned(scen: RareEventSpec, model: NoiseModel,
     grid = model.grid
     if init is None:
         init = linear_interpolation_path(scen, grid)
-    mask = free_mask(scen, grid, free_terminal=False)
-    res, final = _path_solve(scen, model, False, init.q[mask],
+    free = _free_block(scen, grid, False)
+    res, final = _path_solve(scen, model, False, init.q[free].ravel(),
                              _diffusion_preconditioner(scen, model, False))
     return OptimalPath(path=final, rate_value=res.f,
                        gradient_norm=float(np.max(np.abs(res.grad))) if res.grad.size else 0.0,
@@ -531,10 +515,11 @@ def minimize_ball(scen: RareEventSpec, model: NoiseModel) -> OptimalPath:
     dx, N = grid.dx, grid.N
     target = target_values(scen, grid)
     delta_sq = scen.delta ** 2
-    mask = free_mask(scen, grid, free_terminal=True)
-    cols = mask[N]
+    free = _free_block(scen, grid, True)
+    cols = free[1]
+    pinned = np.r_[0:cols.start, cols.stop:grid.M]  # the two end runs
     pinned_sq = terminal_distance_sq(
-        _scaffold(scen, grid, True)[N, ~cols], target[~cols], dx)
+        _scaffold(scen, grid, True)[N, pinned], target[pinned], dx)
     r_sq = (delta_sq - pinned_sq) / dx
     if r_sq <= 0:
         raise ValueError(
@@ -546,7 +531,7 @@ def minimize_ball(scen: RareEventSpec, model: NoiseModel) -> OptimalPath:
     for n in range(N):
         q[n + 1] = euler_step(q[n], grid, scen.wave, bc, n=n)
     h0 = _diffusion_preconditioner(scen, model, True)
-    res, path = _path_solve(scen, model, True, q[mask], h0)
+    res, path = _path_solve(scen, model, True, q[free].ravel(), h0)
     iterations, evaluations = res.iterations, res.evaluations
     active = terminal_distance_sq(path.q[N], target, dx) > delta_sq
     if active:
@@ -558,7 +543,7 @@ def minimize_ball(scen: RareEventSpec, model: NoiseModel) -> OptimalPath:
         end = path.q[N].copy()
         end[cols] = target[cols] + v0
         s = (np.arange(N + 1) / N)[:, None]
-        x0 = ((1.0 - s) * path.q[0] + s * end)[mask]
+        x0 = ((1.0 - s) * path.q[0] + s * end)[free].ravel()
         x0[-v0.size:] = v0
         res, path = _path_solve(scen, model, True, x0, h0,
                                 sphere=(target[cols], r))
@@ -575,7 +560,7 @@ def minimize_ball(scen: RareEventSpec, model: NoiseModel) -> OptimalPath:
     if lam < 0:
         message = "negative multiplier: not a KKT point of the ball problem"
     return OptimalPath(path=path, rate_value=value,
-                       gradient_norm=float(np.max(np.abs(grad[mask]))),
+                       gradient_norm=float(np.max(np.abs(grad[free]))),
                        iterations=iterations, evaluations=evaluations,
                        forcing=forcing_from_path(path, model),
                        converged=converged, message=message, multiplier=lam,
@@ -589,13 +574,11 @@ def midpoint_convexity_test(center: PathMatrix, model: NoiseModel,
 
     Pairs are Gaussian perturbations of the interior cells of time levels
     1..N-1 with standard deviation 1e-2 times the RMS of the center's values
-    there; the test is I((p+q)/2) <= (I(p) + I(q))/2 + 1e-12.  trials = 0
-    returns 1.0.
+    there; the test is I((p+q)/2) <= (I(p) + I(q))/2 + 1e-12.  trials must
+    be at least 1.
     """
-    if trials < 0:
-        raise ValueError("trials must be nonnegative")
-    if trials == 0:
-        return 1.0
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     grid = center.grid
     mask = np.zeros((grid.N + 1, grid.M), dtype=bool)
     mask[1:grid.N, 1:-1] = True

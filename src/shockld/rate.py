@@ -124,7 +124,5 @@ def discrete_lower_bound(path: PathMatrix, model: NoiseModel) -> float:
     residual sums including boundary flux contributions inside b.
     """
     sums = residuals(path).sum(axis=1)
-    pt1 = model.Phi.T.sum(axis=1)
-    denom = float(pt1 @ pt1)
     dt, dx, N = path.grid.dt, path.grid.dx, path.grid.N
-    return dt * dx / (2.0 * denom) * float(sums.sum()) ** 2 / N
+    return dt * dx / (2.0 * model.covariance_sum) * float(sums.sum()) ** 2 / N

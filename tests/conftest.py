@@ -9,6 +9,7 @@ several tests are session-scoped so they run once.
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from shockld.fluxes import euler_step
@@ -43,6 +44,25 @@ def identity_model(table1_grid):
 @pytest.fixture(scope="session")
 def exp_model(table1_grid):
     return build_noise_model("exponential", table1_grid, sigma=1.0, l_c=5.0)
+
+
+def _dense_covariance(model):
+    """C of `model` built from its definition, not from its factor Phi.
+
+    The identity, or sigma^2 exp(-|x_i - x_j| / l_c) on the interior cell
+    centers of the model's grid.
+    """
+    if model.is_identity:
+        return np.eye(model.grid.M - 2)
+    x = model.grid.interior_centers()
+    return model.sigma ** 2 * np.exp(-np.abs(x[:, None] - x[None, :])
+                                     / model.l_c)
+
+
+@pytest.fixture(scope="session")
+def dense_covariance():
+    """The independent dense covariance builder, model -> C."""
+    return _dense_covariance
 
 
 @pytest.fixture(scope="session")

@@ -20,7 +20,7 @@ from shockld.grid import SpaceTimeGrid, WaveSpec, sample_profile
 from shockld.montecarlo import (epsilon_sweep, importance_weights,
                                 sample_terminal_states)
 from shockld.noise import build_noise_model
-from shockld.optimize import (RareEventSpec, _scaffold, free_mask,
+from shockld.optimize import (RareEventSpec, _free_block, _scaffold,
                               linear_interpolation_path, linear_shift_path,
                               midpoint_convexity_test, minimize_pinned,
                               project_onto_pinning)
@@ -45,11 +45,11 @@ def optimize_displacement(x0, grid, model, D):
     scen = RareEventSpec("displacement", wave, x0=x0)
     opt = minimize_pinned(scen, model)
     # upper bounds from the test paths projected onto the pinned feasible set
-    iv = rate(project_onto_pinning(scen, grid, linear_shift_path(scen, grid),
-                                   free_terminal=False), model)
+    iv = rate(project_onto_pinning(scen, grid, linear_shift_path(scen, grid)),
+              model)
     iw = rate(project_onto_pinning(scen, grid,
-                                   linear_interpolation_path(scen, grid),
-                                   free_terminal=False), model)
+                                   linear_interpolation_path(scen, grid)),
+              model)
     lb = discrete_lower_bound(opt.path, model)
     return opt.rate_value, iv, iw, lb
 
@@ -249,14 +249,13 @@ class TestCriterion09:
                                       seed=321)
         ref = sample_profile(wave, table1_grid)
         centers = wave_centers(term, ref, wave, table1_grid.dx)
-        mean, var = analytic_center_law(0.1, table1_grid.T, exp_model,
-                                        table1_grid.dx, wave)
+        mean, var = analytic_center_law(0.1, table1_grid.T, exp_model, wave)
         var_ok = abs(centers.var() - var) / var <= 0.05
         mean_ok = abs(centers.mean() - mean) <= 3 * centers.std() / math.sqrt(K)
 
         # (b) half probability at zero threshold, exactly
         half = analytic_exit_probability(0.0, table1_grid.T, 0.1, exp_model,
-                                         table1_grid.dx, wave)
+                                         wave)
         half_ok = half == 0.5
 
         # (c) MC estimate of the exit event at a 1e-2 threshold inside its CI;
@@ -264,8 +263,7 @@ class TestCriterion09:
         # the allowed O(dx, dt) center-law bias (5% on variance ~ 1e-3 on p)
         eps = 0.15
         K_exit = 4000
-        _, var15 = analytic_center_law(eps, table1_grid.T, exp_model,
-                                       table1_grid.dx, wave)
+        _, var15 = analytic_center_law(eps, table1_grid.T, exp_model, wave)
         x_th = float(math.sqrt(var15) * ndtri(0.99))
         term2 = sample_terminal_states(displacement_scen, exp_model, eps,
                                        K_exit, seed=654, run_key=1)
@@ -274,7 +272,7 @@ class TestCriterion09:
         p_mc = float(exceed.mean())
         half_width = 2.6 * float(exceed.std()) / math.sqrt(K_exit)
         p_an = analytic_exit_probability(x_th, table1_grid.T, eps, exp_model,
-                                         table1_grid.dx, wave)
+                                         wave)
         exit_ok = abs(p_mc - p_an) <= half_width
 
         ok = var_ok and mean_ok and half_ok and exit_ok
@@ -314,7 +312,7 @@ class TestCriterion10:
         checked = 0
         for _ in range(10):
             q = _scaffold(scen, table1_grid, free_terminal=False)
-            mask = free_mask(scen, table1_grid, free_terminal=False)
+            free = _free_block(scen, table1_grid, free_terminal=False)
             base = linear_interpolation_path(scen, table1_grid).q
             x = table1_grid.centers()
             smooth = sum(
@@ -324,7 +322,7 @@ class TestCriterion10:
                 * np.sin(2 * np.pi * rng.integers(1, 5) * (x - x[0])
                          / (x[-1] - x[0]) + rng.uniform(0, 2 * np.pi))
                 for _ in range(3))
-            q[mask] = (base + smooth)[mask]
+            q[free] = (base + smooth)[free]
             path = PathMatrix(q, table1_grid, wave)
             _, grad = rate_and_gradient(path, exp_model)
             scale = np.max(np.abs(grad))
@@ -355,17 +353,18 @@ class TestCriterion10:
              f"{worst:.2e} (<= 1e-5)")
         assert ok
 
-    def test_cholesky_factor_identity(self, exp_model):
-        err = np.linalg.norm(exp_model.Phi @ exp_model.Phi.T - exp_model.C) \
-            / np.linalg.norm(exp_model.C)
+    def test_cholesky_factor_identity(self, exp_model, dense_covariance):
+        C = dense_covariance(exp_model)
+        err = np.linalg.norm(exp_model.Phi @ exp_model.Phi.T - C) \
+            / np.linalg.norm(C)
         ok = err <= 1e-10
         emit(10, "Phi Phi^T = C", ok, f"relative Frobenius error {err:.2e}")
         assert ok
 
-    def test_sampler_covariance(self, one_step_increments):
+    def test_sampler_covariance(self, one_step_increments, dense_covariance):
         draws, model = one_step_increments
         K = draws.shape[0]
-        target = (model.grid.dt / model.grid.dx) * model.C
+        target = (model.grid.dt / model.grid.dx) * dense_covariance(model)
         emp = (draws.T @ draws) / K
         rel = np.linalg.norm(emp - target) / np.linalg.norm(target)
         ok = rel <= 0.05

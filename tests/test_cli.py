@@ -86,6 +86,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=re.escape(key) + " "):
             parse_config(text)
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_trials_below_one_rejected(self, tmp_path, trials):
+        text = make_config(tmp_path, **{"run.trials": trials}).read_text()
+        with pytest.raises(ConfigError, match=re.escape("run.trials must be "
+                                                        "at least 1")):
+            parse_config(text)
+
     def test_estimator_names_validated(self, tmp_path):
         text = make_config(tmp_path, **{"run.estimators": ["mc", "magic"]}).read_text()
         with pytest.raises(ConfigError, match="magic"):
@@ -279,16 +286,14 @@ class TestSubcommands:
         for r in rows:
             assert float(r["lower_bound"]) <= float(r["I_star"]) + 1e-10
 
-    @pytest.mark.parametrize("subcommand, delta, estimator",
-                             [("mc", DELTA, "mc"), ("is", 0.0, "is0"),
-                              ("is", DELTA, "is-delta")],
-                             ids=["mc", "is0", "is-delta"])
+    @pytest.mark.parametrize("subcommand, estimator",
+                             [("mc", "mc"), ("is", "is-delta")],
+                             ids=["mc", "is-delta"])
     def test_estimator_row_is_one_point_sweep(self, tmp_path, subcommand,
-                                              delta, estimator):
+                                              estimator):
         cfg_path = make_config(
             tmp_path, **{"run.K": 300, "run.eps": 0.2, "run.eps_grid": [0.2],
-                         "run.estimators": [estimator],
-                         "scenario.delta": delta})
+                         "run.estimators": [estimator]})
         one, sweep = tmp_path / "one", tmp_path / "sweep"
         assert main([subcommand, "--config", str(cfg_path),
                      "--out", str(one)]) == 0
@@ -300,6 +305,23 @@ class TestSubcommands:
         if subcommand == "is":
             meta = json.loads((one / "is_meta.json").read_text())
             assert meta["I_star"] > 0
+
+    @pytest.mark.parametrize("subcommand", ["mc", "is", "sweep-eps"])
+    def test_zero_delta_refused_by_estimators(self, tmp_path, capsys,
+                                              subcommand):
+        # dx |Q^N - target|^2 <= 0 has probability 0: no row is written
+        cfg_path = make_config(
+            tmp_path, **{"run.K": 50, "run.eps_grid": [0.2],
+                         "run.estimators": ["mc", "is0"],
+                         "scenario.delta": 0.0})
+        out = tmp_path / "out"
+        assert main([subcommand, "--config", str(cfg_path),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"shockld {subcommand}" in err and "scenario.delta" in err
+        assert "probability 0" in err
+        assert not (out / "reports.csv").exists()
 
     def test_sweep_T(self, tmp_path):
         cfg_path = make_config(

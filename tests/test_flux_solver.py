@@ -256,10 +256,10 @@ class TestMemoryOrder:
         assert bc.flags.c_contiguous
         assert same_bits(b, bc)
 
-    def test_scalars_return_float(self):
+    def test_scalars_return_0d_array(self):
         for pair in ((2.0, 1.0), (np.float64(2.0), np.array(1.0))):
             value = godunov_flux(*pair, 1.5)
-            assert type(value) is float and value == 0.125
+            assert value.shape == () and value == 0.125
 
     def test_row_broadcasts_against_batch(self):
         batch = self.qT.T[:, 1:]

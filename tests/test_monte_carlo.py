@@ -319,18 +319,20 @@ class TestEpsilonSweep:
 class TestOneStepIncrements:
     """The kernel's one-step increments: zero mean, independent samples."""
 
-    def test_zero_mean(self, one_step_increments):
+    def test_zero_mean(self, one_step_increments, dense_covariance):
         draws, model = one_step_increments
         K = draws.shape[0]
-        var = (model.grid.dt / model.grid.dx) * np.diag(model.C)
+        var = (model.grid.dt / model.grid.dx) * np.diag(dense_covariance(model))
         assert np.all(np.abs(draws.mean(axis=0)) < 4 * np.sqrt(var / K))
 
-    def test_independent_across_samples(self, one_step_increments):
+    def test_independent_across_samples(self, one_step_increments,
+                                        dense_covariance):
         draws, model = one_step_increments
         half = draws.shape[0] // 2
         a, b = draws[:half], draws[half:2 * half]
         cross = (a.T @ b) / half
-        sd = np.sqrt((model.grid.dt / model.grid.dx) * np.diag(model.C))
+        sd = np.sqrt((model.grid.dt / model.grid.dx)
+                     * np.diag(dense_covariance(model)))
         # 5 standard errors: 68^2 entries would cross 4 about once in four
         # seeds under independence
         assert np.all(np.abs(cross) < 5 * np.outer(sd, sd) / np.sqrt(half))

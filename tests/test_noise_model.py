@@ -25,22 +25,25 @@ def two_cell_model():
 class TestBuild:
     def test_identity_is_exact(self):
         m = build_noise_model("identity", tiny_grid(6))
-        assert np.array_equal(m.C, np.eye(4))
+        assert m.size == 4
         assert np.array_equal(m.Phi, np.eye(4))
 
     def test_two_cell_exponential_by_hand(self, two_cell_model):
         m = two_cell_model
-        assert np.allclose(m.C, [[1.0, RHO], [RHO, 1.0]], atol=1e-15)
+        assert np.allclose(m.Phi @ m.Phi.T, [[1.0, RHO], [RHO, 1.0]],
+                           atol=1e-15)
         assert np.allclose(m.Phi, [[1.0, 0.0], [RHO, math.sqrt(1 - RHO ** 2)]],
                            atol=1e-14)
 
-    def test_benchmark_grid_positive_definite(self, table1_grid, exp_model):
-        eigs = np.linalg.eigvalsh(exp_model.C)
-        assert eigs.min() > 0
+    def test_benchmark_grid_positive_definite(self, exp_model):
+        # a triangular factor with a positive diagonal gives Phi Phi^T > 0
+        assert np.array_equal(exp_model.Phi, np.tril(exp_model.Phi))
+        assert exp_model.Phi.diagonal().min() > 0
 
-    def test_factor_reproduces_covariance(self, exp_model):
-        err = np.linalg.norm(exp_model.Phi @ exp_model.Phi.T - exp_model.C)
-        assert err <= 1e-10 * np.linalg.norm(exp_model.C)
+    def test_factor_reproduces_covariance(self, exp_model, dense_covariance):
+        C = dense_covariance(exp_model)
+        err = np.linalg.norm(exp_model.Phi @ exp_model.Phi.T - C)
+        assert err <= 1e-10 * np.linalg.norm(C)
 
     def test_parameter_validation(self):
         g = tiny_grid(6)
@@ -55,17 +58,18 @@ class TestBuild:
         g = tiny_grid(8)
         m1 = build_noise_model("exponential", g, sigma=1.0, l_c=2.0)
         m2 = build_noise_model("exponential", g, sigma=2.0, l_c=2.0)
-        assert np.array_equal(m2.C, 4.0 * m1.C)
         assert np.array_equal(m2.Phi, 2.0 * m1.Phi)
+        assert m2.covariance_sum == 4.0 * m1.covariance_sum
 
-    def test_long_correlation_builds(self, table1_grid):
+    def test_long_correlation_builds(self, table1_grid, dense_covariance):
         # rho rounds to 1, so C is numerically rank one and a dense Cholesky
         # factorization of it fails without a diagonal jitter; the closed
         # form keeps s = sqrt(1e-17)
         m = build_noise_model("exponential", table1_grid, sigma=1.0, l_c=1e17)
         assert m.rho == 1.0
-        err = np.linalg.norm(m.Phi @ m.Phi.T - m.C)
-        assert err <= 1e-12 * np.linalg.norm(m.C)
+        C = dense_covariance(m)
+        err = np.linalg.norm(m.Phi @ m.Phi.T - C)
+        assert err <= 1e-12 * np.linalg.norm(C)
         r = np.random.default_rng(3).standard_normal((3, m.size))
         assert np.allclose(unwhiten(m, whiten(m, r)), r, rtol=0, atol=1e-12)
 
@@ -76,10 +80,10 @@ class TestBuild:
             build_noise_model("exponential", g, sigma=1.0, l_c=1e308)
 
     @pytest.mark.parametrize("dx", [0.5, 0.25, 0.125])
-    def test_closed_form_matches_dense_cholesky(self, dx):
+    def test_closed_form_matches_dense_cholesky(self, dx, dense_covariance):
         g = SpaceTimeGrid.from_spacing(-15.0, 20.0, dx, 1.0, 0.05)
         m = build_noise_model("exponential", g, sigma=1.3, l_c=5.0)
-        ref = np.linalg.cholesky(m.C)
+        ref = np.linalg.cholesky(dense_covariance(m))
         assert np.abs(m.Phi - ref).max() <= 1e-14 * 1.3
         assert np.array_equal(m.Phi, np.tril(m.Phi))
 
@@ -130,11 +134,22 @@ class TestWhiten:
 def covariance_mass(model):
     """dx^2 sum_ij C_ij, read off the center law's variance eps^2 t dx sum C
     / jump^2 at eps = t = jump = 1."""
-    dx = model.grid.dx
-    return dx * analytic_center_law(1.0, 1.0, model, dx, UNIT_JUMP)[1]
+    return model.grid.dx * analytic_center_law(1.0, 1.0, model, UNIT_JUMP)[1]
 
 
 class TestTotalCovarianceMass:
+    @pytest.mark.parametrize("dx", [0.5, 0.25, 0.125])
+    def test_covariance_sum_matches_dense_kernel(self, dx, dense_covariance):
+        # |Phi^T 1|^2 against the sum of the independently built kernel
+        g = SpaceTimeGrid.from_spacing(-15.0, 20.0, dx, 1.0, 0.05)
+        m = build_noise_model("exponential", g, sigma=1.3, l_c=5.0)
+        ref = float(dense_covariance(m).sum())
+        assert abs(m.covariance_sum - ref) <= 1e-14 * ref
+
+    def test_covariance_sum_exact_for_identity(self, table1_grid):
+        m = build_noise_model("identity", table1_grid)
+        assert m.covariance_sum == float(table1_grid.M - 2)
+
     def test_identity_three_interior_cells(self):
         m = build_noise_model("identity", tiny_grid(5))
         assert covariance_mass(m) == pytest.approx(0.75, abs=1e-15)

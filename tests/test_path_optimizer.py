@@ -6,13 +6,11 @@ from shockld.fluxes import drift, euler_step
 from shockld.grid import SpaceTimeGrid, WaveSpec, sample_profile
 from shockld.noise import build_noise_model, whiten
 from shockld.optimize import (RareEventSpec, _diffusion_preconditioner,
-                              _scaffold, boundary_policy, free_mask,
+                              _free_block, _scaffold, boundary_policy,
                               linear_interpolation_path, linear_shift_path,
                               midpoint_convexity_test, minimize_ball,
                               minimize_pinned, minimize_smooth, target_values)
 from shockld.rate import PathMatrix, discrete_lower_bound, rate
-
-DELTA = np.sqrt(0.5)
 
 
 def random_path(scen, grid, rng):
@@ -21,9 +19,15 @@ def random_path(scen, grid, rng):
     hi = max(scen.wave.u_minus, target_values(scen, grid).max())
     pad = 0.5 * (hi - lo)
     q = _scaffold(scen, grid, free_terminal=scen.delta > 0)
-    mask = free_mask(scen, grid)
-    q[mask] = rng.uniform(lo - pad, hi + pad, size=int(mask.sum()))
+    free = _free_block(scen, grid, free_terminal=scen.delta > 0)
+    q[free] = rng.uniform(lo - pad, hi + pad, size=q[free].shape)
     return PathMatrix(q, grid, scen.wave)
+
+
+def free_count(scen, grid, free_terminal):
+    """Number of entries in the free block."""
+    return np.empty((grid.N + 1, grid.M))[
+        _free_block(scen, grid, free_terminal)].size
 
 
 @pytest.fixture(scope="module")
@@ -61,12 +65,14 @@ class TestScenario:
         assert other.boundary_width == 2
 
     def test_free_mask_counts(self, wave, table1_grid):
+        # entries of the free block: pinned, ball, and width-2 boundaries
+        N, M = table1_grid.N, table1_grid.M
         scen = RareEventSpec("displacement", wave, x0=5.0)
-        mask = free_mask(scen, table1_grid)
-        assert mask.sum() == (table1_grid.N - 1) * (table1_grid.M - 2)
-        ball = RareEventSpec("displacement", wave, x0=5.0, delta=DELTA)
-        mask_b = free_mask(ball, table1_grid)
-        assert mask_b.sum() == table1_grid.N * (table1_grid.M - 2)
+        assert free_count(scen, table1_grid, False) == (N - 1) * (M - 2)
+        assert free_count(scen, table1_grid, True) == N * (M - 2)
+        wide = RareEventSpec("weak_to_strong", wave,
+                             target_wave=WaveSpec(2.5, 0.5, 1.0, gamma=1.5))
+        assert free_count(wide, table1_grid, False) == (N - 1) * (M - 4)
 
     def test_scaffold_obeys_boundary_policy(self, wave, table1_grid):
         scen = RareEventSpec("displacement", wave, x0=5.0)
@@ -103,7 +109,7 @@ class TestEngine:
             Ae = A @ (x - x_star)
             return 0.5 * float((x - x_star) @ Ae), Ae
 
-        res = minimize_smooth(fun, np.zeros(60), gtol=1e-10, memory=20)
+        res = minimize_smooth(fun, np.zeros(60), gtol=1e-10)
         assert res.converged
         assert res.iterations > 20
         assert np.max(np.abs(res.grad)) <= 1e-10
@@ -125,6 +131,23 @@ class TestEngine:
         assert res.iterations == 1
         assert res.evaluations == 2  # x0 and the accepted unit step
         assert np.allclose(res.x, x_star, rtol=0, atol=1e-12)
+
+    def test_stops_on_gradient_relative_to_objective(self):
+        # f* = 5: the rule ||g||_inf <= gtol max(1, f) stops a start whose
+        # gradient 3e-6 is within 5e-6 at once, the offset-free objective
+        # takes a step, and so does a start at gradient 6e-6
+        x0 = np.array([3e-6, -1e-6, 0.0])
+
+        def shifted(offset):
+            return lambda x: (offset + 0.5 * float(x @ x), x.copy())
+
+        res = minimize_smooth(shifted(5.0), x0, gtol=1e-6)
+        assert res.converged and res.iterations == 0 and res.evaluations == 1
+        res = minimize_smooth(shifted(0.0), x0, gtol=1e-6)
+        assert res.converged and res.iterations == 1
+        res = minimize_smooth(shifted(5.0), 2.0 * x0, gtol=1e-6)
+        assert res.converged and res.iterations == 1
+        assert np.max(np.abs(res.grad)) <= 1e-6 * max(1.0, res.f)
 
     def test_restart_steps_along_h0(self, monkeypatch):
         # fail the second line search on purpose: the engine must drop its
@@ -219,8 +242,8 @@ class TestMinimizePinned:
     def test_descent_from_initial_guess(self, wave, table1_grid, exp_model):
         scen = RareEventSpec("displacement", wave, x0=5.0)
         init_q = _scaffold(scen, table1_grid, free_terminal=False)
-        mask = free_mask(scen, table1_grid, free_terminal=False)
-        init_q[mask] = linear_interpolation_path(scen, table1_grid).q[mask]
+        free = _free_block(scen, table1_grid, free_terminal=False)
+        init_q[free] = linear_interpolation_path(scen, table1_grid).q[free]
         init_rate = rate(PathMatrix(init_q, table1_grid, wave), exp_model)
         opt = minimize_pinned(scen, exp_model)
         assert opt.rate_value <= init_rate
@@ -251,11 +274,13 @@ class TestMinimizePinned:
         assert lhs == pytest.approx(pinned_exp_opt.rate_value, rel=1e-10)
 
 
-def linear_action_hessian(scen, model, mask):
+def linear_action_hessian(scen, model, free_terminal):
     """Hessian of the action with the drift cut to D * Laplacian, assembled
     column by column from the linear residual map over the free entries."""
     grid = model.grid
     dt, dx, D = grid.dt, grid.dx, scen.wave.D
+    mask = np.zeros((grid.N + 1, grid.M), dtype=bool)
+    mask[_free_block(scen, grid, free_terminal)] = True
     n_free = int(mask.sum())
     Q = np.zeros((n_free, grid.N + 1, grid.M))
     Q[:, mask] = np.eye(n_free)
@@ -269,8 +294,8 @@ class TestPreconditioner:
     @pytest.mark.parametrize("free_terminal", [False, True])
     def test_exact_inverse_for_identity_noise(self, displacement_scen,
                                               identity_model, free_terminal):
-        mask = free_mask(displacement_scen, identity_model.grid, free_terminal)
-        H = linear_action_hessian(displacement_scen, identity_model, mask)
+        H = linear_action_hessian(displacement_scen, identity_model,
+                                  free_terminal)
         h0 = _diffusion_preconditioner(displacement_scen, identity_model,
                                        free_terminal)
         rng = np.random.default_rng(8)
@@ -283,7 +308,7 @@ class TestPreconditioner:
         scen = RareEventSpec("weak_to_strong", WaveSpec(1.75, 1.25, 1.0, gamma=1.5),
                              target_wave=WaveSpec(2.5, 0.5, 1.0, gamma=1.5))
         assert scen.boundary_width == 2
-        n = int(free_mask(scen, exp_model.grid, free_terminal).sum())
+        n = free_count(scen, exp_model.grid, free_terminal)
         h0 = _diffusion_preconditioner(scen, exp_model, free_terminal)
         rng = np.random.default_rng(9)
         for _ in range(5):
@@ -345,7 +370,7 @@ class TestPreconditionerBits:
         scen = RareEventSpec(kind, WaveSpec(1.75, 1.25, 1.0, gamma=1.5),
                              x0=3.0, target_wave=target)
         assert scen.boundary_width == (1 if kind == "displacement" else 2)
-        n = int(free_mask(scen, table1_grid, free_terminal).sum())
+        n = free_count(scen, table1_grid, free_terminal)
         h0 = _diffusion_preconditioner(scen, model, free_terminal)
         ref = indexed_sweep_preconditioner(scen, model, free_terminal)
         rng = np.random.default_rng(16)
@@ -505,11 +530,6 @@ class TestPathBuilders:
 
 
 class TestMidpointConvexity:
-    def test_zero_trials_by_convention(self, pinned_identity_opt, identity_model):
-        rng = np.random.default_rng(1)
-        assert midpoint_convexity_test(pinned_identity_opt.path, identity_model,
-                                       0, rng) == 1.0
-
     def test_frozen_drift_is_exactly_convex(self, pinned_identity_opt,
                                             identity_model, table1_grid, wave,
                                             monkeypatch):
@@ -535,6 +555,11 @@ class TestMidpointConvexity:
         frac = midpoint_convexity_test(pinned_identity_opt.path, identity_model,
                                        1500, rng)
         assert frac >= 0.99
+
+    def test_zero_trials_rejected(self, pinned_identity_opt, identity_model):
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            midpoint_convexity_test(pinned_identity_opt.path, identity_model,
+                                    0, np.random.default_rng(1))
 
     def test_negative_trials_rejected(self, pinned_identity_opt, identity_model):
         with pytest.raises(ValueError):
