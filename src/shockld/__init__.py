@@ -13,8 +13,7 @@ __version__ = "0.1.0"
 
 from .diagnostics import (analytic_center_law, analytic_exit_probability,
                           fit_scaling)
-from .fluxes import (FixedStates, TimeInterpolated, cfl_number, drift,
-                     euler_step, godunov_flux)
+from .fluxes import cfl_number, drift, euler_step, godunov_flux
 from .grid import (SpaceTimeGrid, WaveSpec, profile, rankine_hugoniot_speed,
                    sample_profile)
 from .montecarlo import (EstimatorReport, epsilon_sweep, run_basic_mc,
@@ -28,8 +27,7 @@ from .rate import PathMatrix, discrete_lower_bound, forcing_from_path, rate
 __all__ = [
     "SpaceTimeGrid", "WaveSpec", "profile", "rankine_hugoniot_speed",
     "sample_profile",
-    "FixedStates", "TimeInterpolated", "godunov_flux", "drift", "euler_step",
-    "cfl_number",
+    "godunov_flux", "drift", "euler_step", "cfl_number",
     "NoiseModel", "build_noise_model", "whiten",
     "PathMatrix", "rate", "forcing_from_path", "discrete_lower_bound",
     "RareEventSpec", "OptimalPath", "minimize_pinned", "minimize_ball",

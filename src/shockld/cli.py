@@ -96,12 +96,20 @@ def _report_row(eps: float, name: str, rep, seed: int):
             rep.flagged_saturated]
 
 
-def _test_path_rates(scen, grid: SpaceTimeGrid, model) -> list[float]:
-    """I of the shifted-profile and interpolation test paths, projected onto
-    the pinned-terminal feasible set, so each bounds the pinned optimum."""
-    pin = dataclasses.replace(scen, delta=0.0)
-    return [rate(project_onto_pinning(pin, grid, path(pin, grid)), model)
-            for path in (linear_shift_path, linear_interpolation_path)]
+def _solve_columns(scen, grid: SpaceTimeGrid, model, opt) -> list:
+    """I_star .. I_interp_path of a solve's summary row.  The test paths are
+    projected onto the pinned-terminal feasible set, so each rate bounds the
+    pinned optimum; they are left empty unless the scenario is a displacement.
+    """
+    bound = discrete_lower_bound(opt.path, model)
+    test_rates = ["", ""]
+    if scen.kind == "displacement":
+        pin = dataclasses.replace(scen, delta=0.0)
+        test_rates = [rate(project_onto_pinning(pin, grid, path(pin, grid)),
+                           model)
+                      for path in (linear_shift_path, linear_interpolation_path)]
+    return [opt.rate_value, opt.gradient_norm, opt.iterations, opt.converged,
+            bound, *test_rates]
 
 
 def _threads(flag: int | None) -> int:
@@ -134,16 +142,11 @@ def cmd_optimize(cfg: RunConfig, out_dir: str, threads: int) -> None:
                   cfg.grid.centers(), opt.path.q)
     _write_matrix(os.path.join(out_dir, "forcing.csv"),
                   cfg.grid.interior_centers(), opt.forcing)
-    bound = discrete_lower_bound(opt.path, model)
-    i_shift = i_interp = ""
-    if scen.kind == "displacement":
-        i_shift, i_interp = _test_path_rates(scen, cfg.grid, model)
     header = ["format_version", "scenario", "delta", "I_star", "gradient_norm",
               "iterations", "converged", "lower_bound", "I_shift_path",
               "I_interp_path", "terminal_distance_sq", "multiplier", "seed"]
-    row = [FORMAT_VERSION, scen.kind, scen.delta, opt.rate_value,
-           opt.gradient_norm, opt.iterations, opt.converged, bound, i_shift,
-           i_interp,
+    row = [FORMAT_VERSION, scen.kind, scen.delta,
+           *_solve_columns(scen, cfg.grid, model, opt),
            "" if opt.terminal_distance_sq is None else opt.terminal_distance_sq,
            "" if opt.multiplier is None else opt.multiplier, cfg.run.seed]
     _write_csv(os.path.join(out_dir, "optimize_summary.csv"), header, [row])
@@ -241,11 +244,8 @@ def _sweep_point(args):
     scen = dataclasses.replace(cfg.scenario, x0=x0, delta=0.0)
     model = build_noise_model(cfg.noise_kind, grid, sigma=cfg.sigma, l_c=cfg.l_c)
     opt = minimize_pinned(scen, model)
-    bound = discrete_lower_bound(opt.path, model)
-    i_shift, i_interp = _test_path_rates(scen, grid, model)
-    return [FORMAT_VERSION, x0, grid.T, cfg.wave.D, opt.rate_value,
-            opt.gradient_norm, opt.iterations, opt.converged, bound,
-            i_shift, i_interp, cfg.run.seed]
+    return [FORMAT_VERSION, x0, grid.T, cfg.wave.D,
+            *_solve_columns(scen, grid, model, opt), cfg.run.seed]
 
 
 def _rate_sweep(cfg: RunConfig, out_dir: str, threads: int, subcommand: str,

@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass, field
 
 from .grid import SpaceTimeGrid, WaveSpec
+from .montecarlo import ESTIMATORS
 from .optimize import SCENARIO_KINDS, RareEventSpec
 
 __all__ = ["ConfigError", "RunSettings", "RunConfig", "parse_config"]
@@ -229,7 +230,7 @@ def parse_config(text: str) -> RunConfig:
                 any(not isinstance(x, str) for x in est):
             raise ConfigError("type mismatch: run.estimators must be a list of names")
         for x in est:
-            if x not in ("mc", "is0", "is-delta"):
+            if x not in ESTIMATORS:
                 raise ConfigError(f"unknown estimator in run.estimators: {x!r}")
         estimators = tuple(est)
 

@@ -6,9 +6,10 @@ The interior update for cells m = 2..M-1 is
 
     b_m(Q) = -(F_{m+1/2} - F_{m-1/2}) / dx + D (Q_{m+1} - 2 Q_m + Q_{m-1}) / dx^2,
 
-with first-order Godunov interface fluxes for F(u) = (u - gamma)^2 / 2 and
-boundary cells overwritten after every step.  drift evaluates b_m as
-G_{m-1/2} - G_{m+1/2}, the difference of the total interface fluxes
+with first-order Godunov interface fluxes for F(u) = (u - gamma)^2 / 2.
+After every step pin_edges overwrites the outer cells with one row of the
+scenario's pinned-value table (optimize.boundary_edges).  drift evaluates
+b_m as G_{m-1/2} - G_{m+1/2}, the difference of the total interface fluxes
 G_{m+1/2} = F_{m+1/2} / dx - D (Q_{m+1} - Q_m) / dx^2.  All flux/drift
 routines broadcast over leading batch axes so that ensembles of trajectories
 evolve in one vectorized call.
@@ -17,56 +18,20 @@ evolve in one vectorized call.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import SpaceTimeGrid, WaveSpec
 
 __all__ = [
-    "FixedStates",
-    "TimeInterpolated",
     "godunov_flux",
     "godunov_flux_derivs",
     "drift",
     "euler_step",
+    "pin_edges",
     "cfl_number",
     "check_cfl",
 ]
-
-
-@dataclass(frozen=True)
-class FixedStates:
-    """Pin cells 1 and M to the far-field states for all time levels."""
-
-    u_minus: float
-    u_plus: float
-
-    def apply(self, values: np.ndarray, n: int) -> None:
-        values[..., 0] = self.u_minus
-        values[..., -1] = self.u_plus
-
-
-@dataclass(frozen=True)
-class TimeInterpolated:
-    """Pin the outermost cells per side to (1 - n/N) q^0 + (n/N) q^N.
-
-    left0/leftN and right0/rightN hold the pinned values at the initial and
-    terminal levels; their common length is the number of cells pinned per
-    side.  n_steps is N.
-    """
-
-    left0: np.ndarray
-    leftN: np.ndarray
-    right0: np.ndarray
-    rightN: np.ndarray
-    n_steps: int
-
-    def apply(self, values: np.ndarray, n: int) -> None:
-        s = n / self.n_steps
-        w = len(self.left0)
-        values[..., :w] = (1.0 - s) * self.left0 + s * self.leftN
-        values[..., -w:] = (1.0 - s) * self.right0 + s * self.rightN
 
 
 def godunov_flux(q_left, q_right, gamma: float):
@@ -139,13 +104,15 @@ def drift(values: np.ndarray, grid: SpaceTimeGrid, wave: WaveSpec,
     return np.subtract(G[..., :-1], G[..., 1:], out=out)
 
 
-def euler_step(values: np.ndarray, grid: SpaceTimeGrid, wave: WaveSpec, bc,
-               forcing: np.ndarray | None = None, n: int = 0) -> np.ndarray:
+def euler_step(values: np.ndarray, grid: SpaceTimeGrid, wave: WaveSpec,
+               edges: np.ndarray, forcing: np.ndarray | None = None,
+               n: int = 0) -> np.ndarray:
     """One explicit Euler step from time level n to n+1.
 
     `forcing` is an interior vector (shape (..., M-2)) added as-is; it
-    already carries its own dt scaling.  Boundary cells are overwritten per
-    `bc` at level n+1.  Returns a fresh array.
+    already carries its own dt scaling.  The outer cells take row n+1 of
+    `edges`, the pinned-value table of optimize.boundary_edges.  Returns a
+    fresh array.
     """
     values = np.asarray(values, dtype=float)
     out = values.copy()
@@ -153,8 +120,17 @@ def euler_step(values: np.ndarray, grid: SpaceTimeGrid, wave: WaveSpec, bc,
     if forcing is not None:
         incr = incr + forcing
     out[..., 1:-1] += incr
-    bc.apply(out, n + 1)
+    pin_edges(out, edges[n + 1])
     return out
+
+
+def pin_edges(values: np.ndarray, edges: np.ndarray) -> None:
+    """Write edges[..., :w] into the w left cells and edges[..., w:] into
+    the w right ones (2w = edges.shape[-1]), broadcast over leading axes: one
+    table row pins a batch, a stack of rows pins a stack of time levels."""
+    w = edges.shape[-1] // 2
+    values[..., :w] = edges[..., :w]
+    values[..., -w:] = edges[..., w:]
 
 
 def cfl_number(grid: SpaceTimeGrid, wave: WaveSpec) -> float:

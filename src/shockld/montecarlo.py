@@ -52,17 +52,19 @@ vectorized pass and draws each sample's normals from them.
 
 from __future__ import annotations
 
+import math
 import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fluxes import drift
+from .fluxes import drift, pin_edges
 from .noise import NoiseModel, unwhiten
-from .optimize import RareEventSpec, boundary_policy, initial_values, target_values
+from .optimize import RareEventSpec, boundary_edges, initial_values, target_values
 
 __all__ = [
+    "ESTIMATORS",
     "EstimatorReport",
     "run_basic_mc",
     "run_estimators",
@@ -72,6 +74,8 @@ __all__ = [
     "sample_terminal_states",
     "sample_stream",
 ]
+
+ESTIMATORS = ("mc", "is0", "is-delta")  # names of epsilon_sweep's estimators
 
 _DOMAIN_MC = 1  # spawn-key namespace for trajectory noise
 
@@ -242,12 +246,12 @@ def _report(p: np.ndarray, eps: float, hits: int) -> EstimatorReport:
     mean = float(np.mean(p))
     var = float(np.mean(p * p)) - mean * mean
     std = float(np.sqrt(max(var, 0.0)))
-    half = 2.6 * std / np.sqrt(K)
+    half = 2.6 * std / math.sqrt(K)
     rel = std / mean if mean > 0 else float("inf")
     return EstimatorReport(
         estimate=mean, std=std, ci_low=mean - half, ci_high=mean + half,
-        relative_error=rel, K=K, epsilon=eps, hits=hits,
-        flagged_saturated=bool(rel >= 0.9 * np.sqrt(K)))
+        relative_error=rel, K=K, epsilon=float(eps), hits=hits,
+        flagged_saturated=rel >= 0.9 * math.sqrt(K))
 
 
 def _log_weights(y: np.ndarray, shift: np.ndarray, scale: float,
@@ -320,7 +324,7 @@ def _simulate(scen: RareEventSpec, model: NoiseModel, eps: float, K: int,
     forcings = _checked(K, eps, forcings, (N, n_int))
     q0 = initial_values(scen, grid)
     target = target_values(scen, grid)
-    bc = boundary_policy(scen, grid)
+    edges = boundary_edges(scen, grid)
     delta_sq = scen.delta ** 2
     rho = np.sqrt(dt / dx)
     scale = dx / (2.0 * dt)
@@ -354,7 +358,7 @@ def _simulate(scen: RareEventSpec, model: NoiseModel, eps: float, K: int,
                 if tilt is not None:
                     inc += tilt[n]
                 qT[1:-1] += inc
-                bc.apply(qT.T, n + 1)
+                pin_edges(qT.T, edges[n + 1])
 
             if keep_terminals:
                 terminals[i, start:stop] = qT.T
@@ -373,8 +377,13 @@ def run_estimators(scen: RareEventSpec, model: NoiseModel, eps: float, K: int,
     """One report per forcing (None: basic MC), all from the same draws.
 
     Each report equals what run_basic_mc or run_importance_sampling returns
-    for that forcing alone with the same seed and run key.
+    for that forcing alone with the same seed and run key.  Raises
+    ValueError when scen.delta = 0: the event dx |Q^N - target|^2 <= 0 has
+    probability 0.
     """
+    if not scen.delta > 0:
+        raise ValueError("the estimators need scenario delta > 0: the event "
+                         "dx |Q^N - target|^2 <= 0 has probability 0")
     p, hits, _ = _simulate(scen, model, eps, K, seed, run_key, forcings)
     return [_report(row, eps, n) for row, n in zip(p, hits)]
 
@@ -433,9 +442,9 @@ def epsilon_sweep(scen: RareEventSpec, model: NoiseModel, eps_list,
                   forcing_ball: np.ndarray | None = None):
     """Run the requested estimators at every eps; one report per pair.
 
-    estimators is a subset of {"mc", "is0", "is-delta"}; the importance
-    samplers need their forcing passed in (pinned-optimum h for is0,
-    ball-optimum h for is-delta).  Each eps gets an independent run key, so
+    estimators is a subset of ESTIMATORS; the importance samplers need
+    their forcing passed in (pinned-optimum h for is0, ball-optimum h for
+    is-delta).  Each eps gets an independent run key, so
     adding grid points never perturbs existing ones.  Returns a list of
     (eps, estimator, EstimatorReport) in sweep order.
     """
@@ -444,7 +453,7 @@ def epsilon_sweep(scen: RareEventSpec, model: NoiseModel, eps_list,
         raise ValueError("eps_list must be nonempty")
     estimators = list(estimators)
     for name in estimators:
-        if name not in ("mc", "is0", "is-delta"):
+        if name not in ESTIMATORS:
             raise ValueError(f"unknown estimator: {name!r}")
     if "is0" in estimators and forcing_pinned is None:
         raise ValueError("estimator is0 requires forcing_pinned")

@@ -10,6 +10,10 @@ allowed):
 * terminal profile within a weighted L2 ball of radius delta -> the same
   engine, with the free terminal cells held on the sphere if the ball binds.
 
+boundary_edges writes the scenario's pinned outer-cell values once, as one
+table per run that the path scaffold, the ball's feasibility check, the
+Euler step and the Monte Carlo kernel all read.
+
 Every solve starts L-BFGS from the same initial inverse Hessian h0, taken
 from the action with the drift cut to its diffusion term,
 r^n ~ (Q^{n+1} - (I + dt D Lap) Q^n) / dt (Nocedal & Wright, Numerical
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fluxes import FixedStates, TimeInterpolated, euler_step
+from .fluxes import euler_step, pin_edges
 from .grid import SpaceTimeGrid, WaveSpec, profile, sample_profile
 from .noise import NoiseModel, whiten
 from .rate import PathMatrix, forcing_from_path, rate, rate_and_gradient
@@ -43,7 +47,7 @@ __all__ = [
     "OptimalPath",
     "initial_values",
     "target_values",
-    "boundary_policy",
+    "boundary_edges",
     "linear_shift_path",
     "linear_interpolation_path",
     "project_onto_pinning",
@@ -67,9 +71,10 @@ _C1, _C2, _ALPHA0, _MAX_EXPAND, _MAX_ZOOM = 1e-4, 0.9, 1.0, 20, 40
 class RareEventSpec:
     """Transition scenario: which terminal profile, how sharply it is pinned.
 
-    kind "displacement" targets the initial profile shifted by x0 and uses
-    fixed-state boundaries; the other kinds target the profile of
-    `target_wave` and use time-interpolated boundaries.
+    kind "displacement" targets the initial profile shifted by x0 and pins
+    its outer cells to the far-field states; the other kinds target the
+    profile of `target_wave` and pin two cells per side to values
+    interpolated in time (boundary_edges).
     delta = 0 means the terminal slice is pinned exactly; delta > 0 allows a
     weighted L2 ball of that radius.
     """
@@ -107,14 +112,22 @@ def target_values(scen: RareEventSpec, grid: SpaceTimeGrid) -> np.ndarray:
     return sample_profile(scen.target_wave, grid, 0.0)
 
 
-def boundary_policy(scen: RareEventSpec, grid: SpaceTimeGrid):
+def boundary_edges(scen: RareEventSpec, grid: SpaceTimeGrid) -> np.ndarray:
+    """Pinned values of the outer cells at every time level, (N+1, 2w).
+
+    Row n holds the w = scen.boundary_width left cells of level n, then its
+    w right cells.  displacement pins cells 1 and M to the far-field states
+    u_minus and u_plus; the other kinds pin (1 - n/N) q^0 + (n/N) q^N on
+    those cells.  The Euler step from level n writes row n+1 (pin_edges);
+    level 0 is the initial profile as given.
+    """
     if scen.kind == "displacement":
-        return FixedStates(scen.wave.u_minus, scen.wave.u_plus)
+        return np.tile([scen.wave.u_minus, scen.wave.u_plus], (grid.N + 1, 1))
     w = scen.boundary_width
-    q0 = initial_values(scen, grid)
-    qN = target_values(scen, grid)
-    return TimeInterpolated(left0=q0[:w], leftN=qN[:w],
-                            right0=q0[-w:], rightN=qN[-w:], n_steps=grid.N)
+    ends = np.r_[:w, grid.M - w:grid.M]
+    s = (np.arange(grid.N + 1) / grid.N)[:, None]
+    return ((1.0 - s) * initial_values(scen, grid)[ends]
+            + s * target_values(scen, grid)[ends])
 
 
 def _free_block(scen: RareEventSpec, grid: SpaceTimeGrid,
@@ -135,11 +148,8 @@ def _scaffold(scen: RareEventSpec, grid: SpaceTimeGrid,
     q = np.zeros((grid.N + 1, grid.M))
     q[0] = initial_values(scen, grid)
     q[grid.N] = target_values(scen, grid)
-    bc = boundary_policy(scen, grid)
-    for n in range(1, grid.N):
-        bc.apply(q[n], n)
-    if free_terminal:
-        bc.apply(q[grid.N], grid.N)
+    rows = _free_block(scen, grid, free_terminal)[0]
+    pin_edges(q[rows], boundary_edges(scen, grid)[rows])
     return q
 
 
@@ -517,9 +527,8 @@ def minimize_ball(scen: RareEventSpec, model: NoiseModel) -> OptimalPath:
     delta_sq = scen.delta ** 2
     free = _free_block(scen, grid, True)
     cols = free[1]
-    pinned = np.r_[0:cols.start, cols.stop:grid.M]  # the two end runs
-    pinned_sq = terminal_distance_sq(
-        _scaffold(scen, grid, True)[N, pinned], target[pinned], dx)
+    edges = boundary_edges(scen, grid)
+    pinned_sq = terminal_distance_sq(edges[N], np.delete(target, cols), dx)
     r_sq = (delta_sq - pinned_sq) / dx
     if r_sq <= 0:
         raise ValueError(
@@ -527,9 +536,8 @@ def minimize_ball(scen: RareEventSpec, model: NoiseModel) -> OptimalPath:
             f"terminal cells alone lie at squared distance {pinned_sq:.6g}")
 
     q = np.tile(initial_values(scen, grid), (N + 1, 1))  # noiseless path
-    bc = boundary_policy(scen, grid)
     for n in range(N):
-        q[n + 1] = euler_step(q[n], grid, scen.wave, bc, n=n)
+        q[n + 1] = euler_step(q[n], grid, scen.wave, edges, n=n)
     h0 = _diffusion_preconditioner(scen, model, True)
     res, path = _path_solve(scen, model, True, q[free].ravel(), h0)
     iterations, evaluations = res.iterations, res.evaluations
@@ -580,23 +588,21 @@ def midpoint_convexity_test(center: PathMatrix, model: NoiseModel,
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     grid = center.grid
-    mask = np.zeros((grid.N + 1, grid.M), dtype=bool)
-    mask[1:grid.N, 1:-1] = True
-    base = center.q[mask]
-    scale = 1e-2 * float(np.sqrt(np.mean(base * base)))
     work = center.q.copy()
+    block = work[1:grid.N, 1:-1]
+    base = block.copy()
+    scale = 1e-2 * float(np.sqrt(np.mean(base * base)))
     probe = PathMatrix(work, grid, center.wave)
     passed = 0
     for _ in range(trials):
         e1 = rng.normal(0.0, scale, size=base.shape)
         e2 = rng.normal(0.0, scale, size=base.shape)
-        work[mask] = base + e1
+        block[...] = base + e1
         f1 = rate(probe, model)
-        work[mask] = base + e2
+        block[...] = base + e2
         f2 = rate(probe, model)
-        work[mask] = base + 0.5 * (e1 + e2)
+        block[...] = base + 0.5 * (e1 + e2)
         fm = rate(probe, model)
         if fm <= 0.5 * (f1 + f2) + 1e-12:
             passed += 1
-    work[mask] = base
     return passed / trials

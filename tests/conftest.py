@@ -16,7 +16,7 @@ from shockld.fluxes import euler_step
 from shockld.grid import SpaceTimeGrid, WaveSpec
 from shockld.montecarlo import sample_terminal_states
 from shockld.noise import build_noise_model
-from shockld.optimize import (RareEventSpec, boundary_policy, initial_values,
+from shockld.optimize import (RareEventSpec, boundary_edges, initial_values,
                               minimize_ball, minimize_pinned)
 
 warnings.filterwarnings("ignore", category=RuntimeWarning,
@@ -114,5 +114,5 @@ def one_step_increments(wave, displacement_scen):
     terminals = sample_terminal_states(displacement_scen, model, 1.0, 100_000,
                                        seed=1003)
     noiseless = euler_step(initial_values(displacement_scen, grid), grid, wave,
-                           boundary_policy(displacement_scen, grid))
+                           boundary_edges(displacement_scen, grid))
     return terminals[:, 1:-1] - noiseless[1:-1], model

@@ -154,12 +154,14 @@ class TestMarginCheck:
 
 class TestNoiselessCenterDrift:
     def test_stays_within_two_cells(self, wave, table1_grid, identity_model):
-        from shockld.fluxes import FixedStates, euler_step
+        from shockld.fluxes import euler_step
+        from shockld.optimize import RareEventSpec, boundary_edges
         ref = sample_profile(wave, table1_grid)
-        bc = FixedStates(wave.u_minus, wave.u_plus)
+        edges = boundary_edges(RareEventSpec("displacement", wave),
+                               table1_grid)
         q = ref.copy()
         worst = 0.0
         for n in range(table1_grid.N):
-            q = euler_step(q, table1_grid, wave, bc, n=n)
+            q = euler_step(q, table1_grid, wave, edges, n=n)
             worst = max(worst, abs(wave_centers(q, ref, wave, table1_grid.dx)))
         assert worst <= 2 * table1_grid.dx

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from shockld.fluxes import (FixedStates, TimeInterpolated, cfl_number,
-                            check_cfl, drift, euler_step, godunov_flux,
-                            godunov_flux_derivs)
+from shockld.fluxes import (cfl_number, check_cfl, drift, euler_step,
+                            godunov_flux, godunov_flux_derivs, pin_edges)
 from shockld.grid import SpaceTimeGrid, WaveSpec, sample_profile
 
 
@@ -272,33 +271,38 @@ class TestMemoryOrder:
             assert same_bits(F, godunov_flux(*full, gamma))
 
 
+def far_field_edges(grid, left, right):
+    """Pinned-value table with cells 1 and M held at left and right."""
+    return np.tile([left, right], (grid.N + 1, 1))
+
+
 class TestEulerStep:
     def setup_method(self):
         self.g = SpaceTimeGrid.from_spacing(-15.0, 20.0, 0.5, 1.0, 0.05)
         self.w = WaveSpec(2.0, 1.0, 1.0, gamma=1.5)
-        self.bc = FixedStates(2.0, 1.0)
+        self.edges = far_field_edges(self.g, 2.0, 1.0)
 
     def test_constant_state_unchanged(self):
         q = np.full(self.g.M, 1.5)
-        out = euler_step(q, self.g, self.w, FixedStates(1.5, 1.5))
+        out = euler_step(q, self.g, self.w, far_field_edges(self.g, 1.5, 1.5))
         assert np.allclose(out, q, atol=1e-15)
 
     def test_returns_fresh_array(self):
         q = sample_profile(self.w, self.g)
-        out = euler_step(q, self.g, self.w, self.bc)
+        out = euler_step(q, self.g, self.w, self.edges)
         assert out is not q
 
     def test_noiseless_run_stays_bounded(self):
         q = sample_profile(self.w, self.g)
         for n in range(self.g.N):
-            q = euler_step(q, self.g, self.w, self.bc, n=n)
+            q = euler_step(q, self.g, self.w, self.edges, n=n)
         assert q.min() >= 1.0 - 0.1 and q.max() <= 2.0 + 0.1
 
     def test_conservation_identity(self):
         rng = np.random.default_rng(6)
         q = sample_profile(self.w, self.g) + 0.05 * rng.standard_normal(self.g.M)
-        self.bc.apply(q, 0)
-        out = euler_step(q, self.g, self.w, self.bc, n=0)
+        pin_edges(q, self.edges[0])
+        out = euler_step(q, self.g, self.w, self.edges, n=0)
         dx, dt, D = self.g.dx, self.g.dt, self.w.D
         interior_change = dx * np.sum(out[1:-1] - q[1:-1])
         F = godunov_flux(q[:-1], q[1:], self.w.gamma)
@@ -309,8 +313,8 @@ class TestEulerStep:
     def test_forcing_enters_additively(self):
         q = sample_profile(self.w, self.g)
         forcing = np.linspace(-0.01, 0.02, self.g.M - 2)
-        base = euler_step(q, self.g, self.w, self.bc)
-        forced = euler_step(q, self.g, self.w, self.bc, forcing=forcing)
+        base = euler_step(q, self.g, self.w, self.edges)
+        forced = euler_step(q, self.g, self.w, self.edges, forcing=forcing)
         assert np.allclose(forced[1:-1] - base[1:-1], forcing, atol=1e-15)
         assert np.array_equal(forced[[0, -1]], base[[0, -1]])
 
@@ -318,12 +322,13 @@ class TestEulerStep:
         w = 2
         q0 = sample_profile(self.w, self.g)
         qN = sample_profile(self.w, self.g, shift=5.0)
-        bc = TimeInterpolated(left0=q0[:w], leftN=qN[:w], right0=q0[-w:],
-                              rightN=qN[-w:], n_steps=self.g.N)
+        ends = np.r_[:w, self.g.M - w:self.g.M]
+        t = (np.arange(self.g.N + 1) / self.g.N)[:, None]
+        edges = (1 - t) * q0[ends] + t * qN[ends]
         q = q0.copy()
         n_half = self.g.N // 2
         for n in range(n_half):
-            q = euler_step(q, self.g, self.w, bc, n=n)
+            q = euler_step(q, self.g, self.w, edges, n=n)
         s = n_half / self.g.N
         assert np.allclose(q[:w], (1 - s) * q0[:w] + s * qN[:w], atol=1e-15)
         assert np.allclose(q[-w:], (1 - s) * q0[-w:] + s * qN[-w:], atol=1e-15)

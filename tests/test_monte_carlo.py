@@ -9,14 +9,14 @@ import pytest
 from scipy.stats import norm
 
 from shockld import montecarlo
-from shockld.fluxes import FixedStates, TimeInterpolated, drift
+from shockld.fluxes import drift
 from shockld.grid import WaveSpec
 from shockld.montecarlo import (epsilon_sweep, importance_weights,
                                 run_basic_mc, run_estimators,
                                 run_importance_sampling, sample_stream,
                                 sample_terminal_states)
 from shockld.noise import unwhiten
-from shockld.optimize import (RareEventSpec, boundary_policy, initial_values,
+from shockld.optimize import (RareEventSpec, boundary_edges, initial_values,
                               target_values)
 
 DELTA = np.sqrt(0.5)
@@ -27,7 +27,9 @@ def row_major_kernel(scen, model, eps, K, seed, run_key, forcings):
 
     All K samples form one (K, M) batch: per-sample sample_stream draws,
     stacked z @ Phi.T coloring, drift on the (K, M) array and the kernel's
-    order of additions.  Returns one (report, terminal slices) per forcing.
+    order of additions; the outer cells are written from the rows of the
+    pinned-value table here, not through pin_edges.  Returns one (report,
+    terminal slices) per forcing.
     """
     grid, wave = model.grid, scen.wave
     N, M, dt, dx = grid.N, grid.M, grid.dt, grid.dx
@@ -47,7 +49,8 @@ def row_major_kernel(scen, model, eps, K, seed, run_key, forcings):
     y_sq = np.sum(z * z, axis=(1, 2))
     q0 = initial_values(scen, grid)
     target = target_values(scen, grid)
-    bc = boundary_policy(scen, grid)
+    edges = boundary_edges(scen, grid)
+    w = edges.shape[1] // 2
     out = []
     for h in forcings:
         tilt = None if h is None else unwhiten(model, h)
@@ -59,7 +62,8 @@ def row_major_kernel(scen, model, eps, K, seed, run_key, forcings):
             if tilt is not None:
                 incr += tilt[n]
             q[:, 1:-1] += incr
-            bc.apply(q, n + 1)
+            q[:, :w] = edges[n + 1, :w]
+            q[:, M - w:] = edges[n + 1, w:]
         d = q - target
         ind = dx * np.sum(d * d, axis=1) <= scen.delta ** 2
         if h is None:
@@ -371,6 +375,40 @@ class TestInputChecks:
         with pytest.raises(ValueError, match="K must be at least 1"):
             sample_terminal_states(ball_scen, exp_model, 0.15, 0, seed=1)
 
+    @pytest.mark.parametrize("entry", ["mc", "is", "sweep"])
+    def test_zero_delta_refused_by_library_estimators(
+            self, entry, displacement_scen, identity_model, table1_grid):
+        # dx |Q^N - target|^2 <= 0 has probability 0: refused, not reported
+        # as a saturated zero estimate
+        h = np.zeros((table1_grid.N, table1_grid.M - 2))
+        run = {
+            "mc": lambda: run_basic_mc(displacement_scen, identity_model,
+                                       0.1, 20, seed=1),
+            "is": lambda: run_importance_sampling(
+                displacement_scen, identity_model, 0.1, 20, h, seed=1),
+            "sweep": lambda: epsilon_sweep(
+                displacement_scen, identity_model, [0.1], 20, ["mc", "is0"],
+                seed=1, forcing_pinned=h),
+        }[entry]
+        with pytest.raises(ValueError, match="delta > 0.*probability 0"):
+            run()
+
+    def test_terminal_states_accept_zero_delta(self, displacement_scen,
+                                               exp_model, table1_grid):
+        term = sample_terminal_states(displacement_scen, exp_model, 0.1, 3,
+                                      seed=1)
+        assert term.shape == (3, table1_grid.M)
+
+    def test_report_fields_are_python_scalars(self, wave, exp_model):
+        scen = RareEventSpec("displacement", wave, x0=1.0, delta=2.0)
+        rep = run_basic_mc(scen, exp_model, np.float64(0.3), 50, seed=2)
+        assert 0 < rep.hits < 50
+        for name in ("estimate", "std", "ci_low", "ci_high",
+                     "relative_error", "epsilon"):
+            assert type(getattr(rep, name)) is float, name
+        assert type(rep.K) is int and type(rep.hits) is int
+        assert type(rep.flagged_saturated) is bool
+
     def test_importance_weights_checked(self, exp_model, table1_grid):
         good = np.zeros((table1_grid.N, table1_grid.M - 2))
         with pytest.raises(ValueError, match="shape"):
@@ -395,14 +433,13 @@ class TestKernelLayout:
                                                   monkeypatch):
         model = request.getfixturevalue(model_name)
         grid = model.grid
-        if kind == "displacement":   # fixed states, width 1
+        if kind == "displacement":   # far-field states, width 1
             scen = RareEventSpec(kind, wave, x0=5.0, delta=1.5)
         else:                        # time-interpolated, width 2
             scen = RareEventSpec(kind, wave, delta=1.3,
                                  target_wave=WaveSpec(2.2, 0.8, 1.0, 1.5))
-        assert isinstance(boundary_policy(scen, grid),
-                          FixedStates if kind == "displacement"
-                          else TimeInterpolated)
+        assert boundary_edges(scen, grid).shape[1] == \
+            (2 if kind == "displacement" else 4)
         rng = np.random.default_rng(12)
         h = 0.002 * rng.standard_normal((grid.N, grid.M - 2))
         if chunk is not None:

@@ -6,7 +6,7 @@ from shockld.fluxes import drift, euler_step
 from shockld.grid import SpaceTimeGrid, WaveSpec, sample_profile
 from shockld.noise import build_noise_model, whiten
 from shockld.optimize import (RareEventSpec, _diffusion_preconditioner,
-                              _free_block, _scaffold, boundary_policy,
+                              _free_block, _scaffold, boundary_edges,
                               linear_interpolation_path, linear_shift_path,
                               midpoint_convexity_test, minimize_ball,
                               minimize_pinned, minimize_smooth, target_values)
@@ -74,13 +74,46 @@ class TestScenario:
                              target_wave=WaveSpec(2.5, 0.5, 1.0, gamma=1.5))
         assert free_count(wide, table1_grid, False) == (N - 1) * (M - 4)
 
-    def test_scaffold_obeys_boundary_policy(self, wave, table1_grid):
-        scen = RareEventSpec("displacement", wave, x0=5.0)
-        q = _scaffold(scen, table1_grid, free_terminal=False)
-        assert np.all(q[1:table1_grid.N, 0] == wave.u_minus)
-        assert np.all(q[1:table1_grid.N, -1] == wave.u_plus)
-        assert np.array_equal(q[0], sample_profile(wave, table1_grid))
-        assert np.array_equal(q[-1], sample_profile(wave, table1_grid, 5.0))
+    @pytest.mark.parametrize("kind", ["displacement", "weak_to_strong"])
+    def test_boundary_edges_rows(self, wave, table1_grid, kind):
+        # width 1: the far-field states; width 2: (1 - n/N) q0 + (n/N) qN on
+        # the two outer cells per side, bit for bit, one level at a time
+        N, M = table1_grid.N, table1_grid.M
+        target = WaveSpec(2.5, 0.5, 1.0, gamma=1.5)
+        scen = RareEventSpec(kind, wave, x0=5.0, target_wave=target)
+        edges = boundary_edges(scen, table1_grid)
+        w = scen.boundary_width
+        assert edges.shape == (N + 1, 2 * w)
+        if kind == "displacement":
+            assert w == 1
+            assert np.all(edges[:, 0] == wave.u_minus)
+            assert np.all(edges[:, 1] == wave.u_plus)
+            return
+        assert w == 2
+        q0 = sample_profile(wave, table1_grid)
+        qN = sample_profile(target, table1_grid)
+        for n in range(N + 1):
+            s = n / N
+            assert np.array_equal(edges[n, :w], (1.0 - s) * q0[:w] + s * qN[:w])
+            assert np.array_equal(edges[n, w:],
+                                  (1.0 - s) * q0[M - w:] + s * qN[M - w:])
+
+    @pytest.mark.parametrize("kind", ["displacement", "weak_to_strong"])
+    def test_scaffold_obeys_boundary_edges(self, wave, table1_grid, kind):
+        # levels 1..N (free terminal) or 1..N-1 (pinned) carry the table's
+        # values; level 0 is the initial profile, a pinned level N the target
+        N = table1_grid.N
+        scen = RareEventSpec(kind, wave, x0=5.0,
+                             target_wave=WaveSpec(2.5, 0.5, 1.0, gamma=1.5))
+        w = scen.boundary_width
+        edges = boundary_edges(scen, table1_grid)
+        for free_terminal, last in ((True, N), (False, N - 1)):
+            q = _scaffold(scen, table1_grid, free_terminal)
+            rows = slice(1, last + 1)
+            assert np.array_equal(q[rows, :w], edges[rows, :w])
+            assert np.array_equal(q[rows, -w:], edges[rows, w:])
+            assert np.array_equal(q[0], sample_profile(wave, table1_grid))
+        assert np.array_equal(q[-1], target_values(scen, table1_grid))
 
 
 class TestEngine:
@@ -402,10 +435,10 @@ class TestMinimizeBall:
         model = build_noise_model(noise_kind, table1_grid, sigma=1.0, l_c=5.0)
         scen = RareEventSpec("displacement", wave, x0=1.0, delta=5.0)
         opt = minimize_ball(scen, model)
-        bc = boundary_policy(scen, table1_grid)
+        edges = boundary_edges(scen, table1_grid)
         rows = [sample_profile(wave, table1_grid)]
         for n in range(table1_grid.N):
-            rows.append(euler_step(rows[-1], table1_grid, wave, bc, n=n))
+            rows.append(euler_step(rows[-1], table1_grid, wave, edges, n=n))
         assert opt.iterations == 0
         assert np.array_equal(opt.path.q, np.stack(rows))
         assert opt.rate_value <= 1e-20

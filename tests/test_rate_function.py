@@ -1,21 +1,21 @@
 import numpy as np
 import pytest
 
-from shockld.fluxes import FixedStates, euler_step
+from shockld.fluxes import euler_step
 from shockld.grid import SpaceTimeGrid, WaveSpec, sample_profile
 from shockld.noise import build_noise_model, unwhiten, whiten
 from shockld.optimize import (RareEventSpec, _free_block, _scaffold,
-                              linear_interpolation_path)
+                              boundary_edges, linear_interpolation_path)
 from shockld.rate import (PathMatrix, _whitened_pair, discrete_lower_bound,
                           forcing_from_path, rate, rate_and_gradient,
                           residuals)
 
 
 def noiseless_path(grid, wave, q0):
-    bc = FixedStates(wave.u_minus, wave.u_plus)
+    edges = boundary_edges(RareEventSpec("displacement", wave), grid)
     rows = [q0]
     for n in range(grid.N):
-        rows.append(euler_step(rows[-1], grid, wave, bc, n=n))
+        rows.append(euler_step(rows[-1], grid, wave, edges, n=n))
     return PathMatrix(np.stack(rows), grid, wave)
 
 
@@ -164,10 +164,10 @@ class TestForcingFromPath:
         path = perturbed_path(scen, table1_grid, rng)
         h = forcing_from_path(path, exp_model)
         tilt = unwhiten(exp_model, h)
-        bc = FixedStates(wave.u_minus, wave.u_plus)
+        edges = boundary_edges(scen, table1_grid)
         q = path.q[0].copy()
         for n in range(table1_grid.N):
-            q = euler_step(q, table1_grid, wave, bc, forcing=tilt[n], n=n)
+            q = euler_step(q, table1_grid, wave, edges, forcing=tilt[n], n=n)
             assert np.max(np.abs(q[1:-1] - path.q[n + 1, 1:-1])) < 1e-12
 
     def test_rate_identity(self, table1_grid, wave, exp_model):
