@@ -5,8 +5,13 @@
 Subcommands: optimize, mc, is, sweep-x0, sweep-T, sweep-eps, convexity,
 center-diagnostics.  mc and is write the reports.csv row of a one-point
 sweep-eps at run.eps (is runs is-delta); mc, is and sweep-eps refuse
-scenario.delta = 0, whose terminal event has probability 0.  sweep-x0 and
-sweep-T are one rate sweep over x0 or T.
+scenario.delta = 0, whose terminal event has probability 0, and
+center-diagnostics refuses run.eps = 0, whose center law has variance 0.
+center-diagnostics reduces each chunk of terminal slices to its wave centers
+as the kernel produces them, so its memory grows with K floats, not K x M.
+sweep-x0 and sweep-T are one rate sweep over x0 or T.  Every *_meta.json
+records the numerical regime: the grid's CFL number and the BLAS thread
+variables.
 SHOCKLD_THREADS is the fallback for --threads; a thread count below 1 is
 refused.  All numeric output is written with 17 significant digits so that
 reruns with the same seed are byte-identical and path files round-trip
@@ -30,7 +35,7 @@ from . import __version__
 from .config import ConfigError, RunConfig, parse_config
 from .diagnostics import (analytic_center_law, analytic_exit_probability,
                           transition_margin_ok, wave_centers)
-from .fluxes import check_cfl
+from .fluxes import cfl_number, check_cfl
 from .grid import SpaceTimeGrid
 from .montecarlo import run_estimators, sample_terminal_states
 from .noise import build_noise_model
@@ -75,8 +80,16 @@ def _write_matrix(fname: str, header, matrix) -> None:
         fh.write((line * len(rows)) % tuple(rows.ravel().tolist()))
 
 
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def _write_meta(out_dir: str, name: str, cfg: RunConfig, extra: dict) -> None:
-    meta = {"code_version": __version__, "config": cfg.raw}
+    """The JSON sidecar: code version, config and the numerical regime (the
+    grid's CFL number and the BLAS thread variables, null when unset),
+    then the subcommand's own fields."""
+    meta = {"code_version": __version__, "config": cfg.raw,
+            "cfl_number": cfl_number(cfg.grid, cfg.wave),
+            "thread_env": {var: os.environ.get(var) for var in _THREAD_VARS}}
     meta.update(extra)
     with open(os.path.join(out_dir, name), "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
@@ -292,12 +305,17 @@ def cmd_convexity(cfg: RunConfig, out_dir: str, threads: int) -> None:
 def cmd_center_diagnostics(cfg: RunConfig, out_dir: str, threads: int) -> None:
     model = _build(cfg)
     eps = _require(cfg.run.eps, "eps")
+    if not eps > 0:
+        raise ConfigError(f"run.eps must be positive for center-diagnostics, "
+                          f"got {eps!r}: the center law at eps = 0 has "
+                          f"variance 0")
     K = _require(cfg.run.K, "K")
     grid, wave = cfg.grid, cfg.wave
-    terminals = sample_terminal_states(cfg.scenario, model, eps, K,
-                                       cfg.run.seed)
     reference = initial_values(cfg.scenario, grid)
-    centers = wave_centers(terminals, reference, wave, grid.dx)
+    # reduced to centers chunk by chunk, so no (K, M) array of slices is held
+    centers = sample_terminal_states(
+        cfg.scenario, model, eps, K, cfg.run.seed,
+        keep=lambda q: wave_centers(q, reference, wave, grid.dx))
     emp_mean = float(np.mean(centers))
     emp_var = float(np.var(centers))
     mean, var = analytic_center_law(eps, grid.T, model, wave)

@@ -42,6 +42,15 @@ sqrt(dt/dx) writes it cells-major, as (N, M-2, B), so each step adds one
 contiguous slice.  The batch, the step increment and that store are
 allocated once per kernel call, and the drift is written into the increment.
 
+The chunk-sized elementwise passes (the coloring product and its scaled
+transposing copy, the whitened draws' scaling and their squared norms, and
+the shifted square-sums of the weights) run over blocks of _BLOCK samples,
+so their temporaries are block-sized: the two draw buffers and the colored
+store are the only arrays of a chunk's B x N x (M-2) values.  Each value is
+computed per sample, so it keeps its bits at any block size.  The kernel
+reduces each chunk's terminal slices to the rows the caller keeps (keep),
+so no (K, M) array exists unless the caller asks for the slices themselves.
+
 Seeding contract: a 64-bit root seed expands into one independent stream per
 sample index (counter-based spawn keys), so the draws of sample k never
 depend on K, on chunking, or on which estimators consume them.  Statistics
@@ -80,6 +89,7 @@ ESTIMATORS = ("mc", "is0", "is-delta")  # names of epsilon_sweep's estimators
 _DOMAIN_MC = 1  # spawn-key namespace for trajectory noise
 
 _CHUNK = 512
+_BLOCK = 64  # samples per elementwise pass over a chunk
 
 # numpy's SeedSequence entropy hash (pool size 4) and PCG64 seeding, restated
 # so that _stream_states can derive a chunk of streams at once.
@@ -254,6 +264,20 @@ def _report(p: np.ndarray, eps: float, hits: int) -> EstimatorReport:
         flagged_saturated=rel >= 0.9 * math.sqrt(K))
 
 
+def _square_sums(y: np.ndarray, shift=0.0) -> np.ndarray:
+    """Sum of (y + shift)^2 over the last two axes of y (..., N, M-2).
+
+    Runs over blocks of _BLOCK samples, so the only temporary is one block.
+    """
+    samples = y.reshape((-1,) + y.shape[-2:])
+    out = np.empty(len(samples))
+    for lo in range(0, len(samples), _BLOCK):
+        s = samples[lo:lo + _BLOCK] + shift
+        s *= s
+        np.sum(s, axis=(1, 2), out=out[lo:lo + _BLOCK])
+    return out.reshape(y.shape[:-2])
+
+
 def _log_weights(y: np.ndarray, shift: np.ndarray, scale: float,
                  y_sq: np.ndarray | None = None) -> np.ndarray:
     """Gaussian log-likelihood ratio log dP/dQ of whitened draws.
@@ -263,10 +287,8 @@ def _log_weights(y: np.ndarray, shift: np.ndarray, scale: float,
     over the last two axes, may be passed in when several shifts share y.
     """
     if y_sq is None:
-        y_sq = np.sum(y * y, axis=(-2, -1))
-    s = y + shift
-    s *= s
-    return -scale * (np.sum(s, axis=(-2, -1)) - y_sq)
+        y_sq = _square_sums(y)
+    return -scale * (_square_sums(y, shift) - y_sq)
 
 
 def _checked(K: int, eps: float, forcings, shape: tuple[int, int]) -> list:
@@ -286,36 +308,41 @@ def _checked(K: int, eps: float, forcings, shape: tuple[int, int]) -> list:
     return forcings
 
 
-def _inside(qT: np.ndarray, target: np.ndarray, dx: float,
+def _inside(q: np.ndarray, target: np.ndarray, dx: float,
             delta_sq: float) -> np.ndarray:
-    """Event indicator dx ||q - target||^2 <= delta^2 of a cells-major batch.
+    """Event indicator dx ||q - target||^2 <= delta^2 of (B, M) slices.
 
-    The terminal slices are copied back to C order first, so the distance
-    sums keep the summation order of a row-major batch.
+    q is C-ordered, so the distance sums keep the summation order of a
+    row-major batch; the squared distances overwrite it.
     """
-    d = np.ascontiguousarray(qT.T)
-    d -= target
-    d *= d
-    return dx * np.sum(d, axis=1) <= delta_sq
+    q -= target
+    q *= q
+    return dx * np.sum(q, axis=1) <= delta_sq
 
 
 def _simulate(scen: RareEventSpec, model: NoiseModel, eps: float, K: int,
-              seed: int, run_key: int, forcings, keep_terminals: bool = False):
+              seed: int, run_key: int, forcings, keep=None):
     """Evolve K trajectories per forcing from one set of per-sample draws.
 
     forcings is a sequence of pre-whitened h (N, M-2), None meaning the
-    untilted scheme.  Returns (p, hits, terminals): p has one row of
-    per-sample values per forcing, hits one count per forcing, terminals the
-    terminal slices (len(forcings), K, M) when keep_terminals, else None.
-    The weights come from the whitened draws through _log_weights, so no
-    colored increment is ever whitened back.
+    untilted scheme.  keep, if given, maps one chunk's terminal slices, a
+    C-ordered (B, M) array, to one row per sample; the rows are copied out
+    before that array is reused, so keep may return it.  Returns
+    (p, hits, kept): p has one row of per-sample values per forcing, hits
+    one count per forcing, kept the rows keep returned,
+    (len(forcings), K, ...), or None without keep.  The weights come from
+    the whitened draws through _log_weights, so no colored increment is
+    ever whitened back.
 
     Every buffer is allocated once per call and viewed at each chunk's
     size B: the trajectory batch qT, stored cells-major as (M, B); the step
     increment inc, (M-2, B); and the colored increments dW of the chunk,
     (N, M-2, B), so each step adds one contiguous slice dW[n].  drift
     writes each step's drift into inc through the Fortran-ordered (B, M)
-    views qT.T and inc.T.
+    views qT.T and inc.T.  Beyond these, the two draw buffers of _draws and
+    the per-sample outputs, a call allocates per chunk only block-sized
+    temporaries (_BLOCK samples) and one (B, M) copy of the terminal
+    slices per forcing.
     """
     grid, wave = model.grid, scen.wave
     N, M = grid.N, grid.M
@@ -334,7 +361,7 @@ def _simulate(scen: RareEventSpec, model: NoiseModel, eps: float, K: int,
 
     p = np.empty((len(forcings), K))
     hits = [0] * len(forcings)
-    terminals = np.empty((len(forcings), K, M)) if keep_terminals else None
+    kept = None
     size = min(K, _CHUNK)
     q_mem, inc_mem, dW_mem = (np.empty(n * size)
                               for n in (M, n_int, N * n_int))
@@ -343,11 +370,14 @@ def _simulate(scen: RareEventSpec, model: NoiseModel, eps: float, K: int,
         qT = q_mem[:M * B].reshape(M, B)
         inc = inc_mem[:n_int * B].reshape(n_int, B)
         dW = dW_mem[:N * n_int * B].reshape(N, n_int, B)
-        np.multiply(unwhiten(model, z).transpose(1, 2, 0), rho, out=dW)
+        for lo in range(0, B, _BLOCK):
+            zb = z[lo:lo + _BLOCK]
+            np.multiply(unwhiten(model, zb).transpose(1, 2, 0), rho,
+                        out=dW[:, :, lo:lo + _BLOCK])
+            if tilted:
+                zb *= rho
         dW *= eps
-        if tilted:
-            z *= rho
-        y_sq = np.sum(z * z, axis=(1, 2)) if tilted else None
+        y_sq = _square_sums(z) if tilted else None
 
         for i, (h, tilt) in enumerate(zip(forcings, tilts)):
             qT[...] = q0[:, None]
@@ -360,16 +390,21 @@ def _simulate(scen: RareEventSpec, model: NoiseModel, eps: float, K: int,
                 qT[1:-1] += inc
                 pin_edges(qT.T, edges[n + 1])
 
-            if keep_terminals:
-                terminals[i, start:stop] = qT.T
-            ind = _inside(qT, target, dx, delta_sq)
+            q = np.ascontiguousarray(qT.T)
+            if keep is not None:
+                rows = keep(q)
+                if kept is None:
+                    kept = np.empty((len(forcings), K) + rows.shape[1:],
+                                    rows.dtype)
+                kept[i, start:stop] = rows
+            ind = _inside(q, target, dx, delta_sq)
             hits[i] += int(np.count_nonzero(ind))
             if h is None:
                 p[i, start:stop] = ind.astype(float)
             else:
                 p[i, start:stop] = ind * np.exp(
                     _log_weights(z, h / eps, scale, y_sq))
-    return p, hits, terminals
+    return p, hits, kept
 
 
 def run_estimators(scen: RareEventSpec, model: NoiseModel, eps: float, K: int,
@@ -407,11 +442,19 @@ def run_importance_sampling(scen: RareEventSpec, model: NoiseModel, eps: float,
 
 def sample_terminal_states(scen: RareEventSpec, model: NoiseModel, eps: float,
                            K: int, seed: int, run_key: int = 0,
-                           forcing: np.ndarray | None = None) -> np.ndarray:
-    """Terminal slices of K noisy trajectories, shape (K, M)."""
-    _, _, terminals = _simulate(scen, model, eps, K, seed, run_key,
-                                [forcing], keep_terminals=True)
-    return terminals[0]
+                           forcing: np.ndarray | None = None,
+                           keep=None) -> np.ndarray:
+    """Terminal slices of K noisy trajectories, shape (K, M), or what keep
+    makes of them.
+
+    keep maps the terminal slices of a chunk of B samples, a C-ordered
+    (B, M) array, to B rows, and the result stacks the rows of all K
+    samples; without it the slices themselves are returned.  A keep that
+    reduces each slice to a few numbers keeps memory at O(K) of them.
+    """
+    _, _, kept = _simulate(scen, model, eps, K, seed, run_key, [forcing],
+                           keep=(lambda q: q) if keep is None else keep)
+    return kept[0]
 
 
 def importance_weights(model: NoiseModel, eps: float, K: int,

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 import shockld
+from shockld import cli, montecarlo
 from shockld.cli import _write_matrix, main
 from shockld.config import ConfigError, parse_config
+from shockld.fluxes import cfl_number
 from shockld.grid import SpaceTimeGrid, WaveSpec
 from shockld.montecarlo import epsilon_sweep
 from shockld.noise import build_noise_model
@@ -175,6 +177,25 @@ class TestSubcommands:
         record = meta["optimizer"]
         assert record["iterations"] == int(row["iterations"])
         assert record["evaluations"] > record["iterations"]
+
+    def test_meta_records_numerical_regime(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        cfg_path = make_config(
+            tmp_path, **{"grid.dt": 0.1, "noise.kind": "identity",
+                         "noise.sigma": None, "noise.l_c": None,
+                         "scenario.x0": 2.0, "scenario.delta": 0.0})
+        out = tmp_path / "out"
+        assert main(["optimize", "--config", str(cfg_path),
+                     "--out", str(out)]) == 0
+        meta = json.loads((out / "optimize_meta.json").read_text())
+        cfg = parse_config(cfg_path.read_text())
+        assert meta["cfl_number"] == cfl_number(cfg.grid, cfg.wave) == \
+            pytest.approx(0.9)
+        assert meta["thread_env"] == {"OPENBLAS_NUM_THREADS": "1",
+                                      "OMP_NUM_THREADS": "2",
+                                      "MKL_NUM_THREADS": None}
 
     def test_optimize_meta_records_ball_outer_steps(self, tmp_path):
         cfg_path = make_config(
@@ -364,6 +385,45 @@ class TestSubcommands:
         row = read_rows(out / "center_diagnostics.csv")[0]
         assert float(row["var_ratio"]) == pytest.approx(1.0, abs=0.2)
         assert row["margin_ok"] == "true"
+
+    def test_zero_eps_refused_by_center_diagnostics(self, tmp_path, capsys):
+        # the center law at eps = 0 has variance 0: var_ratio would be nan
+        cfg_path = make_config(tmp_path, **{"run.K": 50, "run.eps": 0.0,
+                                            "scenario.delta": 0.0})
+        out = tmp_path / "out"
+        assert main(["center-diagnostics", "--config", str(cfg_path),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "shockld center-diagnostics" in err and "run.eps" in err
+        assert not (out / "center_diagnostics.csv").exists()
+
+    def test_one_traced_wave_centers_call_per_chunk(self, tmp_path,
+                                                    monkeypatch):
+        # perfbench/tracing.py times the center reduction and counts the
+        # trajectories by patching these shockld.cli attributes; the kernel
+        # must call the patched wave_centers once per chunk
+        calls, counts = [], []
+        centers, sample = cli.wave_centers, cli.sample_terminal_states
+
+        def counting_centers(states, *args, **kwargs):
+            calls.append(states.shape)
+            return centers(states, *args, **kwargs)
+
+        def counting_sample(*args, **kwargs):
+            out = sample(*args, **kwargs)
+            counts.append(out.shape[0])
+            return out
+
+        monkeypatch.setattr(montecarlo, "_CHUNK", 7)
+        monkeypatch.setattr(cli, "wave_centers", counting_centers)
+        monkeypatch.setattr(cli, "sample_terminal_states", counting_sample)
+        cfg_path = make_config(tmp_path, **{"run.K": 20, "run.eps": 0.1,
+                                            "scenario.delta": 0.0})
+        assert main(["center-diagnostics", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert calls == [(7, 70), (7, 70), (6, 70)]
+        assert counts == [20]
 
     def test_negative_eps_grid_fails_with_diagnostic(self, tmp_path, capsys):
         cfg_path = make_config(tmp_path, **{"run.K": 50, "run.eps": None,

@@ -9,13 +9,14 @@ import pytest
 from scipy.stats import norm
 
 from shockld import montecarlo
+from shockld.diagnostics import wave_centers
 from shockld.fluxes import drift
-from shockld.grid import WaveSpec
+from shockld.grid import SpaceTimeGrid, WaveSpec
 from shockld.montecarlo import (epsilon_sweep, importance_weights,
                                 run_basic_mc, run_estimators,
                                 run_importance_sampling, sample_stream,
                                 sample_terminal_states)
-from shockld.noise import unwhiten
+from shockld.noise import build_noise_model, unwhiten
 from shockld.optimize import (RareEventSpec, boundary_edges, initial_values,
                               target_values)
 
@@ -81,6 +82,23 @@ def report_bits(rep):
                        rep.relative_error, rep.epsilon])
     return (floats.view(np.int64).tolist(), rep.K, rep.hits,
             rep.flagged_saturated)
+
+
+def unblocked_weights(model, eps, K, forcing, seed, run_key):
+    """importance_weights written out over one (K, N, M-2) draw array.
+
+    Per-sample sample_stream draws, scaled by sqrt(dt/dx) in place, and
+    whole-array square sums: no chunks and no sample blocks.
+    """
+    grid = model.grid
+    z = np.array([sample_stream(seed, run_key, k)
+                  .standard_normal((grid.N, grid.M - 2)) for k in range(K)])
+    z *= np.sqrt(grid.dt / grid.dx)
+    y_sq = np.sum(z * z, axis=(1, 2))
+    s = z + forcing / eps
+    s *= s
+    return np.exp(-(grid.dx / (2.0 * grid.dt))
+                  * (np.sum(s, axis=(1, 2)) - y_sq))
 
 
 class TestEventIndicator:
@@ -457,6 +475,39 @@ class TestKernelLayout:
             assert np.array_equal(q.view(np.int64), q_ref.view(np.int64))
 
 
+class TestSampleBlocks:
+    @pytest.mark.parametrize("block", [1, 7, None])
+    @pytest.mark.parametrize("chunk", [1, 7, None])
+    @pytest.mark.parametrize("tilted", [False, True],
+                             ids=["untilted", "tilted"])
+    @pytest.mark.parametrize("model_name", ["exp_model", "identity_model"])
+    def test_kept_rows_and_weights_match_unblocked(self, model_name, tilted,
+                                                   chunk, block, ball_scen,
+                                                   ball_exp_opt, wave,
+                                                   request, monkeypatch):
+        model = request.getfixturevalue(model_name)
+        grid = model.grid
+        forcing = ball_exp_opt.forcing
+        h = forcing if tilted else None
+        K, eps = 17, 0.15
+        reference = initial_values(ball_scen, grid)
+        terminals = sample_terminal_states(ball_scen, model, eps, K, seed=8,
+                                           run_key=1, forcing=h)
+        centers = wave_centers(terminals, reference, wave, grid.dx)
+        weights = unblocked_weights(model, eps, K, forcing, 8, 1)
+        if chunk is not None:
+            monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+        if block is not None:
+            monkeypatch.setattr(montecarlo, "_BLOCK", block)
+        kept = sample_terminal_states(
+            ball_scen, model, eps, K, seed=8, run_key=1, forcing=h,
+            keep=lambda q: wave_centers(q, reference, wave, grid.dx))
+        assert kept.shape == (K,)
+        assert np.array_equal(kept.view(np.int64), centers.view(np.int64))
+        w = importance_weights(model, eps, K, forcing, seed=8, run_key=1)
+        assert np.array_equal(w.view(np.int64), weights.view(np.int64))
+
+
 class TestKernelBuffers:
     def test_overwritten_chunks_match_fresh_draws(self, monkeypatch):
         # the kernel scales each chunk in place; while it does, the next
@@ -475,9 +526,9 @@ class TestKernelBuffers:
     def test_numpy_peak_stays_within_four_chunk_blocks(self, ball_scen,
                                                        exp_model, ball_exp_opt,
                                                        pinned_exp_opt):
-        # two draw buffers, the colored store and one chunk-sized temporary
-        # (coloring product, squared draws or shifted draws), plus the
-        # per-batch arrays: 4.19 blocks of 5.6 MB at this K on the
+        # two draw buffers and the colored store, plus the sample-block
+        # temporaries (coloring product, squared or shifted draws) and the
+        # per-batch arrays: 3.43-3.44 blocks of 5.6 MB at this K on the
         # benchmark grid
         grid = exp_model.grid
         block = montecarlo._CHUNK * grid.N * (grid.M - 2) * 8
@@ -489,7 +540,35 @@ class TestKernelBuffers:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4.19 * block
+        assert peak <= 3.47 * block
+
+    def test_centers_path_holds_no_slice_array(self, displacement_scen,
+                                               wave):
+        # on a two-step grid every chunk-sized buffer is smaller than one
+        # (K, M) array of terminal slices, so while the kernel runs no live
+        # allocation may be that large
+        grid = SpaceTimeGrid.from_spacing(-15.0, 20.0, 0.5, 0.1, 0.05)
+        model = build_noise_model("exponential", grid, sigma=1.0, l_c=5.0)
+        K = 4 * montecarlo._CHUNK + 3
+        slices = K * grid.M * 8
+        assert montecarlo._CHUNK * grid.N * (grid.M - 2) * 8 < slices
+        reference = initial_values(displacement_scen, grid)
+        largest = []
+
+        def keep(q):
+            traces = tracemalloc.take_snapshot().traces
+            largest.append(max(trace.size for trace in traces))
+            return wave_centers(q, reference, wave, grid.dx)
+
+        tracemalloc.start()
+        try:
+            centers = sample_terminal_states(displacement_scen, model, 0.1, K,
+                                             seed=3, keep=keep)
+        finally:
+            tracemalloc.stop()
+        assert centers.shape == (K,)
+        assert len(largest) == 5
+        assert max(largest) < slices
 
     def test_one_traced_drift_call_per_step(self, ball_scen, exp_model,
                                             ball_exp_opt, pinned_exp_opt,
@@ -549,10 +628,12 @@ class TestStreams:
 
         reports, terminals = outputs()
         monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
-        chunked_reports, chunked_terminals = outputs()
-        assert chunked_reports == reports
-        assert np.array_equal(chunked_terminals.view(np.int64),
-                              terminals.view(np.int64))
+        for block in (1, 7, montecarlo._BLOCK):
+            monkeypatch.setattr(montecarlo, "_BLOCK", block)
+            chunked_reports, chunked_terminals = outputs()
+            assert chunked_reports == reports
+            assert np.array_equal(chunked_terminals.view(np.int64),
+                                  terminals.view(np.int64))
 
     def test_helper_thread_failure_surfaces(self, ball_scen, exp_model,
                                             monkeypatch):
