@@ -6,7 +6,8 @@ Subcommands: optimize, mc, is, sweep-x0, sweep-T, sweep-eps, convexity,
 center-diagnostics.  mc and is write the reports.csv row of a one-point
 sweep-eps at run.eps (is runs is-delta); mc, is and sweep-eps refuse
 scenario.delta = 0, whose terminal event has probability 0, and
-center-diagnostics refuses run.eps = 0, whose center law has variance 0.
+center-diagnostics refuses a run.eps whose center law has variance 0 (eps =
+0, or eps^2 underflowing).
 center-diagnostics reduces each chunk of terminal slices to its wave centers
 as the kernel produces them, so its memory grows with K floats, not K x M.
 sweep-x0 and sweep-T are one rate sweep over x0 or T.  Every *_meta.json
@@ -305,12 +306,12 @@ def cmd_convexity(cfg: RunConfig, out_dir: str, threads: int) -> None:
 def cmd_center_diagnostics(cfg: RunConfig, out_dir: str, threads: int) -> None:
     model = _build(cfg)
     eps = _require(cfg.run.eps, "eps")
-    if not eps > 0:
-        raise ConfigError(f"run.eps must be positive for center-diagnostics, "
-                          f"got {eps!r}: the center law at eps = 0 has "
-                          f"variance 0")
     K = _require(cfg.run.K, "K")
     grid, wave = cfg.grid, cfg.wave
+    mean, var = analytic_center_law(eps, grid.T, model, wave)
+    if not var > 0:
+        raise ConfigError(f"run.eps = {eps!r} gives the center law variance "
+                          f"{var!r}; center-diagnostics needs it positive")
     reference = initial_values(cfg.scenario, grid)
     # reduced to centers chunk by chunk, so no (K, M) array of slices is held
     centers = sample_terminal_states(
@@ -318,7 +319,6 @@ def cmd_center_diagnostics(cfg: RunConfig, out_dir: str, threads: int) -> None:
         keep=lambda q: wave_centers(q, reference, wave, grid.dx))
     emp_mean = float(np.mean(centers))
     emp_var = float(np.var(centers))
-    mean, var = analytic_center_law(eps, grid.T, model, wave)
 
     p_target = cfg.run.exit_probability or 0.01
     threshold = float(np.sqrt(var) * NormalDist().inv_cdf(1.0 - p_target))
@@ -333,9 +333,9 @@ def cmd_center_diagnostics(cfg: RunConfig, out_dir: str, threads: int) -> None:
               "analytic_mean", "analytic_var", "var_ratio", "exit_threshold",
               "exit_mc", "exit_ci_low", "exit_ci_high", "exit_analytic",
               "margin_ok", "seed"]
-    row = [FORMAT_VERSION, eps, K, emp_mean, emp_var, mean, var,
-           emp_var / var if var > 0 else float("nan"), threshold, mc_p,
-           mc_p - half, mc_p + half, analytic_p, margin, cfg.run.seed]
+    row = [FORMAT_VERSION, eps, K, emp_mean, emp_var, mean, var, emp_var / var,
+           threshold, mc_p, mc_p - half, mc_p + half, analytic_p, margin,
+           cfg.run.seed]
     _write_csv(os.path.join(out_dir, "center_diagnostics.csv"), header, [row])
     _write_meta(out_dir, "center_diagnostics_meta.json", cfg,
                 {"subcommand": "center-diagnostics"})

@@ -16,19 +16,20 @@ and reweights each sample by the exact Gaussian likelihood ratio
                                   - ||Phi^{-1} dW~^n||^2 ] ),
 
 so that E[indicator * w] is the original-event probability for any forcing.
-_log_weights is the one implementation of this weight; the kernel and
-importance_weights both apply it to the whitened draws
-Phi^{-1} dW~^n = sqrt(dt/dx) z^n, never to the colored increments.
+_log_weights is the one implementation of this weight; run_estimators applies
+it to the whitened draws Phi^{-1} dW~^n = sqrt(dt/dx) z^n, never to the
+colored increments.
 
-One trajectory kernel serves every estimator.  It takes a sequence of
-forcings (None for the untilted scheme) and works through the samples in
-chunks: per chunk it draws and colors the normals once, and then steps one
-trajectory batch per forcing from that single batch of increments.  An
+One trajectory kernel, _simulate, serves every caller.  It takes a sequence
+of forcings (None for the untilted scheme) and works through the samples in
+chunks: per chunk it draws and colors the normals once, then steps one
+trajectory batch per forcing from those increments and yields its terminal
+slices with the chunk's whitened draws.  It only steps: run_estimators scores
+the slices (indicator times weight), sample_terminal_states stores them.  An
 epsilon sweep therefore runs mc, is0 and is-delta at one eps from one set of
-draws; the likelihood weights reuse the whitened draws and their squared
-norms.  Each kernel call runs one helper thread that draws chunk c+1 while
-the calling thread colors and steps chunk c (numpy releases the GIL in
-both); it is joined before the call returns.
+draws.  A helper thread draws chunk c+1 while the calling thread colors and
+steps chunk c (numpy releases the GIL in both); it is joined when the run
+ends or is abandoned.
 
 Each trajectory batch is held cells-major, as an (M, B) array whose
 contiguous axis runs over the samples, so each elementwise pass of a step
@@ -40,16 +41,16 @@ single 2-D product over the chunk is large enough for a threaded BLAS to
 spread over every core, which then starves the draw thread.  Its scaling by
 sqrt(dt/dx) writes it cells-major, as (N, M-2, B), so each step adds one
 contiguous slice.  The batch, the step increment and that store are
-allocated once per kernel call, and the drift is written into the increment.
+allocated once per kernel run, and the drift is written into the increment.
 
 The chunk-sized elementwise passes (the coloring product and its scaled
 transposing copy, the whitened draws' scaling and their squared norms, and
 the shifted square-sums of the weights) run over blocks of _BLOCK samples,
 so their temporaries are block-sized: the two draw buffers and the colored
 store are the only arrays of a chunk's B x N x (M-2) values.  Each value is
-computed per sample, so it keeps its bits at any block size.  The kernel
-reduces each chunk's terminal slices to the rows the caller keeps (keep),
-so no (K, M) array exists unless the caller asks for the slices themselves.
+computed per sample, so it keeps its bits at any block size.  Callers reduce
+each chunk's terminal slices before the next is stepped, so no (K, M) array
+exists unless the caller asks for the slices themselves.
 
 Seeding contract: a 64-bit root seed expands into one independent stream per
 sample index (counter-based spawn keys), so the draws of sample k never
@@ -78,7 +79,6 @@ __all__ = [
     "run_basic_mc",
     "run_estimators",
     "run_importance_sampling",
-    "importance_weights",
     "epsilon_sweep",
     "sample_terminal_states",
     "sample_stream",
@@ -279,28 +279,33 @@ def _square_sums(y: np.ndarray, shift=0.0) -> np.ndarray:
 
 
 def _log_weights(y: np.ndarray, shift: np.ndarray, scale: float,
-                 y_sq: np.ndarray | None = None) -> np.ndarray:
+                 y_sq: np.ndarray) -> np.ndarray:
     """Gaussian log-likelihood ratio log dP/dQ of whitened draws.
 
     y holds the whitened zero-mean increments (..., N, M-2), shift the mean
-    h/eps of the tilted law, scale is dx / (2 dt).  y_sq, the sum of y^2
-    over the last two axes, may be passed in when several shifts share y.
+    h/eps of the tilted law, scale is dx / (2 dt), and y_sq the sum of y^2
+    over the last two axes, shared by every shift of the same y.
     """
-    if y_sq is None:
-        y_sq = _square_sums(y)
     return -scale * (_square_sums(y, shift) - y_sq)
 
 
-def _checked(K: int, eps: float, forcings, shape: tuple[int, int]) -> list:
-    """Forcings as (N, M-2) float arrays; refuses K < 1 and eps out of range."""
+def _checked(K: int, eps: float, forcings, model: NoiseModel) -> list:
+    """Forcings as (N, M-2) float arrays; refuses bad K, eps and forcings."""
     if K < 1:
         raise ValueError("K must be at least 1")
+    shape = (model.grid.N, model.grid.M - 2)
     forcings = [None if h is None else np.asarray(h, dtype=float)
                 for h in forcings]
+    if not forcings:
+        raise ValueError("forcings must be nonempty")
     for h in forcings:
-        if h is not None and h.shape != shape:
+        if h is None:
+            continue
+        if h.shape != shape:
             raise ValueError(f"forcing must have shape (N, M-2) = {shape}, "
                              f"got {h.shape}")
+        if not np.isfinite(h).all():
+            raise ValueError("forcing entries must be finite")
     if not 0 <= eps < np.inf:
         raise ValueError(f"eps must be nonnegative and finite, got {eps}")
     if eps <= 0 and any(h is not None for h in forcings):
@@ -321,47 +326,36 @@ def _inside(q: np.ndarray, target: np.ndarray, dx: float,
 
 
 def _simulate(scen: RareEventSpec, model: NoiseModel, eps: float, K: int,
-              seed: int, run_key: int, forcings, keep=None):
+              seed: int, run_key: int, forcings):
     """Evolve K trajectories per forcing from one set of per-sample draws.
 
-    forcings is a sequence of pre-whitened h (N, M-2), None meaning the
-    untilted scheme.  keep, if given, maps one chunk's terminal slices, a
-    C-ordered (B, M) array, to one row per sample; the rows are copied out
-    before that array is reused, so keep may return it.  Returns
-    (p, hits, kept): p has one row of per-sample values per forcing, hits
-    one count per forcing, kept the rows keep returned,
-    (len(forcings), K, ...), or None without keep.  The weights come from
-    the whitened draws through _log_weights, so no colored increment is
-    ever whitened back.
+    forcings holds checked (N, M-2) arrays h, None meaning the untilted
+    scheme.  Per chunk the draws are colored once; then each forcing's batch
+    is stepped and yielded as (i, start, z, q): the forcing's index, the
+    chunk's first sample, its draws z (B, N, M-2), whitened when any forcing
+    is tilted and valid only until the next chunk, and the terminal slices
+    q, a fresh C-ordered (B, M) array the caller may overwrite.
 
-    Every buffer is allocated once per call and viewed at each chunk's
+    Every buffer is allocated once per run and viewed at each chunk's
     size B: the trajectory batch qT, stored cells-major as (M, B); the step
     increment inc, (M-2, B); and the colored increments dW of the chunk,
     (N, M-2, B), so each step adds one contiguous slice dW[n].  drift
     writes each step's drift into inc through the Fortran-ordered (B, M)
-    views qT.T and inc.T.  Beyond these, the two draw buffers of _draws and
-    the per-sample outputs, a call allocates per chunk only block-sized
-    temporaries (_BLOCK samples) and one (B, M) copy of the terminal
-    slices per forcing.
+    views qT.T and inc.T.  Beyond these and the two draw buffers of _draws,
+    a run allocates per chunk only block-sized temporaries (_BLOCK samples)
+    and the (B, M) terminal slices of one forcing at a time.
     """
     grid, wave = model.grid, scen.wave
     N, M = grid.N, grid.M
-    dt, dx = grid.dt, grid.dx
+    dt = grid.dt
     n_int = M - 2
-    forcings = _checked(K, eps, forcings, (N, n_int))
     q0 = initial_values(scen, grid)
-    target = target_values(scen, grid)
     edges = boundary_edges(scen, grid)
-    delta_sq = scen.delta ** 2
-    rho = np.sqrt(dt / dx)
-    scale = dx / (2.0 * dt)
+    rho = np.sqrt(dt / grid.dx)
     tilted = any(h is not None for h in forcings)
     tilts = [None if h is None else unwhiten(model, h)[:, :, None]
              for h in forcings]
 
-    p = np.empty((len(forcings), K))
-    hits = [0] * len(forcings)
-    kept = None
     size = min(K, _CHUNK)
     q_mem, inc_mem, dW_mem = (np.empty(n * size)
                               for n in (M, n_int, N * n_int))
@@ -377,9 +371,8 @@ def _simulate(scen: RareEventSpec, model: NoiseModel, eps: float, K: int,
             if tilted:
                 zb *= rho
         dW *= eps
-        y_sq = _square_sums(z) if tilted else None
 
-        for i, (h, tilt) in enumerate(zip(forcings, tilts)):
+        for i, tilt in enumerate(tilts):
             qT[...] = q0[:, None]
             for n in range(N):
                 drift(qT.T, grid, wave, out=inc.T)
@@ -389,22 +382,7 @@ def _simulate(scen: RareEventSpec, model: NoiseModel, eps: float, K: int,
                     inc += tilt[n]
                 qT[1:-1] += inc
                 pin_edges(qT.T, edges[n + 1])
-
-            q = np.ascontiguousarray(qT.T)
-            if keep is not None:
-                rows = keep(q)
-                if kept is None:
-                    kept = np.empty((len(forcings), K) + rows.shape[1:],
-                                    rows.dtype)
-                kept[i, start:stop] = rows
-            ind = _inside(q, target, dx, delta_sq)
-            hits[i] += int(np.count_nonzero(ind))
-            if h is None:
-                p[i, start:stop] = ind.astype(float)
-            else:
-                p[i, start:stop] = ind * np.exp(
-                    _log_weights(z, h / eps, scale, y_sq))
-    return p, hits, kept
+            yield i, start, z, np.ascontiguousarray(qT.T)
 
 
 def run_estimators(scen: RareEventSpec, model: NoiseModel, eps: float, K: int,
@@ -412,14 +390,36 @@ def run_estimators(scen: RareEventSpec, model: NoiseModel, eps: float, K: int,
     """One report per forcing (None: basic MC), all from the same draws.
 
     Each report equals what run_basic_mc or run_importance_sampling returns
-    for that forcing alone with the same seed and run key.  Raises
-    ValueError when scen.delta = 0: the event dx |Q^N - target|^2 <= 0 has
-    probability 0.
+    for that forcing alone with the same seed and run key.  A sample's value
+    is its event indicator, times its likelihood weight under a forcing.
+    Raises ValueError when scen.delta = 0: the event
+    dx |Q^N - target|^2 <= 0 has probability 0.
     """
     if not scen.delta > 0:
         raise ValueError("the estimators need scenario delta > 0: the event "
                          "dx |Q^N - target|^2 <= 0 has probability 0")
-    p, hits, _ = _simulate(scen, model, eps, K, seed, run_key, forcings)
+    forcings = _checked(K, eps, forcings, model)
+    grid = model.grid
+    target = target_values(scen, grid)
+    delta_sq = scen.delta ** 2
+    scale = grid.dx / (2.0 * grid.dt)
+    shifts = [None if h is None else h / eps for h in forcings]
+    tilted = any(h is not None for h in forcings)
+
+    p = np.empty((len(forcings), K))
+    hits = [0] * len(forcings)
+    for i, start, z, q in _simulate(scen, model, eps, K, seed, run_key,
+                                    forcings):
+        stop = start + len(q)
+        if i == 0 and tilted:   # once per chunk, shared by every shift
+            y_sq = _square_sums(z)
+        ind = _inside(q, target, grid.dx, delta_sq)
+        hits[i] += int(np.count_nonzero(ind))
+        if shifts[i] is None:
+            p[i, start:stop] = ind.astype(float)
+        else:
+            p[i, start:stop] = ind * np.exp(
+                _log_weights(z, shifts[i], scale, y_sq))
     return [_report(row, eps, n) for row, n in zip(p, hits)]
 
 
@@ -435,7 +435,9 @@ def run_importance_sampling(scen: RareEventSpec, model: NoiseModel, eps: float,
     """Tilted estimator: mean of indicator times likelihood ratio.
 
     With forcing = 0 this reproduces run_basic_mc sample for sample (same
-    seed stream, unit weights).
+    seed stream, unit weights).  On an event every sample hits, the
+    per-sample values are the likelihood weights themselves, so the report
+    checks the change of measure: the weights average to 1 in expectation.
     """
     return run_estimators(scen, model, eps, K, [forcing], seed, run_key)[0]
 
@@ -452,31 +454,15 @@ def sample_terminal_states(scen: RareEventSpec, model: NoiseModel, eps: float,
     samples; without it the slices themselves are returned.  A keep that
     reduces each slice to a few numbers keeps memory at O(K) of them.
     """
-    _, _, kept = _simulate(scen, model, eps, K, seed, run_key, [forcing],
-                           keep=(lambda q: q) if keep is None else keep)
-    return kept[0]
-
-
-def importance_weights(model: NoiseModel, eps: float, K: int,
-                       forcing: np.ndarray, seed: int,
-                       run_key: int = 0) -> np.ndarray:
-    """Likelihood ratios of K tilted samples, with no event indicator.
-
-    Diagnostic for the change of measure: the weights average to 1 in
-    expectation for any forcing.  Uses the same per-sample streams as the
-    estimators.
-    """
-    grid = model.grid
-    N, n_int = grid.N, grid.M - 2
-    rho = np.sqrt(grid.dt / grid.dx)
-    scale = grid.dx / (2.0 * grid.dt)
-    (forcing,) = _checked(K, eps, [forcing], (N, n_int))
-    shift = forcing / eps
-    w = np.empty(K)
-    for start, stop, z in _draws(seed, run_key, K, (N, n_int)):
-        z *= rho
-        w[start:stop] = np.exp(_log_weights(z, shift, scale))
-    return w
+    forcings = _checked(K, eps, [forcing], model)
+    kept = None
+    for _, start, _, q in _simulate(scen, model, eps, K, seed, run_key,
+                                    forcings):
+        rows = q if keep is None else keep(q)
+        if kept is None:
+            kept = np.empty((K,) + rows.shape[1:], rows.dtype)
+        kept[start:start + len(rows)] = rows
+    return kept
 
 
 def epsilon_sweep(scen: RareEventSpec, model: NoiseModel, eps_list,
@@ -495,6 +481,8 @@ def epsilon_sweep(scen: RareEventSpec, model: NoiseModel, eps_list,
     if not eps_list:
         raise ValueError("eps_list must be nonempty")
     estimators = list(estimators)
+    if not estimators:
+        raise ValueError("estimators must be nonempty")
     for name in estimators:
         if name not in ESTIMATORS:
             raise ValueError(f"unknown estimator: {name!r}")

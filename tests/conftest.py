@@ -7,7 +7,6 @@ several tests are session-scoped so they run once.
 """
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -18,9 +17,6 @@ from shockld.montecarlo import sample_terminal_states
 from shockld.noise import build_noise_model
 from shockld.optimize import (RareEventSpec, boundary_edges, initial_values,
                               minimize_ball, minimize_pinned)
-
-warnings.filterwarnings("ignore", category=RuntimeWarning,
-                        message="explicit Euler stability heuristic")
 
 DELTA = math.sqrt(0.5)
 K_FULL = 10_000

@@ -386,9 +386,12 @@ class TestSubcommands:
         assert float(row["var_ratio"]) == pytest.approx(1.0, abs=0.2)
         assert row["margin_ok"] == "true"
 
-    def test_zero_eps_refused_by_center_diagnostics(self, tmp_path, capsys):
-        # the center law at eps = 0 has variance 0: var_ratio would be nan
-        cfg_path = make_config(tmp_path, **{"run.K": 50, "run.eps": 0.0,
+    @pytest.mark.parametrize("eps", [0.0, 1e-170])
+    def test_zero_eps_refused_by_center_diagnostics(self, tmp_path, capsys,
+                                                    eps):
+        # the center law at eps = 0, or where eps^2 underflows, has
+        # variance 0: var_ratio would be nan
+        cfg_path = make_config(tmp_path, **{"run.K": 50, "run.eps": eps,
                                             "scenario.delta": 0.0})
         out = tmp_path / "out"
         assert main(["center-diagnostics", "--config", str(cfg_path),

@@ -12,8 +12,7 @@ from shockld import montecarlo
 from shockld.diagnostics import wave_centers
 from shockld.fluxes import drift
 from shockld.grid import SpaceTimeGrid, WaveSpec
-from shockld.montecarlo import (epsilon_sweep, importance_weights,
-                                run_basic_mc, run_estimators,
+from shockld.montecarlo import (epsilon_sweep, run_basic_mc, run_estimators,
                                 run_importance_sampling, sample_stream,
                                 sample_terminal_states)
 from shockld.noise import build_noise_model, unwhiten
@@ -21,6 +20,16 @@ from shockld.optimize import (RareEventSpec, boundary_edges, initial_values,
                               target_values)
 
 DELTA = np.sqrt(0.5)
+
+
+@pytest.fixture(scope="module")
+def certain_scen(ball_scen):
+    """The benchmark ball widened until every sample hits it.
+
+    There an importance sampler's per-sample values are its likelihood
+    weights, bit for bit (1.0 * w), so its report is _report of the weights.
+    """
+    return dataclasses.replace(ball_scen, delta=1e3)
 
 
 def row_major_kernel(scen, model, eps, K, seed, run_key, forcings):
@@ -85,7 +94,7 @@ def report_bits(rep):
 
 
 def unblocked_weights(model, eps, K, forcing, seed, run_key):
-    """importance_weights written out over one (K, N, M-2) draw array.
+    """The likelihood weights written out over one (K, N, M-2) draw array.
 
     Per-sample sample_stream draws, scaled by sqrt(dt/dx) in place, and
     whole-array square sums: no chunks and no sample blocks.
@@ -169,14 +178,17 @@ class TestBasicMc:
             run_basic_mc(ball_scen, exp_model, eps, 10, seed=1)
         good = np.zeros((table1_grid.N, table1_grid.M - 2))
         with pytest.raises(ValueError, match="eps must be nonnegative and finite"):
-            importance_weights(exp_model, eps, 5, good, seed=1)
+            run_importance_sampling(ball_scen, exp_model, eps, 5, good, seed=1)
 
 
 class TestLikelihoodRatio:
-    def test_unit_weight_for_zero_forcing(self, exp_model, table1_grid):
+    def test_unit_weight_for_zero_forcing(self, certain_scen, exp_model,
+                                          table1_grid):
         zero = np.zeros((table1_grid.N, exp_model.size))
-        w = importance_weights(exp_model, 0.1, 50, zero, seed=30)
-        assert np.all(w == 1.0)
+        rep = run_importance_sampling(certain_scen, exp_model, 0.1, 50, zero,
+                                      seed=30)
+        assert rep.hits == 50
+        assert rep.estimate == 1.0 and rep.std == 0.0
 
     def test_scalar_one_step_against_gaussian_densities(self):
         # single interior dimension, one step -> scalar Gaussian ratio
@@ -186,17 +198,22 @@ class TestLikelihoodRatio:
         for w_tilde in (-0.3, -0.05, 0.0, 0.17, 0.6):
             lr = np.exp(montecarlo._log_weights(np.array([[w_tilde]]),
                                                 np.array([[h / eps]]),
-                                                dx / (2.0 * dt)))
+                                                dx / (2.0 * dt), w_tilde ** 2))
             # increment under the tilted law: mean h/eps, same variance
             x = w_tilde + h / eps
             expected = norm.pdf(x, 0.0, sd) / norm.pdf(x, h / eps, sd)
             assert lr == pytest.approx(expected, rel=1e-12)
 
-    def test_weights_positive(self, exp_model, ball_exp_opt):
-        # realistic inputs: kernel draws tilted by an optimized forcing
+    def test_weights_positive(self, certain_scen, exp_model, ball_exp_opt):
+        # realistic inputs: kernel draws tilted by an optimized forcing; the
+        # report is that of the written-out weights, which are all positive
         for eps in (0.05, 0.1, 0.2):
-            w = importance_weights(exp_model, eps, 20, ball_exp_opt.forcing,
-                                   seed=31)
+            w = unblocked_weights(exp_model, eps, 20, ball_exp_opt.forcing,
+                                  31, 0)
+            rep = run_importance_sampling(certain_scen, exp_model, eps, 20,
+                                          ball_exp_opt.forcing, seed=31)
+            assert report_bits(rep) == \
+                report_bits(montecarlo._report(w, eps, 20))
             assert np.all(w > 0)
 
     def test_unbiased_at_moderate_sample_size(self, ball_scen, exp_model,
@@ -336,6 +353,10 @@ class TestEpsilonSweep:
             epsilon_sweep(ball_scen, exp_model, [0.1], 10, ["is0"], seed=1)
         with pytest.raises(ValueError):
             epsilon_sweep(ball_scen, exp_model, [0.1], 10, ["is-delta"], seed=1)
+        with pytest.raises(ValueError, match="estimators must be nonempty"):
+            epsilon_sweep(ball_scen, exp_model, [0.1], 10, [], seed=1)
+        with pytest.raises(ValueError, match="forcings must be nonempty"):
+            run_estimators(ball_scen, exp_model, 0.1, 10, [], seed=1)
 
 
 class TestOneStepIncrements:
@@ -389,6 +410,17 @@ class TestInputChecks:
             run_estimators(ball_scen, exp_model, 0.15, 5,
                            [None, np.zeros(shape[::-1])], seed=1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_forcing_refused(self, ball_scen, exp_model,
+                                        table1_grid, bad):
+        h = np.zeros((table1_grid.N, table1_grid.M - 2))
+        h[3, 7] = bad
+        with pytest.raises(ValueError, match="forcing entries must be finite"):
+            sample_terminal_states(ball_scen, exp_model, 0.15, 5, seed=1,
+                                   forcing=h)
+        with pytest.raises(ValueError, match="forcing entries must be finite"):
+            run_estimators(ball_scen, exp_model, 0.15, 5, [None, h], seed=1)
+
     def test_k_at_least_one(self, ball_scen, exp_model):
         with pytest.raises(ValueError, match="K must be at least 1"):
             sample_terminal_states(ball_scen, exp_model, 0.15, 0, seed=1)
@@ -427,19 +459,25 @@ class TestInputChecks:
         assert type(rep.K) is int and type(rep.hits) is int
         assert type(rep.flagged_saturated) is bool
 
-    def test_importance_weights_checked(self, exp_model, table1_grid):
+    def test_importance_sampling_checked(self, certain_scen, exp_model,
+                                         table1_grid):
         good = np.zeros((table1_grid.N, table1_grid.M - 2))
+
+        def run(eps, K, forcing):
+            return run_importance_sampling(certain_scen, exp_model, eps, K,
+                                           forcing, seed=1)
+
         with pytest.raises(ValueError, match="shape"):
-            importance_weights(exp_model, 0.1, 5, good[:1], seed=1)
+            run(0.1, 5, good[:1])
         with pytest.raises(ValueError, match="K must be at least 1"):
-            importance_weights(exp_model, 0.1, 0, good, seed=1)
+            run(0.1, 0, good)
         with pytest.raises(ValueError, match="eps must be nonnegative"):
-            importance_weights(exp_model, -0.1, 5, good, seed=1)
+            run(-0.1, 5, good)
         with pytest.raises(ValueError,
                            match="importance sampling requires eps > 0"):
-            importance_weights(exp_model, 0.0, 5, good, seed=1)
-        assert np.all(importance_weights(exp_model, 0.1, 5, good.tolist(),
-                                         seed=1) == 1.0)
+            run(0.0, 5, good)
+        rep = run(0.1, 5, good.tolist())
+        assert rep.estimate == 1.0 and rep.std == 0.0
 
 
 class TestKernelLayout:
@@ -483,8 +521,8 @@ class TestSampleBlocks:
     @pytest.mark.parametrize("model_name", ["exp_model", "identity_model"])
     def test_kept_rows_and_weights_match_unblocked(self, model_name, tilted,
                                                    chunk, block, ball_scen,
-                                                   ball_exp_opt, wave,
-                                                   request, monkeypatch):
+                                                   certain_scen, ball_exp_opt,
+                                                   wave, request, monkeypatch):
         model = request.getfixturevalue(model_name)
         grid = model.grid
         forcing = ball_exp_opt.forcing
@@ -504,8 +542,10 @@ class TestSampleBlocks:
             keep=lambda q: wave_centers(q, reference, wave, grid.dx))
         assert kept.shape == (K,)
         assert np.array_equal(kept.view(np.int64), centers.view(np.int64))
-        w = importance_weights(model, eps, K, forcing, seed=8, run_key=1)
-        assert np.array_equal(w.view(np.int64), weights.view(np.int64))
+        rep = run_importance_sampling(certain_scen, model, eps, K, forcing,
+                                      seed=8, run_key=1)
+        assert report_bits(rep) == \
+            report_bits(montecarlo._report(weights, eps, K))
 
 
 class TestKernelBuffers:
@@ -649,4 +689,18 @@ class TestStreams:
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="draw failed"):
             run_estimators(ball_scen, exp_model, 0.15, 20, [None], seed=1)
+        assert threading.active_count() == before
+
+    def test_draw_thread_joined_when_keep_fails(self, ball_scen, exp_model,
+                                                monkeypatch):
+        # the caller abandons the kernel mid-run; the helper thread, then
+        # drawing the next chunk, must still be joined
+        def failing(q):
+            raise RuntimeError("keep failed")
+
+        monkeypatch.setattr(montecarlo, "_CHUNK", 7)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="keep failed"):
+            sample_terminal_states(ball_scen, exp_model, 0.15, 20, seed=1,
+                                   keep=failing)
         assert threading.active_count() == before
