@@ -229,9 +229,11 @@ def parse_config(text: str) -> RunConfig:
         if not isinstance(est, list) or not est or \
                 any(not isinstance(x, str) for x in est):
             raise ConfigError("type mismatch: run.estimators must be a list of names")
-        for x in est:
+        for i, x in enumerate(est):
             if x not in ESTIMATORS:
                 raise ConfigError(f"unknown estimator in run.estimators: {x!r}")
+            if x in est[:i]:
+                raise ConfigError(f"repeated estimator in run.estimators: {x!r}")
         estimators = tuple(est)
 
     run = RunSettings(seed=seed, K=K, eps=eps,

@@ -10,47 +10,51 @@ Importance sampling tilts the noise mean along a precomputed forcing h^n
 
     Q^{n+1} = Q^n + dt b(Q^n) + (Phi h^n) + eps dW~^n,
 
-and reweights each sample by the exact Gaussian likelihood ratio
+and reweights each sample by the exact Gaussian likelihood ratio.  With the
+whitened draws Phi^{-1} dW~^n = sqrt(dt/dx) z^n, z unit normals, it is
+Girsanov's form
 
-    w = exp( -(dx / 2 dt) sum_n [ ||Phi^{-1} dW~^n + h^n/eps||^2
-                                  - ||Phi^{-1} dW~^n||^2 ] ),
+    log w = -I(h)/eps^2 - (sqrt(dx/dt)/eps) sum_n z^n . h^n,
+    I(h) = (dx / 2 dt) sum_n ||h^n||^2,
 
 so that E[indicator * w] is the original-event probability for any forcing.
-_log_weights is the one implementation of this weight; run_estimators applies
-it to the whitened draws Phi^{-1} dW~^n = sqrt(dt/dx) z^n, never to the
-colored increments.
+_log_weights is the one implementation of this weight: one dot product per
+sample, with no difference of two large square sums to cancel digits.
 
 One trajectory kernel, _simulate, serves every caller.  It takes a sequence
 of forcings (None for the untilted scheme) and works through the samples in
-chunks: per chunk it draws and colors the normals once, then steps one
-trajectory batch per forcing from those increments and yields its terminal
-slices with the chunk's whitened draws.  It only steps: run_estimators scores
-the slices (indicator times weight), sample_terminal_states stores them.  An
+chunks: per chunk it colors the normals once, then steps one trajectory
+batch per forcing from those increments and yields its terminal slices with
+the chunk's unit-normal draws.  It only steps: run_estimators scores the
+slices (indicator times weight), sample_terminal_states stores them.  An
 epsilon sweep therefore runs mc, is0 and is-delta at one eps from one set of
-draws.  A helper thread draws chunk c+1 while the calling thread colors and
-steps chunk c (numpy releases the GIL in both); it is joined when the run
-ends or is abandoned.
+draws.
+
+Two processes share a run.  A worker process, forked once per kernel run,
+draws chunk c+1 into one of two shared buffers while the calling process
+colors and steps chunk c from the other; a pipe carries "chunk ready" one
+way and "buffer free" the other.  The draw loop runs Python for every
+sample, so in a thread beside the stepping it would take the GIL hundreds
+of times per chunk; in its own process it takes none of the caller's.  The
+worker allocates only its per-chunk stream states; the caller allocates the
+two shared draw buffers (before the fork), the colored store, the batch and
+the step increment.  The worker is reaped however the run ends.
 
 Each trajectory batch is held cells-major, as an (M, B) array whose
 contiguous axis runs over the samples, so each elementwise pass of a step
 (drift, increments, boundary cells) is one long loop rather than B short
 ones over strided row slices.  The per-element arithmetic and its order are
 those of a row-major (B, M) batch, so every value is bit-identical to it.
-The coloring is unwhiten's stacked z @ Phi^T, one small product per sample: a
-single 2-D product over the chunk is large enough for a threaded BLAS to
-spread over every core, which then starves the draw thread.  Its scaling by
-sqrt(dt/dx) writes it cells-major, as (N, M-2, B), so each step adds one
-contiguous slice.  The batch, the step increment and that store are
-allocated once per kernel run, and the drift is written into the increment.
-
-The chunk-sized elementwise passes (the coloring product and its scaled
-transposing copy, the whitened draws' scaling and their squared norms, and
-the shifted square-sums of the weights) run over blocks of _BLOCK samples,
-so their temporaries are block-sized: the two draw buffers and the colored
-store are the only arrays of a chunk's B x N x (M-2) values.  Each value is
-computed per sample, so it keeps its bits at any block size.  Callers reduce
-each chunk's terminal slices before the next is stepped, so no (K, M) array
-exists unless the caller asks for the slices themselves.
+The coloring is Phi's AR(1) recurrence, x_0 = sigma z_0, x_i = rho x_{i-1} +
+sigma s z_i, with sqrt(dt/dx) eps folded into the per-cell factors of the one
+pass that writes the draws cells-major, as (N, M-2, B), so each step adds one
+contiguous slice.  Neither the coloring nor the weights call BLAS, so no
+thread setting moves a bit of the output.  The batch, the step increment and
+the colored store are allocated once per kernel run, and the drift is
+written into the increment.  Every value is computed per sample, so it keeps
+its bits at any chunk or block size.  Callers reduce each chunk's terminal
+slices before the next is stepped, so no (K, M) array exists unless the
+caller asks for the slices themselves.
 
 Seeding contract: a 64-bit root seed expands into one independent stream per
 sample index (counter-based spawn keys), so the draws of sample k never
@@ -63,14 +67,17 @@ vectorized pass and draws each sample's normals from them.
 from __future__ import annotations
 
 import math
+import mmap
 import operator
-from concurrent.futures import ThreadPoolExecutor
+import os
+import signal
 from dataclasses import dataclass
+from multiprocessing.connection import Pipe
 
 import numpy as np
 
 from .fluxes import drift, pin_edges
-from .noise import NoiseModel, unwhiten
+from .noise import NoiseModel, ar1_accumulate, unwhiten
 from .optimize import RareEventSpec, boundary_edges, initial_values, target_values
 
 __all__ = [
@@ -89,7 +96,7 @@ ESTIMATORS = ("mc", "is0", "is-delta")  # names of epsilon_sweep's estimators
 _DOMAIN_MC = 1  # spawn-key namespace for trajectory noise
 
 _CHUNK = 512
-_BLOCK = 64  # samples per elementwise pass over a chunk
+_BLOCK = 64  # samples per pass of the transposing copy
 
 # numpy's SeedSequence entropy hash (pool size 4) and PCG64 seeding, restated
 # so that _stream_states can derive a chunk of streams at once.
@@ -225,30 +232,91 @@ def _normals(z: np.ndarray, seed: int, run_key: int, start: int) -> np.ndarray:
     return z
 
 
+def _shared_array(shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialized float array in an anonymous shared mapping.
+
+    A process forked after the call writes to the same memory.
+    """
+    size = math.prod(shape)
+    return np.frombuffer(mmap.mmap(-1, 8 * size), count=size).reshape(shape)
+
+
+def _draw_worker(conn, buffers: list[np.ndarray], seed: int, run_key: int,
+                 K: int) -> None:
+    """Draw the K samples' normals chunk by chunk into alternating buffers.
+
+    Runs in the forked worker.  After each chunk it sends None; before it
+    draws into a buffer for the second time it waits for the caller to
+    release the chunk held there.  A failed draw sends the exception and
+    ends the loop; a closed pipe means the caller has stopped listening.
+    Between the fork and its exit it touches only numpy's generators, the
+    pipe and the two buffers, so no lock held by another thread of the
+    caller at the fork can block it.
+    """
+    try:
+        for c, start in enumerate(range(0, K, _CHUNK)):
+            if c >= 2:
+                conn.recv()
+            z = buffers[c % 2][:min(start + _CHUNK, K) - start]
+            _normals(z, seed, run_key, start)
+            conn.send(None)
+    except (EOFError, ConnectionError):
+        pass
+    except Exception as err:
+        try:
+            conn.send(err)
+        except Exception:  # not picklable: keep its type's name and message
+            conn.send(RuntimeError(f"{type(err).__name__}: {err}"))
+
+
 def _draws(seed: int, run_key: int, K: int, shape: tuple[int, ...]):
     """Yield (start, stop, z) per chunk of the K samples' normals.
 
-    Chunk c+1 is drawn on a helper thread while the caller works on chunk c;
-    an exception raised there surfaces from the next chunk's result.  The
-    chunks alternate between two buffers, allocated once on the caller's
-    thread (so both live in its malloc arena): chunk c+2 is drawn into
-    chunk c's memory.  A consumer may overwrite a chunk in place, but must
-    not keep it past its loop iteration.
+    A worker process, forked once per call, draws chunk c+1 while the caller
+    works on chunk c, so the two never share a GIL.  The chunks alternate
+    between two buffers in anonymous shared mappings, allocated here before
+    the fork: chunk c+2 is drawn into chunk c's memory once the caller has
+    moved past chunk c, which it signals over the one pipe the chunks are
+    announced on.  An exception raised in the worker surfaces here with its
+    type and message.  The worker is reaped whether the run completes,
+    fails or is abandoned.  A consumer may overwrite a chunk in place, but
+    must not keep it past its loop iteration.
     """
     size = min(K, _CHUNK)
-    n_buffers = 1 if K <= _CHUNK else 2
-    buffers = [np.empty((size,) + shape) for _ in range(n_buffers)]
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        def draw(start, buf):
-            z = buf[:min(start + _CHUNK, K) - start]
-            return helper.submit(_normals, z, seed, run_key, start)
-
-        pending = draw(0, buffers[0])
-        for c, start in enumerate(range(0, K, _CHUNK)):
-            z = pending.result()
-            if start + _CHUNK < K:
-                pending = draw(start + _CHUNK, buffers[(c + 1) % 2])
-            yield start, start + len(z), z
+    buffers = [_shared_array((size,) + shape)
+               for _ in range(1 if K <= _CHUNK else 2)]
+    import numpy.random  # noqa: F401  (lazy in numpy: load it once, here)
+    conn, child_conn = Pipe()
+    pid = os.fork()
+    if pid == 0:  # the worker
+        status = 1
+        try:
+            conn.close()
+            _draw_worker(child_conn, buffers, seed, run_key, K)
+            status = 0
+        finally:
+            os._exit(status)
+    child_conn.close()
+    try:
+        for start in range(0, K, _CHUNK):
+            try:
+                failure = conn.recv()
+            except (EOFError, ConnectionError):
+                raise RuntimeError("the draw worker exited before "
+                                   "finishing its chunks") from None
+            if failure is not None:
+                raise failure
+            stop = min(start + _CHUNK, K)
+            yield start, stop, buffers[(start // _CHUNK) % 2][:stop - start]
+            if stop + _CHUNK < K:
+                try:  # this chunk's buffer is free for the chunk after next
+                    conn.send(None)
+                except ConnectionError:
+                    pass  # the worker has stopped; the next recv says why
+    finally:
+        conn.close()
+        os.kill(pid, signal.SIGKILL)  # done with its last chunk, or abandoned
+        os.waitpid(pid, 0)
 
 
 def _report(p: np.ndarray, eps: float, hits: int) -> EstimatorReport:
@@ -264,29 +332,19 @@ def _report(p: np.ndarray, eps: float, hits: int) -> EstimatorReport:
         flagged_saturated=rel >= 0.9 * math.sqrt(K))
 
 
-def _square_sums(y: np.ndarray, shift=0.0) -> np.ndarray:
-    """Sum of (y + shift)^2 over the last two axes of y (..., N, M-2).
+def _log_weights(z: np.ndarray, h: np.ndarray, eps: float,
+                 dx_dt: float) -> np.ndarray:
+    """Gaussian log-likelihood ratio log dP/dQ of tilted unit-normal draws.
 
-    Runs over blocks of _BLOCK samples, so the only temporary is one block.
+    z holds the unit normals (..., N, M-2) whose whitened increments are
+    sqrt(dt/dx) z, h the forcing (N, M-2) and dx_dt the ratio dx/dt.  In
+    Girsanov's form, log w = -I(h)/eps^2 - (sqrt(dx/dt)/eps) sum z.h with
+    I(h) = (dx/2dt) |h|^2: one dot product per sample (einsum, which calls
+    no BLAS, so no thread setting changes a bit of it).
     """
-    samples = y.reshape((-1,) + y.shape[-2:])
-    out = np.empty(len(samples))
-    for lo in range(0, len(samples), _BLOCK):
-        s = samples[lo:lo + _BLOCK] + shift
-        s *= s
-        np.sum(s, axis=(1, 2), out=out[lo:lo + _BLOCK])
-    return out.reshape(y.shape[:-2])
-
-
-def _log_weights(y: np.ndarray, shift: np.ndarray, scale: float,
-                 y_sq: np.ndarray) -> np.ndarray:
-    """Gaussian log-likelihood ratio log dP/dQ of whitened draws.
-
-    y holds the whitened zero-mean increments (..., N, M-2), shift the mean
-    h/eps of the tilted law, scale is dx / (2 dt), and y_sq the sum of y^2
-    over the last two axes, shared by every shift of the same y.
-    """
-    return -scale * (_square_sums(y, shift) - y_sq)
+    action = 0.5 * dx_dt * np.sum(h * h)
+    return (-action / (eps * eps)
+            - math.sqrt(dx_dt) / eps * np.einsum("...ij,ij->...", z, h))
 
 
 def _checked(K: int, eps: float, forcings, model: NoiseModel) -> list:
@@ -332,18 +390,25 @@ def _simulate(scen: RareEventSpec, model: NoiseModel, eps: float, K: int,
     forcings holds checked (N, M-2) arrays h, None meaning the untilted
     scheme.  Per chunk the draws are colored once; then each forcing's batch
     is stepped and yielded as (i, start, z, q): the forcing's index, the
-    chunk's first sample, its draws z (B, N, M-2), whitened when any forcing
-    is tilted and valid only until the next chunk, and the terminal slices
-    q, a fresh C-ordered (B, M) array the caller may overwrite.
+    chunk's first sample, its unit-normal draws z (B, N, M-2), valid only
+    until the next chunk, and the terminal slices q, a fresh C-ordered
+    (B, M) array the caller may overwrite.
 
-    Every buffer is allocated once per run and viewed at each chunk's
-    size B: the trajectory batch qT, stored cells-major as (M, B); the step
-    increment inc, (M-2, B); and the colored increments dW of the chunk,
-    (N, M-2, B), so each step adds one contiguous slice dW[n].  drift
-    writes each step's drift into inc through the Fortran-ordered (B, M)
-    views qT.T and inc.T.  Beyond these and the two draw buffers of _draws,
-    a run allocates per chunk only block-sized temporaries (_BLOCK samples)
-    and the (B, M) terminal slices of one forcing at a time.
+    The coloring is Phi's AR(1) recurrence (noise.ar1_accumulate), not a
+    matrix product, so the kernel calls no BLAS.  One transposing pass, over
+    blocks of _BLOCK samples, writes z scaled per cell by
+    sqrt(dt/dx) eps diag(Phi) cells-major into the colored store dW; then
+    dW[:, i] += rho dW[:, i-1] over the cells turns it into the colored
+    increments.  z itself is only read.
+
+    Every buffer of this process is allocated once per run and viewed at
+    each chunk's size B: the trajectory batch qT, stored cells-major as
+    (M, B); the step increment inc, (M-2, B); and dW, (N, M-2, B), so each
+    step adds one contiguous slice dW[n].  drift writes each step's drift
+    into inc through the Fortran-ordered (B, M) views qT.T and inc.T.
+    Beyond these and the two shared draw buffers of _draws, a run allocates
+    per chunk only the recurrence's (N, B) temporaries and the (B, M)
+    terminal slices of one forcing at a time.
     """
     grid, wave = model.grid, scen.wave
     N, M = grid.N, grid.M
@@ -351,8 +416,7 @@ def _simulate(scen: RareEventSpec, model: NoiseModel, eps: float, K: int,
     n_int = M - 2
     q0 = initial_values(scen, grid)
     edges = boundary_edges(scen, grid)
-    rho = np.sqrt(dt / grid.dx)
-    tilted = any(h is not None for h in forcings)
+    scale = (math.sqrt(dt / grid.dx) * eps) * model.Phi.diagonal()[:, None]
     tilts = [None if h is None else unwhiten(model, h)[:, :, None]
              for h in forcings]
 
@@ -365,12 +429,9 @@ def _simulate(scen: RareEventSpec, model: NoiseModel, eps: float, K: int,
         inc = inc_mem[:n_int * B].reshape(n_int, B)
         dW = dW_mem[:N * n_int * B].reshape(N, n_int, B)
         for lo in range(0, B, _BLOCK):
-            zb = z[lo:lo + _BLOCK]
-            np.multiply(unwhiten(model, zb).transpose(1, 2, 0), rho,
+            np.multiply(z[lo:lo + _BLOCK].transpose(1, 2, 0), scale,
                         out=dW[:, :, lo:lo + _BLOCK])
-            if tilted:
-                zb *= rho
-        dW *= eps
+        ar1_accumulate(model, dW.transpose(0, 2, 1))
 
         for i, tilt in enumerate(tilts):
             qT[...] = q0[:, None]
@@ -402,24 +463,19 @@ def run_estimators(scen: RareEventSpec, model: NoiseModel, eps: float, K: int,
     grid = model.grid
     target = target_values(scen, grid)
     delta_sq = scen.delta ** 2
-    scale = grid.dx / (2.0 * grid.dt)
-    shifts = [None if h is None else h / eps for h in forcings]
-    tilted = any(h is not None for h in forcings)
 
     p = np.empty((len(forcings), K))
     hits = [0] * len(forcings)
     for i, start, z, q in _simulate(scen, model, eps, K, seed, run_key,
                                     forcings):
         stop = start + len(q)
-        if i == 0 and tilted:   # once per chunk, shared by every shift
-            y_sq = _square_sums(z)
         ind = _inside(q, target, grid.dx, delta_sq)
         hits[i] += int(np.count_nonzero(ind))
-        if shifts[i] is None:
+        if forcings[i] is None:
             p[i, start:stop] = ind.astype(float)
         else:
             p[i, start:stop] = ind * np.exp(
-                _log_weights(z, shifts[i], scale, y_sq))
+                _log_weights(z, forcings[i], eps, grid.dx / grid.dt))
     return [_report(row, eps, n) for row, n in zip(p, hits)]
 
 
@@ -471,7 +527,7 @@ def epsilon_sweep(scen: RareEventSpec, model: NoiseModel, eps_list,
                   forcing_ball: np.ndarray | None = None):
     """Run the requested estimators at every eps; one report per pair.
 
-    estimators is a subset of ESTIMATORS; the importance samplers need
+    estimators lists distinct names of ESTIMATORS; the importance samplers need
     their forcing passed in (pinned-optimum h for is0, ball-optimum h for
     is-delta).  Each eps gets an independent run key, so
     adding grid points never perturbs existing ones.  Returns a list of
@@ -483,9 +539,11 @@ def epsilon_sweep(scen: RareEventSpec, model: NoiseModel, eps_list,
     estimators = list(estimators)
     if not estimators:
         raise ValueError("estimators must be nonempty")
-    for name in estimators:
+    for i, name in enumerate(estimators):
         if name not in ESTIMATORS:
             raise ValueError(f"unknown estimator: {name!r}")
+        if name in estimators[:i]:
+            raise ValueError(f"repeated estimator: {name!r}")
     if "is0" in estimators and forcing_pinned is None:
         raise ValueError("estimator is0 requires forcing_pinned")
     if "is-delta" in estimators and forcing_ball is None:

@@ -8,8 +8,9 @@ sigma^2 rho^|i-j|, rho = exp(-dx / l_c).  The model holds only C's Cholesky
 factor Phi (1^T C 1 is |Phi^T 1|^2), which colors samples (Phi z) and is
 explicit: Phi_i0 = sigma rho^i, Phi_ij = sigma s rho^(i-j) for 1 <= j <= i,
 s = sqrt(1 - rho^2).  Phi^{-1} is bidiagonal, so whitening is y_0 = r_0 /
-sigma, y_i = (r_i - rho r_{i-1}) / (sigma s); identity noise is the case
-rho = 0, sigma = s = 1.
+sigma, y_i = (r_i - rho r_{i-1}) / (sigma s), and coloring is the AR(1)
+recurrence x_0 = sigma y_0, x_i = rho x_{i-1} + sigma s y_i; identity noise
+is the case rho = 0, sigma = s = 1.  Neither calls BLAS.
 
 Grid dependence: identity noise has a grid limit, but the exponential kernel
 is fixed in physical units (sigma, l_c), so its noise power per unit length
@@ -35,6 +36,7 @@ __all__ = [
     "build_noise_model",
     "whiten",
     "unwhiten",
+    "ar1_accumulate",
 ]
 
 
@@ -98,24 +100,41 @@ def build_noise_model(kind: str, grid: SpaceTimeGrid,
                       sigma=sigma, l_c=l_c)
 
 
+def _cells(model: NoiseModel, r) -> np.ndarray:
+    """r as a float array whose last axis holds the M-2 interior cells."""
+    r = np.asarray(r, dtype=float)
+    if r.shape[-1:] != (model.size,):
+        raise ValueError(f"last axis must hold the {model.size} interior "
+                         f"cells, got shape {r.shape}")
+    return r
+
+
 def whiten(model: NoiseModel, r: np.ndarray) -> np.ndarray:
     """Phi^{-1} r along the last axis, which must hold the M-2 interior cells.
 
     r_i - rho r_{i-1} (r_0 alone) divided by diag(Phi) = (sigma, sigma s, ...).
     """
-    r = np.asarray(r, dtype=float)
-    if r.shape[-1:] != (model.size,):
-        raise ValueError(f"last axis must hold the {model.size} interior "
-                         f"cells, got shape {r.shape}")
+    r = _cells(model, r)
     y = r.copy()
     y[..., 1:] -= model.rho * r[..., :-1]
     y /= model.Phi.diagonal()
     return y
 
 
+def ar1_accumulate(model: NoiseModel, x: np.ndarray) -> np.ndarray:
+    """x_i += rho x_{i-1} along the last axis, in place, i = 1, 2, ...
+
+    Applied to diag(Phi) y this gives Phi y, since Phi's rows obey the AR(1)
+    recurrence (Phi y)_i = rho (Phi y)_{i-1} + Phi_ii y_i.  x may be a
+    strided view; identity noise (rho = 0) leaves it untouched.
+    """
+    rho = model.rho
+    if rho:
+        for i in range(1, x.shape[-1]):
+            x[..., i] += rho * x[..., i - 1]
+    return x
+
+
 def unwhiten(model: NoiseModel, y: np.ndarray) -> np.ndarray:
-    """Apply Phi along the last axis (inverse of whiten)."""
-    y = np.asarray(y, dtype=float)
-    if model.is_identity:
-        return y.copy()
-    return y @ model.Phi.T
+    """Apply Phi along the last axis (inverse of whiten), by ar1_accumulate."""
+    return ar1_accumulate(model, _cells(model, y) * model.Phi.diagonal())

@@ -100,6 +100,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="magic"):
             parse_config(text)
 
+    def test_repeated_estimator_refused(self, tmp_path):
+        text = make_config(
+            tmp_path, **{"run.estimators": ["mc", "is0", "mc"]}).read_text()
+        with pytest.raises(ConfigError, match=re.escape(
+                "repeated estimator in run.estimators: 'mc'")):
+            parse_config(text)
+
     def test_target_wave_only_for_transitions(self, tmp_path):
         doc = json.loads(make_config(tmp_path).read_text())
         doc["scenario"]["target_wave"] = {"u_minus": 2.5, "u_plus": 0.5}
@@ -265,9 +272,26 @@ class TestSubcommands:
         assert len(rows) == 6
         assert {r["estimator"] for r in rows} == {"mc", "is-delta"}
 
+    def test_sweep_eps_repeated_estimator_fails_with_diagnostic(
+            self, tmp_path, capsys):
+        cfg_path = make_config(tmp_path, **{"run.K": 50, "run.eps": None,
+                                            "run.eps_grid": [0.1, 0.2],
+                                            "run.estimators": ["mc", "mc"]})
+        out = tmp_path / "out"
+        assert main(["sweep-eps", "--config", str(cfg_path),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "shockld sweep-eps" in err
+        assert "repeated estimator in run.estimators: 'mc'" in err
+        assert not (out / "reports.csv").exists()
+
     def test_sweep_eps_threads_byte_identical(self, tmp_path, ball_scen,
                                               exp_model, ball_exp_opt,
-                                              pinned_exp_opt):
+                                              pinned_exp_opt, monkeypatch):
+        # each pool worker forks a draw worker of its own, which hands over
+        # the 120 samples in three chunks
+        monkeypatch.setattr(montecarlo, "_CHUNK", 50)
         cfg_path = make_config(
             tmp_path,
             **{"run.K": 120, "run.eps": None,

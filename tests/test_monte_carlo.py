@@ -1,7 +1,11 @@
 import dataclasses
 import math
+import multiprocessing
+import os
 import re
-import threading
+import subprocess
+import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -32,38 +36,59 @@ def certain_scen(ball_scen):
     return dataclasses.replace(ball_scen, delta=1e3)
 
 
+def ar1_colored(model, z, scale):
+    """scale diag(Phi) z, then x_i += rho x_{i-1}, over the last axis of z.
+
+    Phi's AR(1) recurrence x_0 = sigma z_0, x_i = rho x_{i-1} + sigma s z_i,
+    written out with each cell's scale * Phi_ii as one number.
+    """
+    coef = scale * model.Phi.diagonal()
+    x = np.empty_like(z)
+    x[..., 0] = z[..., 0] * coef[0]
+    for i in range(1, model.size):
+        x[..., i] = z[..., i] * coef[i]
+        if model.rho:
+            x[..., i] += model.rho * x[..., i - 1]
+    return x
+
+
+def girsanov_log_weights(z, h, eps, grid):
+    """-I(h)/eps^2 - (sqrt(dx/dt)/eps) sum z.h over a whole draw array.
+
+    I(h) = (dx/2dt) |h|^2; z is (K, N, M-2), one einsum for all K samples.
+    """
+    dx_dt = grid.dx / grid.dt
+    action = 0.5 * dx_dt * np.sum(h * h)
+    return (-action / (eps * eps)
+            - np.sqrt(dx_dt) / eps * np.einsum("kij,ij->k", z, h))
+
+
+def stream_draws(grid, K, seed, run_key):
+    """Per-sample sample_stream normals, (K, N, M-2)."""
+    return np.array([sample_stream(seed, run_key, k)
+                     .standard_normal((grid.N, grid.M - 2)) for k in range(K)])
+
+
 def row_major_kernel(scen, model, eps, K, seed, run_key, forcings):
     """The trajectory kernel written out with the batch stored row-major.
 
     All K samples form one (K, M) batch: per-sample sample_stream draws,
-    stacked z @ Phi.T coloring, drift on the (K, M) array and the kernel's
-    order of additions; the outer cells are written from the rows of the
-    pinned-value table here, not through pin_edges.  Returns one (report,
-    terminal slices) per forcing.
+    colored by the written-out AR(1) recurrence, drift on the (K, M) array
+    and the kernel's order of additions; the outer cells are written from
+    the rows of the pinned-value table here, not through pin_edges.  Returns
+    one (report, terminal slices) per forcing.
     """
     grid, wave = model.grid, scen.wave
     N, M, dt, dx = grid.N, grid.M, grid.dt, grid.dx
-    rho = np.sqrt(dt / dx)
-    z = np.array([sample_stream(seed, run_key, k).standard_normal((N, M - 2))
-                  for k in range(K)])
-    tilted = any(h is not None for h in forcings)
-    if model.is_identity:
-        z *= rho
-        dW = eps * z
-    else:
-        dW = z @ model.Phi.T
-        dW *= rho
-        dW *= eps
-        if tilted:
-            z *= rho
-    y_sq = np.sum(z * z, axis=(1, 2))
+    z = stream_draws(grid, K, seed, run_key)
+    dW = ar1_colored(model, z, np.sqrt(dt / dx) * eps)
     q0 = initial_values(scen, grid)
     target = target_values(scen, grid)
     edges = boundary_edges(scen, grid)
     w = edges.shape[1] // 2
     out = []
     for h in forcings:
-        tilt = None if h is None else unwhiten(model, h)
+        tilt = None if h is None else ar1_colored(model, h, 1.0)
         q = np.tile(q0, (K, 1))
         for n in range(N):
             incr = drift(q, grid, wave)
@@ -79,9 +104,7 @@ def row_major_kernel(scen, model, eps, K, seed, run_key, forcings):
         if h is None:
             p = ind.astype(float)
         else:
-            s = z + h / eps
-            s *= s
-            p = ind * np.exp(-(dx / (2.0 * dt)) * (np.sum(s, axis=(1, 2)) - y_sq))
+            p = ind * np.exp(girsanov_log_weights(z, h, eps, grid))
         out.append((montecarlo._report(p, eps, int(np.count_nonzero(ind))), q))
     return out
 
@@ -96,18 +119,18 @@ def report_bits(rep):
 def unblocked_weights(model, eps, K, forcing, seed, run_key):
     """The likelihood weights written out over one (K, N, M-2) draw array.
 
-    Per-sample sample_stream draws, scaled by sqrt(dt/dx) in place, and
-    whole-array square sums: no chunks and no sample blocks.
+    Per-sample sample_stream draws and the Girsanov form over the whole
+    array: no chunks and no sample blocks.
     """
-    grid = model.grid
-    z = np.array([sample_stream(seed, run_key, k)
-                  .standard_normal((grid.N, grid.M - 2)) for k in range(K)])
-    z *= np.sqrt(grid.dt / grid.dx)
-    y_sq = np.sum(z * z, axis=(1, 2))
-    s = z + forcing / eps
-    s *= s
-    return np.exp(-(grid.dx / (2.0 * grid.dt))
-                  * (np.sum(s, axis=(1, 2)) - y_sq))
+    z = stream_draws(model.grid, K, seed, run_key)
+    return np.exp(girsanov_log_weights(z, forcing, eps, model.grid))
+
+
+def assert_no_child_process():
+    """No child process of this one is left, running or unreaped."""
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestEventIndicator:
@@ -196,9 +219,9 @@ class TestLikelihoodRatio:
         eps, h = 0.15, 0.04
         sd = np.sqrt(dt / dx)
         for w_tilde in (-0.3, -0.05, 0.0, 0.17, 0.6):
-            lr = np.exp(montecarlo._log_weights(np.array([[w_tilde]]),
-                                                np.array([[h / eps]]),
-                                                dx / (2.0 * dt), w_tilde ** 2))
+            # w_tilde is the whitened increment sqrt(dt/dx) z
+            lr = np.exp(montecarlo._log_weights(np.array([[w_tilde / sd]]),
+                                                np.array([[h]]), eps, dx / dt))
             # increment under the tilted law: mean h/eps, same variance
             x = w_tilde + h / eps
             expected = norm.pdf(x, 0.0, sd) / norm.pdf(x, h / eps, sd)
@@ -234,6 +257,57 @@ class TestLikelihoodRatio:
                           * (np.sum(s * s) - np.sum(y * y)))
         se = w.std() / np.sqrt(K)
         assert abs(w.mean() - 1.0) <= 3 * se
+
+
+    def test_girsanov_weights_closer_to_extended_precision(
+            self, exp_model, ball_exp_opt):
+        # against a long-double reference, the one dot product per sample
+        # beats the difference of two square sums of about 136 each, which
+        # cancels 2-3 digits: on these draws the median relative error is
+        # 5.5e-16 against 3.3e-14, and the largest 2.8e-12 against 6.9e-11
+        if np.finfo(np.longdouble).eps > 1e-18:
+            pytest.skip("long double is no wider than double here")
+        grid, h, eps = exp_model.grid, ball_exp_opt.forcing, 0.1
+        z = stream_draws(grid, 1000, 7, 0)
+        zl, hl, el = (np.asarray(v, dtype=np.longdouble) for v in (z, h, eps))
+        r = np.longdouble(grid.dx) / np.longdouble(grid.dt)
+        ref = (-(r / 2) * np.sum(hl * hl) / (el * el)
+               - np.sqrt(r) / el * np.einsum("kij,ij->k", zl, hl))
+        new = montecarlo._log_weights(z, h, eps, grid.dx / grid.dt)
+        y = np.sqrt(grid.dt / grid.dx) * z
+        s = y + h / eps
+        old = -(grid.dx / (2.0 * grid.dt)) * (np.sum(s * s, axis=(1, 2))
+                                              - np.sum(y * y, axis=(1, 2)))
+        err_new, err_old = (np.abs((w - ref) / ref).astype(float)
+                            for w in (new, old))
+        assert 10 * np.median(err_new) <= np.median(err_old)
+        assert 10 * np.max(err_new) <= np.max(err_old)
+        assert np.median(err_new) < 2e-15
+
+
+class TestColoring:
+    @pytest.mark.parametrize("dx", [0.5, 0.25])
+    @pytest.mark.parametrize("kind", ["identity", "exponential"])
+    def test_recurrence_within_roundoff_of_dense_product(self, kind, dx,
+                                                         dense_covariance):
+        # the kernel's coloring (written out in ar1_colored, which it
+        # matches bit for bit) against z @ L^T with L the Cholesky factor
+        # of the independently built covariance.  Both sides round every
+        # term and L differs from the closed-form Phi by its own roundoff;
+        # the largest difference measured is 8 units of roundoff of
+        # |z| @ |L|^T (dx 0.25), so 32 bounds it.  Identity noise is exact.
+        grid = SpaceTimeGrid.from_spacing(-15.0, 20.0, dx, 1.0, 0.05)
+        model = (build_noise_model(kind, grid, sigma=1.0, l_c=5.0)
+                 if kind == "exponential" else build_noise_model(kind, grid))
+        L = np.linalg.cholesky(dense_covariance(model))
+        z = stream_draws(grid, 64, 5, 0)
+        colored = ar1_colored(model, z, 1.0)
+        assert np.array_equal(unwhiten(model, z), colored)
+        dense = z @ L.T
+        if model.is_identity:
+            assert np.array_equal(colored, dense)
+        bound = 32 * np.finfo(float).eps * (np.abs(z) @ np.abs(L).T)
+        assert np.all(np.abs(colored - dense) <= bound)
 
 
 class TestImportanceSampling:
@@ -321,21 +395,33 @@ class TestEpsilonSweep:
 
     def test_one_stream_per_sample_per_eps(self, ball_scen, exp_model,
                                            ball_exp_opt, pinned_exp_opt,
-                                           monkeypatch):
-        opened = []
+                                           monkeypatch, tmp_path):
+        # the streams are opened in the draw worker, which appends each
+        # (run key, k) to a file that this process reads back
+        log = tmp_path / "opened.txt"
         original = montecarlo._stream_states
 
         def counting(seed, run_key, start, stop):
-            opened.extend((run_key, k) for k in range(start, stop))
+            with open(log, "a") as fh:
+                fh.writelines(f"{run_key} {k}\n" for k in range(start, stop))
             return original(seed, run_key, start, stop)
 
+        monkeypatch.setattr(montecarlo, "_CHUNK", 16)
         monkeypatch.setattr(montecarlo, "_stream_states", counting)
         K = 40
         epsilon_sweep(ball_scen, exp_model, [0.1, 0.2], K,
                       ["mc", "is0", "is-delta"], seed=3,
                       forcing_pinned=pinned_exp_opt.forcing,
                       forcing_ball=ball_exp_opt.forcing)
+        opened = [tuple(map(int, line.split()))
+                  for line in log.read_text().splitlines()]
         assert sorted(opened) == [(i, k) for i in range(2) for k in range(K)]
+
+    def test_repeated_estimator_refused(self, ball_scen, exp_model):
+        # ["mc", "mc"] would step one batch twice and report it twice
+        with pytest.raises(ValueError, match="repeated estimator: 'mc'"):
+            epsilon_sweep(ball_scen, exp_model, [0.2], 50, ["mc", "mc"],
+                          seed=1)
 
     def test_eps_points_use_independent_streams(self, ball_scen, exp_model):
         res = epsilon_sweep(ball_scen, exp_model, [0.15, 0.15], 300, ["mc"],
@@ -550,29 +636,47 @@ class TestSampleBlocks:
 
 class TestKernelBuffers:
     def test_overwritten_chunks_match_fresh_draws(self, monkeypatch):
-        # the kernel scales each chunk in place; while it does, the next
-        # chunk is being drawn into the other buffer
-        monkeypatch.setattr(montecarlo, "_CHUNK", 7)
-        K, shape = 30, (3, 4)
-        chunks = []
-        for start, stop, z in montecarlo._draws(5, 1, K, shape):
-            fresh = montecarlo._normals(np.empty((stop - start,) + shape), 5,
-                                        1, start)
-            assert np.array_equal(z.view(np.int64), fresh.view(np.int64))
-            z.fill(np.nan)
-            chunks.append((start, stop))
-        assert chunks == [(0, 7), (7, 14), (14, 21), (21, 28), (28, 30)]
+        # a consumer may overwrite each chunk while the next is drawn into
+        # the other shared buffer; four runs at once (more draw workers than
+        # cores), consumed in turn, each see exactly their own fresh draws
+        monkeypatch.setattr(montecarlo, "_CHUNK", 3)
+        K, shape = 40, (3, 4)
+        runs = {key: montecarlo._draws(5, key, K, shape) for key in range(4)}
+        chunks = {key: [] for key in runs}
+        for _ in range(-(-K // 3)):
+            for key, run in runs.items():
+                start, stop, z = next(run)
+                fresh = montecarlo._normals(
+                    np.empty((stop - start,) + shape), 5, key, start)
+                assert np.array_equal(z.view(np.int64), fresh.view(np.int64))
+                z.fill(np.nan)
+                chunks[key].append((start, stop))
+        for run in runs.values():
+            assert next(run, None) is None
+        expected = [(lo, min(lo + 3, K)) for lo in range(0, K, 3)]
+        assert all(c == expected for c in chunks.values())
+        assert_no_child_process()
 
     def test_numpy_peak_stays_within_four_chunk_blocks(self, ball_scen,
                                                        exp_model, ball_exp_opt,
-                                                       pinned_exp_opt):
-        # two draw buffers and the colored store, plus the sample-block
-        # temporaries (coloring product, squared or shifted draws) and the
-        # per-batch arrays: 3.43-3.44 blocks of 5.6 MB at this K on the
-        # benchmark grid
+                                                       pinned_exp_opt,
+                                                       monkeypatch):
+        # two draw buffers and the colored store, plus the per-batch arrays
+        # and temporaries, in blocks of 5.6 MB at this K on the benchmark
+        # grid.  The draw buffers are shared mappings, which tracemalloc does
+        # not see, so their mapped bytes are added to its peak.
         grid = exp_model.grid
         block = montecarlo._CHUNK * grid.N * (grid.M - 2) * 8
         forcings = [None, pinned_exp_opt.forcing, ball_exp_opt.forcing]
+        mapped = []
+        shared = montecarlo._shared_array
+
+        def recording(shape):
+            out = shared(shape)
+            mapped.append(out.nbytes)
+            return out
+
+        monkeypatch.setattr(montecarlo, "_shared_array", recording)
         tracemalloc.start()
         try:
             run_estimators(ball_scen, exp_model, 0.1,
@@ -580,7 +684,8 @@ class TestKernelBuffers:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.47 * block
+        assert mapped == [block, block]
+        assert peak + sum(mapped) <= 3.47 * block
 
     def test_centers_path_holds_no_slice_array(self, displacement_scen,
                                                wave):
@@ -632,6 +737,39 @@ class TestKernelBuffers:
                          + [(6, grid.M)] * per_chunk)
 
 
+class TestBlasThreads:
+    def test_reports_do_not_depend_on_blas_threads(self):
+        # the kernel calls no BLAS: a three-forcing run over three chunks
+        # reports the same bytes at one and at two OpenBLAS threads
+        src = os.path.dirname(os.path.dirname(montecarlo.__file__))
+        code = "\n".join([
+            "import numpy as np",
+            "from shockld import montecarlo",
+            "from shockld.grid import SpaceTimeGrid, WaveSpec",
+            "from shockld.noise import build_noise_model",
+            "from shockld.optimize import RareEventSpec",
+            "montecarlo._CHUNK = 7",
+            "grid = SpaceTimeGrid.from_spacing(-15.0, 20.0, 0.5, 1.0, 0.05)",
+            "model = build_noise_model('exponential', grid, sigma=1.0,"
+            " l_c=5.0)",
+            "scen = RareEventSpec('displacement', WaveSpec(2.0, 1.0, 1.0,"
+            " 1.5), x0=5.0, delta=1.5)",
+            "rng = np.random.default_rng(12)",
+            "h = [0.002 * rng.standard_normal((grid.N, grid.M - 2))"
+            " for _ in range(2)]",
+            "for rep in montecarlo.run_estimators(scen, model, 0.15, 20,"
+            " [None] + h, seed=31):",
+            "    print(repr(rep))",
+        ])
+        outs = [subprocess.run([sys.executable, "-c", code], check=True,
+                               capture_output=True, text=True,
+                               env=dict(os.environ, PYTHONPATH=src,
+                                        OPENBLAS_NUM_THREADS=threads)).stdout
+                for threads in ("1", "2")]
+        assert outs[0] == outs[1]
+        assert outs[0].count("EstimatorReport(") == 3
+
+
 class TestStreams:
     @pytest.mark.parametrize("seed", [0, 2**32 + 5, 2**70 + 3])
     @pytest.mark.parametrize("run_key", [0, 2**33])
@@ -675,8 +813,12 @@ class TestStreams:
             assert np.array_equal(chunked_terminals.view(np.int64),
                                   terminals.view(np.int64))
 
-    def test_helper_thread_failure_surfaces(self, ball_scen, exp_model,
-                                            monkeypatch):
+    @pytest.mark.parametrize("consumer", ["estimators", "slow_keep"])
+    def test_worker_failure_surfaces(self, consumer, ball_scen, exp_model,
+                                     monkeypatch):
+        # the slow consumer is still on chunk 0 when the worker fails on
+        # chunk 1 and exits, so its release of chunk 0's buffer finds the
+        # pipe closed; the worker's exception must surface all the same
         original = montecarlo._stream_states
 
         def failing(seed, run_key, start, stop):
@@ -684,23 +826,58 @@ class TestStreams:
                 raise RuntimeError("draw failed")
             return original(seed, run_key, start, stop)
 
+        def slow_keep(q):
+            time.sleep(0.2)
+            return q[:, 0]
+
         monkeypatch.setattr(montecarlo, "_CHUNK", 7)
         monkeypatch.setattr(montecarlo, "_stream_states", failing)
-        before = threading.active_count()
-        with pytest.raises(RuntimeError, match="draw failed"):
-            run_estimators(ball_scen, exp_model, 0.15, 20, [None], seed=1)
-        assert threading.active_count() == before
+        with pytest.raises(RuntimeError, match="^draw failed$"):
+            if consumer == "estimators":
+                run_estimators(ball_scen, exp_model, 0.15, 20, [None], seed=1)
+            else:
+                sample_terminal_states(ball_scen, exp_model, 0.15, 20, seed=1,
+                                       keep=slow_keep)
+        assert_no_child_process()
 
-    def test_draw_thread_joined_when_keep_fails(self, ball_scen, exp_model,
+    def test_unpicklable_worker_failure_keeps_type_and_message(
+            self, ball_scen, exp_model, monkeypatch):
+        class DrawError(Exception):  # local, so it cannot be pickled
+            pass
+
+        def failing(seed, run_key, start, stop):
+            raise DrawError("no stream")
+
+        monkeypatch.setattr(montecarlo, "_stream_states", failing)
+        with pytest.raises(RuntimeError, match="^DrawError: no stream$"):
+            sample_terminal_states(ball_scen, exp_model, 0.15, 5, seed=1)
+        assert_no_child_process()
+
+    def test_draw_worker_reaped_when_keep_fails(self, ball_scen, exp_model,
                                                 monkeypatch):
-        # the caller abandons the kernel mid-run; the helper thread, then
-        # drawing the next chunk, must still be joined
+        # the caller abandons the kernel mid-run; the worker, then drawing
+        # the next chunk, must still be reaped
         def failing(q):
             raise RuntimeError("keep failed")
 
         monkeypatch.setattr(montecarlo, "_CHUNK", 7)
-        before = threading.active_count()
-        with pytest.raises(RuntimeError, match="keep failed"):
+        with pytest.raises(RuntimeError, match="^keep failed$"):
             sample_terminal_states(ball_scen, exp_model, 0.15, 20, seed=1,
                                    keep=failing)
-        assert threading.active_count() == before
+        assert_no_child_process()
+
+    def test_draw_worker_reaped_when_closed_early(self, ball_scen, exp_model,
+                                                  monkeypatch):
+        monkeypatch.setattr(montecarlo, "_CHUNK", 7)
+        kernel = montecarlo._simulate(ball_scen, exp_model, 0.15, 30, 1, 0,
+                                      [None])
+        _, start, _, q = next(kernel)
+        assert start == 0 and q.shape == (7, exp_model.grid.M)
+        kernel.close()
+        assert_no_child_process()
+
+    def test_draw_worker_reaped_after_complete_run(self, ball_scen,
+                                                   exp_model, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_CHUNK", 7)
+        run_basic_mc(ball_scen, exp_model, 0.15, 20, seed=1)
+        assert_no_child_process()
