@@ -12,7 +12,7 @@ center-diagnostics reduces each chunk of terminal slices to its wave centers
 as the kernel produces them, so its memory grows with K floats, not K x M.
 sweep-x0 and sweep-T are one rate sweep over x0 or T.  Every *_meta.json
 records the numerical regime: the grid's CFL number and the BLAS thread
-variables.
+variables, and the Monte Carlo sidecars the kernel's worker process count.
 SHOCKLD_THREADS is the fallback for --threads; a thread count below 1 is
 refused.  All numeric output is written with 17 significant digits so that
 reruns with the same seed are byte-identical and path files round-trip
@@ -38,7 +38,7 @@ from .diagnostics import (analytic_center_law, analytic_exit_probability,
                           transition_margin_ok, wave_centers)
 from .fluxes import cfl_number, check_cfl
 from .grid import SpaceTimeGrid
-from .montecarlo import run_estimators, sample_terminal_states
+from .montecarlo import kernel_workers, run_estimators, sample_terminal_states
 from .noise import build_noise_model
 from .optimize import (initial_values, linear_interpolation_path,
                        linear_shift_path, midpoint_convexity_test,
@@ -222,7 +222,8 @@ def _estimate(cfg: RunConfig, out_dir: str, threads: int, eps_grid,
 def cmd_mc(cfg: RunConfig, out_dir: str, threads: int) -> None:
     eps = _require(cfg.run.eps, "eps")
     [[rep]], _ = _estimate(cfg, out_dir, threads, [eps], ["mc"])
-    _write_meta(out_dir, "mc_meta.json", cfg, {"subcommand": "mc"})
+    _write_meta(out_dir, "mc_meta.json", cfg,
+                {"subcommand": "mc", "kernel_workers": kernel_workers(rep.K)})
     print(f"mc: estimate={rep.estimate:.6g} rel_error={rep.relative_error:.3g} "
           f"hits={rep.hits}")
 
@@ -232,7 +233,8 @@ def cmd_is(cfg: RunConfig, out_dir: str, threads: int) -> None:
     [[rep]], solves = _estimate(cfg, out_dir, threads, [eps], ["is-delta"])
     i_star = solves["is-delta"].rate_value
     _write_meta(out_dir, "is_meta.json", cfg,
-                {"subcommand": "is", "I_star": i_star})
+                {"subcommand": "is", "I_star": i_star,
+                 "kernel_workers": kernel_workers(rep.K)})
     print(f"is: estimate={rep.estimate:.6g} rel_error={rep.relative_error:.3g} "
           f"hits={rep.hits} I*={i_star:.6g}")
 
@@ -241,7 +243,9 @@ def cmd_sweep_eps(cfg: RunConfig, out_dir: str, threads: int) -> None:
     eps_grid = _require(cfg.run.eps_grid, "eps_grid")
     estimators = cfg.run.estimators or ("mc", "is-delta")
     _estimate(cfg, out_dir, threads, eps_grid, estimators)
-    _write_meta(out_dir, "sweep_eps_meta.json", cfg, {"subcommand": "sweep-eps"})
+    _write_meta(out_dir, "sweep_eps_meta.json", cfg,
+                {"subcommand": "sweep-eps",
+                 "kernel_workers": kernel_workers(cfg.run.K)})
     print(f"sweep-eps: {len(eps_grid) * len(estimators)} reports -> reports.csv")
 
 
@@ -338,7 +342,8 @@ def cmd_center_diagnostics(cfg: RunConfig, out_dir: str, threads: int) -> None:
            cfg.run.seed]
     _write_csv(os.path.join(out_dir, "center_diagnostics.csv"), header, [row])
     _write_meta(out_dir, "center_diagnostics_meta.json", cfg,
-                {"subcommand": "center-diagnostics"})
+                {"subcommand": "center-diagnostics",
+                 "kernel_workers": kernel_workers(K)})
     print(f"center-diagnostics: var ratio={row[7]:.4f} "
           f"exit mc={mc_p:.4g} vs analytic={analytic_p:.4g}")
 

@@ -23,22 +23,17 @@ sample, with no difference of two large square sums to cancel digits.
 
 One trajectory kernel, _simulate, serves every caller.  It takes a sequence
 of forcings (None for the untilted scheme) and works through the samples in
-chunks: per chunk it colors the normals once, then steps one trajectory
-batch per forcing from those increments and yields its terminal slices with
-the chunk's unit-normal draws.  It only steps: run_estimators scores the
-slices (indicator times weight), sample_terminal_states stores them.  An
-epsilon sweep therefore runs mc, is0 and is-delta at one eps from one set of
-draws.
+chunks: per chunk it colors the normals once, weighs them under each tilted
+forcing, steps one trajectory batch per forcing from those increments and
+yields the terminal slices with their log-weights.  run_estimators scores
+the slices (indicator times weight), sample_terminal_states stores them.
+An epsilon sweep therefore runs mc, is0 and is-delta at one eps from one set
+of draws.
 
-Two processes share a run.  A worker process, forked once per kernel run,
-draws chunk c+1 into one of two shared buffers while the calling process
-colors and steps chunk c from the other; a pipe carries "chunk ready" one
-way and "buffer free" the other.  The draw loop runs Python for every
-sample, so in a thread beside the stepping it would take the GIL hundreds
-of times per chunk; in its own process it takes none of the caller's.  The
-worker allocates only its per-chunk stream states; the caller allocates the
-two shared draw buffers (before the fork), the colored store, the batch and
-the step increment.  The worker is reaped however the run ends.
+The kernel runs in worker processes forked per call, one per usable CPU:
+each draws, colors, weighs and steps its share of the chunks and hands the
+results over in shared memory; the caller only scores them.  In threads,
+the draws' per-sample Python would take the GIL hundreds of times a chunk.
 
 Each trajectory batch is held cells-major, as an (M, B) array whose
 contiguous axis runs over the samples, so each elementwise pass of a step
@@ -49,12 +44,10 @@ The coloring is Phi's AR(1) recurrence, x_0 = sigma z_0, x_i = rho x_{i-1} +
 sigma s z_i, with sqrt(dt/dx) eps folded into the per-cell factors of the one
 pass that writes the draws cells-major, as (N, M-2, B), so each step adds one
 contiguous slice.  Neither the coloring nor the weights call BLAS, so no
-thread setting moves a bit of the output.  The batch, the step increment and
-the colored store are allocated once per kernel run, and the drift is
-written into the increment.  Every value is computed per sample, so it keeps
-its bits at any chunk or block size.  Callers reduce each chunk's terminal
-slices before the next is stepped, so no (K, M) array exists unless the
-caller asks for the slices themselves.
+thread setting moves a bit of the output.  Every value is computed per
+sample, so it keeps its bits at any chunk size, block size or worker count.
+Callers reduce each chunk's terminal slices before moving to the next, so
+no (K, M) array exists unless the caller asks for the slices themselves.
 
 Seeding contract: a 64-bit root seed expands into one independent stream per
 sample index (counter-based spawn keys), so the draws of sample k never
@@ -89,6 +82,7 @@ __all__ = [
     "epsilon_sweep",
     "sample_terminal_states",
     "sample_stream",
+    "kernel_workers",
 ]
 
 ESTIMATORS = ("mc", "is0", "is-delta")  # names of epsilon_sweep's estimators
@@ -233,32 +227,84 @@ def _normals(z: np.ndarray, seed: int, run_key: int, start: int) -> np.ndarray:
 
 
 def _shared_array(shape: tuple[int, ...]) -> np.ndarray:
-    """An uninitialized float array in an anonymous shared mapping.
-
-    A process forked after the call writes to the same memory.
-    """
+    """An uninitialized float array in anonymous memory shared across fork."""
     size = math.prod(shape)
     return np.frombuffer(mmap.mmap(-1, 8 * size), count=size).reshape(shape)
 
 
-def _draw_worker(conn, buffers: list[np.ndarray], seed: int, run_key: int,
-                 K: int) -> None:
-    """Draw the K samples' normals chunk by chunk into alternating buffers.
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if not hasattr(os, "sched_getaffinity"):  # not on macOS
+        return os.cpu_count() or 1
+    return len(os.sched_getaffinity(0))
 
-    Runs in the forked worker.  After each chunk it sends None; before it
-    draws into a buffer for the second time it waits for the caller to
-    release the chunk held there.  A failed draw sends the exception and
-    ends the loop; a closed pipe means the caller has stopped listening.
-    Between the fork and its exit it touches only numpy's generators, the
-    pipe and the two buffers, so no lock held by another thread of the
-    caller at the fork can block it.
+
+def kernel_workers(K: int) -> int:
+    """Worker processes the kernel forks for K samples: one per usable CPU,
+    at most one per chunk."""
+    return min(_cpus(), -(-K // _CHUNK))
+
+
+def _worker(conn, slots, first: int, step: int, scen: RareEventSpec,
+            model: NoiseModel, eps: float, K: int, seed: int, run_key: int,
+            forcings) -> None:
+    """Run the kernel on chunks first, first + step, ... of the K samples.
+
+    Runs in a forked worker, in buffers of its own allocated once and viewed
+    at each chunk's size B.  Per chunk, _normals draws the unit normals z
+    (B, N, M-2); one transposing pass over blocks of _BLOCK samples writes
+    them, scaled per cell by sqrt(dt/dx) eps diag(Phi), into dW (N, M-2, B),
+    which noise.ar1_accumulate colors in place; _log_weights weighs z under
+    each tilted forcing; and each forcing's batch qT (M, B) is stepped, drift
+    writing into the increment inc (M-2, B) through the Fortran-ordered
+    views qT.T and inc.T.  The terminal slices (F, B, M) and log-weights
+    (F, B) are then copied into slots[j % 2], j counting the worker's
+    chunks, and None is sent; before writing a slot the second time the
+    worker waits for the caller to release it.  A failure sends the
+    exception and ends the loop; a closed pipe means the caller has stopped
+    listening.  The worker touches only numpy, the pipe and its slots, so no
+    lock held by another thread of the caller at the fork can block it.
     """
     try:
-        for c, start in enumerate(range(0, K, _CHUNK)):
-            if c >= 2:
+        grid, wave = model.grid, scen.wave
+        N, M, dt, n_int = grid.N, grid.M, grid.dt, grid.M - 2
+        q0, edges = initial_values(scen, grid), boundary_edges(scen, grid)
+        scale = (math.sqrt(dt / grid.dx) * eps) * model.Phi.diagonal()[:, None]
+        tilts = [None if h is None else unwhiten(model, h)[:, :, None]
+                 for h in forcings]
+        size = min(K, _CHUNK)
+        z_mem, dW_mem, q_mem, inc_mem = (np.empty(n * size) for n in
+                                         (N * n_int, N * n_int, M, n_int))
+        terms = np.empty((len(forcings), size, M))
+        logw = np.empty((len(forcings), size))
+        for j, start in enumerate(range(first * _CHUNK, K, step * _CHUNK)):
+            B = min(K - start, _CHUNK)
+            z = _normals(z_mem[:N * n_int * B].reshape(B, N, n_int), seed,
+                         run_key, start)
+            dW = dW_mem[:N * n_int * B].reshape(N, n_int, B)
+            qT = q_mem[:M * B].reshape(M, B)
+            inc = inc_mem[:n_int * B].reshape(n_int, B)
+            for lo in range(0, B, _BLOCK):
+                np.multiply(z[lo:lo + _BLOCK].transpose(1, 2, 0), scale,
+                            out=dW[:, :, lo:lo + _BLOCK])
+            ar1_accumulate(model, dW.transpose(0, 2, 1))
+            for i, (h, tilt) in enumerate(zip(forcings, tilts)):
+                if h is not None:
+                    logw[i, :B] = _log_weights(z, h, eps, grid.dx / dt)
+                qT[...] = q0[:, None]
+                for n in range(N):
+                    drift(qT.T, grid, wave, out=inc.T)
+                    inc *= dt
+                    inc += dW[n]
+                    if tilt is not None:
+                        inc += tilt[n]
+                    qT[1:-1] += inc
+                    pin_edges(qT.T, edges[n + 1])
+                terms[i, :B] = qT.T
+            if j >= 2:
                 conn.recv()
-            z = buffers[c % 2][:min(start + _CHUNK, K) - start]
-            _normals(z, seed, run_key, start)
+            for slot, result in zip(slots[j % 2], (terms, logw)):
+                slot[:, :B] = result[:, :B]
             conn.send(None)
     except (EOFError, ConnectionError):
         pass
@@ -267,56 +313,6 @@ def _draw_worker(conn, buffers: list[np.ndarray], seed: int, run_key: int,
             conn.send(err)
         except Exception:  # not picklable: keep its type's name and message
             conn.send(RuntimeError(f"{type(err).__name__}: {err}"))
-
-
-def _draws(seed: int, run_key: int, K: int, shape: tuple[int, ...]):
-    """Yield (start, stop, z) per chunk of the K samples' normals.
-
-    A worker process, forked once per call, draws chunk c+1 while the caller
-    works on chunk c, so the two never share a GIL.  The chunks alternate
-    between two buffers in anonymous shared mappings, allocated here before
-    the fork: chunk c+2 is drawn into chunk c's memory once the caller has
-    moved past chunk c, which it signals over the one pipe the chunks are
-    announced on.  An exception raised in the worker surfaces here with its
-    type and message.  The worker is reaped whether the run completes,
-    fails or is abandoned.  A consumer may overwrite a chunk in place, but
-    must not keep it past its loop iteration.
-    """
-    size = min(K, _CHUNK)
-    buffers = [_shared_array((size,) + shape)
-               for _ in range(1 if K <= _CHUNK else 2)]
-    import numpy.random  # noqa: F401  (lazy in numpy: load it once, here)
-    conn, child_conn = Pipe()
-    pid = os.fork()
-    if pid == 0:  # the worker
-        status = 1
-        try:
-            conn.close()
-            _draw_worker(child_conn, buffers, seed, run_key, K)
-            status = 0
-        finally:
-            os._exit(status)
-    child_conn.close()
-    try:
-        for start in range(0, K, _CHUNK):
-            try:
-                failure = conn.recv()
-            except (EOFError, ConnectionError):
-                raise RuntimeError("the draw worker exited before "
-                                   "finishing its chunks") from None
-            if failure is not None:
-                raise failure
-            stop = min(start + _CHUNK, K)
-            yield start, stop, buffers[(start // _CHUNK) % 2][:stop - start]
-            if stop + _CHUNK < K:
-                try:  # this chunk's buffer is free for the chunk after next
-                    conn.send(None)
-                except ConnectionError:
-                    pass  # the worker has stopped; the next recv says why
-    finally:
-        conn.close()
-        os.kill(pid, signal.SIGKILL)  # done with its last chunk, or abandoned
-        os.waitpid(pid, 0)
 
 
 def _report(p: np.ndarray, eps: float, hits: int) -> EstimatorReport:
@@ -388,62 +384,70 @@ def _simulate(scen: RareEventSpec, model: NoiseModel, eps: float, K: int,
     """Evolve K trajectories per forcing from one set of per-sample draws.
 
     forcings holds checked (N, M-2) arrays h, None meaning the untilted
-    scheme.  Per chunk the draws are colored once; then each forcing's batch
-    is stepped and yielded as (i, start, z, q): the forcing's index, the
-    chunk's first sample, its unit-normal draws z (B, N, M-2), valid only
-    until the next chunk, and the terminal slices q, a fresh C-ordered
-    (B, M) array the caller may overwrite.
-
-    The coloring is Phi's AR(1) recurrence (noise.ar1_accumulate), not a
-    matrix product, so the kernel calls no BLAS.  One transposing pass, over
-    blocks of _BLOCK samples, writes z scaled per cell by
-    sqrt(dt/dx) eps diag(Phi) cells-major into the colored store dW; then
-    dW[:, i] += rho dW[:, i-1] over the cells turns it into the colored
-    increments.  z itself is only read.
-
-    Every buffer of this process is allocated once per run and viewed at
-    each chunk's size B: the trajectory batch qT, stored cells-major as
-    (M, B); the step increment inc, (M-2, B); and dW, (N, M-2, B), so each
-    step adds one contiguous slice dW[n].  drift writes each step's drift
-    into inc through the Fortran-ordered (B, M) views qT.T and inc.T.
-    Beyond these and the two shared draw buffers of _draws, a run allocates
-    per chunk only the recurrence's (N, B) temporaries and the (B, M)
-    terminal slices of one forcing at a time.
+    scheme.  W = kernel_workers(K) workers, forked here, run _worker: worker
+    w takes chunks w, w + W, ... of _CHUNK samples.  This process takes the
+    chunks in index order and yields, per forcing, (i, start, logw, q): the
+    forcing's index, the chunk's first sample, its (B,) log-weights (None
+    for the untilted scheme) and its C-ordered (B, M) terminal slices.  Each
+    worker owns one pipe, on which it announces its chunks, and two result
+    slots, shared mappings allocated before the forks; a slot is released
+    once this process has moved past its chunk.  logw and q are views of
+    the slot: a consumer may overwrite them, but must not keep them past its
+    loop iteration.  An exception raised in a worker surfaces here with its
+    type and message.  Every worker is killed and reaped whether the run
+    completes, fails or is abandoned.
     """
-    grid, wave = model.grid, scen.wave
-    N, M = grid.N, grid.M
-    dt = grid.dt
-    n_int = M - 2
-    q0 = initial_values(scen, grid)
-    edges = boundary_edges(scen, grid)
-    scale = (math.sqrt(dt / grid.dx) * eps) * model.Phi.diagonal()[:, None]
-    tilts = [None if h is None else unwhiten(model, h)[:, :, None]
-             for h in forcings]
-
-    size = min(K, _CHUNK)
-    q_mem, inc_mem, dW_mem = (np.empty(n * size)
-                              for n in (M, n_int, N * n_int))
-    for start, stop, z in _draws(seed, run_key, K, (N, n_int)):
-        B = stop - start
-        qT = q_mem[:M * B].reshape(M, B)
-        inc = inc_mem[:n_int * B].reshape(n_int, B)
-        dW = dW_mem[:N * n_int * B].reshape(N, n_int, B)
-        for lo in range(0, B, _BLOCK):
-            np.multiply(z[lo:lo + _BLOCK].transpose(1, 2, 0), scale,
-                        out=dW[:, :, lo:lo + _BLOCK])
-        ar1_accumulate(model, dW.transpose(0, 2, 1))
-
-        for i, tilt in enumerate(tilts):
-            qT[...] = q0[:, None]
-            for n in range(N):
-                drift(qT.T, grid, wave, out=inc.T)
-                inc *= dt
-                inc += dW[n]
-                if tilt is not None:
-                    inc += tilt[n]
-                qT[1:-1] += inc
-                pin_edges(qT.T, edges[n + 1])
-            yield i, start, z, np.ascontiguousarray(qT.T)
+    W = kernel_workers(K)
+    n_chunks = -(-K // _CHUNK)
+    shape = (len(forcings), min(K, _CHUNK))
+    slots = [[(_shared_array(shape + (model.grid.M,)), _shared_array(shape))
+              for _ in range(2)] for _ in range(W)]
+    import numpy.random  # noqa: F401  (lazy in numpy: load it once, here)
+    conns, pids = [], []
+    try:
+        for w in range(W):
+            conn, child_conn = Pipe()
+            pid = os.fork()
+            if pid == 0:  # worker w: never returns into the caller's code
+                try:
+                    for c in conns + [conn]:
+                        c.close()
+                    # freeing a 16 MB mapped block raises glibc's mmap and
+                    # trim thresholds, so the drift's temporaries stay in the
+                    # heap rather than being faulted in again at every step
+                    np.empty(1 << 21)
+                    _worker(child_conn, slots[w], w, W, scen, model, eps, K,
+                            seed, run_key, forcings)
+                finally:
+                    os._exit(0)
+            child_conn.close()
+            conns.append(conn)
+            pids.append(pid)
+        for c in range(n_chunks):
+            conn = conns[c % W]
+            try:
+                failure = conn.recv()
+            except (EOFError, ConnectionError):
+                raise RuntimeError("a kernel worker exited before "
+                                   "finishing its chunks") from None
+            if failure is not None:
+                raise failure
+            start = c * _CHUNK
+            B = min(K - start, _CHUNK)
+            terms, logw = slots[c % W][(c // W) % 2]
+            for i, h in enumerate(forcings):
+                yield i, start, None if h is None else logw[i, :B], terms[i, :B]
+            if c + 2 * W < n_chunks:
+                try:  # the slot is free for the worker's chunk after next
+                    conn.send(None)
+                except ConnectionError:
+                    pass  # the worker has stopped; the next recv says why
+    finally:
+        for conn in conns:
+            conn.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)  # done with its chunks, or abandoned
+            os.waitpid(pid, 0)
 
 
 def run_estimators(scen: RareEventSpec, model: NoiseModel, eps: float, K: int,
@@ -466,16 +470,11 @@ def run_estimators(scen: RareEventSpec, model: NoiseModel, eps: float, K: int,
 
     p = np.empty((len(forcings), K))
     hits = [0] * len(forcings)
-    for i, start, z, q in _simulate(scen, model, eps, K, seed, run_key,
-                                    forcings):
-        stop = start + len(q)
+    for i, start, logw, q in _simulate(scen, model, eps, K, seed, run_key,
+                                       forcings):
         ind = _inside(q, target, grid.dx, delta_sq)
         hits[i] += int(np.count_nonzero(ind))
-        if forcings[i] is None:
-            p[i, start:stop] = ind.astype(float)
-        else:
-            p[i, start:stop] = ind * np.exp(
-                _log_weights(z, forcings[i], eps, grid.dx / grid.dt))
+        p[i, start:start + len(q)] = ind if logw is None else ind * np.exp(logw)
     return [_report(row, eps, n) for row, n in zip(p, hits)]
 
 

@@ -204,6 +204,27 @@ class TestSubcommands:
                                       "OMP_NUM_THREADS": "2",
                                       "MKL_NUM_THREADS": None}
 
+    @pytest.mark.parametrize("cpus, workers", [(2, 2), (8, 3)])
+    @pytest.mark.parametrize("subcommand", ["mc", "is", "sweep-eps",
+                                            "center-diagnostics"])
+    def test_monte_carlo_meta_records_kernel_workers(
+            self, tmp_path, monkeypatch, subcommand, cpus, workers):
+        # 20 samples in chunks of 7: one worker per usable CPU, at most one
+        # per chunk
+        monkeypatch.setattr(montecarlo, "_CHUNK", 7)
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: cpus)
+        delta = 0.0 if subcommand == "center-diagnostics" else DELTA
+        cfg_path = make_config(
+            tmp_path, **{"run.K": 20, "run.eps": 0.2, "run.eps_grid": [0.2],
+                         "run.estimators": ["mc"], "scenario.delta": delta})
+        out = tmp_path / "out"
+        assert main([subcommand, "--config", str(cfg_path),
+                     "--out", str(out)]) == 0
+        name = subcommand.replace("-", "_") + "_meta.json"
+        meta = json.loads((out / name).read_text())
+        assert meta["kernel_workers"] == workers
+        assert "thread_env" in meta
+
     def test_optimize_meta_records_ball_outer_steps(self, tmp_path):
         cfg_path = make_config(
             tmp_path, **{"grid.dt": 0.1, "noise.kind": "identity",
@@ -289,7 +310,7 @@ class TestSubcommands:
     def test_sweep_eps_threads_byte_identical(self, tmp_path, ball_scen,
                                               exp_model, ball_exp_opt,
                                               pinned_exp_opt, monkeypatch):
-        # each pool worker forks a draw worker of its own, which hands over
+        # each pool worker forks kernel workers of its own, which hand over
         # the 120 samples in three chunks
         monkeypatch.setattr(montecarlo, "_CHUNK", 50)
         cfg_path = make_config(

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -396,7 +397,7 @@ class TestEpsilonSweep:
     def test_one_stream_per_sample_per_eps(self, ball_scen, exp_model,
                                            ball_exp_opt, pinned_exp_opt,
                                            monkeypatch, tmp_path):
-        # the streams are opened in the draw worker, which appends each
+        # the streams are opened in the kernel workers, which append each
         # (run key, k) to a file that this process reads back
         log = tmp_path / "opened.txt"
         original = montecarlo._stream_states
@@ -635,21 +636,37 @@ class TestSampleBlocks:
 
 
 class TestKernelBuffers:
-    def test_overwritten_chunks_match_fresh_draws(self, monkeypatch):
-        # a consumer may overwrite each chunk while the next is drawn into
-        # the other shared buffer; four runs at once (more draw workers than
-        # cores), consumed in turn, each see exactly their own fresh draws
+    def test_overwritten_chunks_match_fresh_draws(self, ball_scen, exp_model,
+                                                  ball_exp_opt, monkeypatch):
+        # a consumer may overwrite each chunk's results while the workers run
+        # ahead into their other slots; four runs at once (eight workers in
+        # all, more than a small host has cores), consumed in turn, each see
+        # exactly their own
         monkeypatch.setattr(montecarlo, "_CHUNK", 3)
-        K, shape = 40, (3, 4)
-        runs = {key: montecarlo._draws(5, key, K, shape) for key in range(4)}
-        chunks = {key: [] for key in runs}
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: 2)
+        K, eps, h = 40, 0.15, ball_exp_opt.forcing
+        grid, keys = exp_model.grid, range(4)
+        terminals = {key: [q for _, q in row_major_kernel(
+            ball_scen, exp_model, eps, K, 5, key, [None, h])] for key in keys}
+        weights = {key: girsanov_log_weights(stream_draws(grid, K, 5, key), h,
+                                             eps, grid) for key in keys}
+        runs = {key: montecarlo._simulate(ball_scen, exp_model, eps, K, 5, key,
+                                          [None, h]) for key in keys}
+        chunks = {key: [] for key in keys}
         for _ in range(-(-K // 3)):
             for key, run in runs.items():
-                start, stop, z = next(run)
-                fresh = montecarlo._normals(
-                    np.empty((stop - start,) + shape), 5, key, start)
-                assert np.array_equal(z.view(np.int64), fresh.view(np.int64))
-                z.fill(np.nan)
+                for i in range(2):
+                    j, start, logw, q = next(run)
+                    stop = start + len(q)
+                    assert j == i and (logw is None) == (i == 0)
+                    ref = terminals[key][i][start:stop]
+                    assert np.array_equal(q.view(np.int64), ref.view(np.int64))
+                    q.fill(np.nan)
+                    if logw is not None:
+                        ref = weights[key][start:stop]
+                        assert np.array_equal(logw.view(np.int64),
+                                              ref.view(np.int64))
+                        logw.fill(np.nan)
                 chunks[key].append((start, stop))
         for run in runs.values():
             assert next(run, None) is None
@@ -661,13 +678,31 @@ class TestKernelBuffers:
                                                        exp_model, ball_exp_opt,
                                                        pinned_exp_opt,
                                                        monkeypatch):
-        # two draw buffers and the colored store, plus the per-batch arrays
-        # and temporaries, in blocks of 5.6 MB at this K on the benchmark
-        # grid.  The draw buffers are shared mappings, which tracemalloc does
-        # not see, so their mapped bytes are added to its peak.
+        # in blocks of 5.6 MB, one draw array at this K on the benchmark
+        # grid.  One worker's chunk loop, run in this process under
+        # tracemalloc, holds the draws, the colored store and the per-batch
+        # arrays and temporaries: 2.50 blocks.  The caller holds the report
+        # arrays and, in shared mappings that tracemalloc does not see, two
+        # result slots per worker, whose mapped bytes are added.
         grid = exp_model.grid
         block = montecarlo._CHUNK * grid.N * (grid.M - 2) * 8
         forcings = [None, pinned_exp_opt.forcing, ball_exp_opt.forcing]
+        K = 2 * montecarlo._CHUNK + 100
+        shape = (len(forcings), montecarlo._CHUNK)
+        slots = [(montecarlo._shared_array(shape + (grid.M,)),
+                  montecarlo._shared_array(shape)) for _ in range(2)]
+        sent = []
+        conn = types.SimpleNamespace(send=sent.append, recv=lambda: None)
+        tracemalloc.start()
+        try:
+            montecarlo._worker(conn, slots, 0, 1, ball_scen, exp_model, 0.1, K,
+                               1, 0, forcings)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sent == [None] * 3
+        assert peak <= 2.51 * block
+
         mapped = []
         shared = montecarlo._shared_array
 
@@ -677,15 +712,16 @@ class TestKernelBuffers:
             return out
 
         monkeypatch.setattr(montecarlo, "_shared_array", recording)
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: 2)
         tracemalloc.start()
         try:
-            run_estimators(ball_scen, exp_model, 0.1,
-                           2 * montecarlo._CHUNK + 100, forcings, seed=1)
+            run_estimators(ball_scen, exp_model, 0.1, K, forcings, seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert mapped == [block, block]
-        assert peak + sum(mapped) <= 3.47 * block
+        slot = [slots[0][0].nbytes, slots[0][1].nbytes]
+        assert mapped == slot * 4
+        assert peak + sum(mapped) <= 0.65 * block
 
     def test_centers_path_holds_no_slice_array(self, displacement_scen,
                                                wave):
@@ -717,24 +753,35 @@ class TestKernelBuffers:
 
     def test_one_traced_drift_call_per_step(self, ball_scen, exp_model,
                                             ball_exp_opt, pinned_exp_opt,
-                                            monkeypatch):
+                                            monkeypatch, tmp_path):
         # perfbench/tracing.py times the kernel's drift by patching this
-        # module attribute; the kernel must look it up on every step
-        calls = []
+        # module attribute; the kernel must look it up on every step.  The
+        # workers run it, so each appends (its pid, the batch shape) per
+        # call to a file that this process reads back.
+        log = tmp_path / "drift.txt"
         original = montecarlo.drift
 
         def counting(*args, **kwargs):
-            calls.append(args[0].shape)
+            with open(log, "a") as fh:
+                fh.write("%d %d %d\n" % (os.getpid(), *args[0].shape))
             return original(*args, **kwargs)
 
         monkeypatch.setattr(montecarlo, "_CHUNK", 7)
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: 2)
         monkeypatch.setattr(montecarlo, "drift", counting)
         forcings = [None, pinned_exp_opt.forcing, ball_exp_opt.forcing]
         run_estimators(ball_scen, exp_model, 0.15, 20, forcings, seed=4)
+        calls = {}
+        for line in log.read_text().splitlines():
+            pid, *shape = map(int, line.split())
+            calls.setdefault(pid, []).append(tuple(shape))
         grid = exp_model.grid
         per_chunk = grid.N * len(forcings)
-        assert calls == ([(7, grid.M)] * 2 * per_chunk
-                         + [(6, grid.M)] * per_chunk)
+        # worker 0 steps chunks 0 and 2, worker 1 chunk 1
+        assert sorted(calls.values()) == [
+            [(7, grid.M)] * per_chunk,
+            [(7, grid.M)] * per_chunk + [(6, grid.M)] * per_chunk]
+        assert os.getpid() not in calls
 
 
 class TestBlasThreads:
@@ -813,16 +860,46 @@ class TestStreams:
             assert np.array_equal(chunked_terminals.view(np.int64),
                                   terminals.view(np.int64))
 
+    @pytest.mark.parametrize("model_name", ["exp_model", "identity_model"])
+    def test_worker_count_does_not_matter(self, model_name, ball_scen,
+                                          certain_scen, ball_exp_opt,
+                                          pinned_exp_opt, request,
+                                          monkeypatch):
+        # 30 samples are five chunks of 7, the last one short: two workers
+        # take three and two of them, three workers two, two and one.  On
+        # the certain event every report is one of the weights' statistics.
+        model = request.getfixturevalue(model_name)
+        forcings = [None, pinned_exp_opt.forcing, ball_exp_opt.forcing]
+        monkeypatch.setattr(montecarlo, "_CHUNK", 7)
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: 8)
+        assert montecarlo.kernel_workers(30) == 5
+        outputs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(montecarlo, "_cpus", lambda: workers)
+            assert montecarlo.kernel_workers(30) == workers
+            reports = [run_estimators(scen, model, 0.15, 30, forcings,
+                                      seed=21, run_key=3)
+                       for scen in (ball_scen, certain_scen)]
+            rows = sample_terminal_states(ball_scen, model, 0.15, 30, seed=21,
+                                          forcing=ball_exp_opt.forcing)
+            outputs.append(([report_bits(r) for r in reports[0] + reports[1]],
+                            rows.view(np.int64).tolist()))
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert [r.hits for r in reports[1]] == [30] * 3
+
+    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("consumer", ["estimators", "slow_keep"])
-    def test_worker_failure_surfaces(self, consumer, ball_scen, exp_model,
-                                     monkeypatch):
-        # the slow consumer is still on chunk 0 when the worker fails on
-        # chunk 1 and exits, so its release of chunk 0's buffer finds the
-        # pipe closed; the worker's exception must surface all the same
+    def test_worker_failure_surfaces(self, consumer, workers, ball_scen,
+                                     exp_model, monkeypatch):
+        # chunk 1 fails: with one worker, the worker that handed over chunk
+        # 0; with two, the second worker.  With one worker the slow consumer
+        # is still on chunk 0 when the worker fails and exits, so its release
+        # of chunk 0's slot finds the pipe closed; the worker's exception
+        # must surface all the same
         original = montecarlo._stream_states
 
         def failing(seed, run_key, start, stop):
-            if start > 0:
+            if start == 7:
                 raise RuntimeError("draw failed")
             return original(seed, run_key, start, stop)
 
@@ -831,6 +908,7 @@ class TestStreams:
             return q[:, 0]
 
         monkeypatch.setattr(montecarlo, "_CHUNK", 7)
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: workers)
         monkeypatch.setattr(montecarlo, "_stream_states", failing)
         with pytest.raises(RuntimeError, match="^draw failed$"):
             if consumer == "estimators":
@@ -853,22 +931,24 @@ class TestStreams:
             sample_terminal_states(ball_scen, exp_model, 0.15, 5, seed=1)
         assert_no_child_process()
 
-    def test_draw_worker_reaped_when_keep_fails(self, ball_scen, exp_model,
-                                                monkeypatch):
-        # the caller abandons the kernel mid-run; the worker, then drawing
-        # the next chunk, must still be reaped
+    def test_workers_reaped_when_keep_fails(self, ball_scen, exp_model,
+                                            monkeypatch):
+        # the caller abandons the kernel mid-run; the three workers, then
+        # stepping or waiting to hand over their chunks, must still be reaped
         def failing(q):
             raise RuntimeError("keep failed")
 
         monkeypatch.setattr(montecarlo, "_CHUNK", 7)
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: 3)
         with pytest.raises(RuntimeError, match="^keep failed$"):
             sample_terminal_states(ball_scen, exp_model, 0.15, 20, seed=1,
                                    keep=failing)
         assert_no_child_process()
 
-    def test_draw_worker_reaped_when_closed_early(self, ball_scen, exp_model,
-                                                  monkeypatch):
+    def test_workers_reaped_when_closed_early(self, ball_scen, exp_model,
+                                              monkeypatch):
         monkeypatch.setattr(montecarlo, "_CHUNK", 7)
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: 3)
         kernel = montecarlo._simulate(ball_scen, exp_model, 0.15, 30, 1, 0,
                                       [None])
         _, start, _, q = next(kernel)
@@ -876,8 +956,9 @@ class TestStreams:
         kernel.close()
         assert_no_child_process()
 
-    def test_draw_worker_reaped_after_complete_run(self, ball_scen,
-                                                   exp_model, monkeypatch):
+    def test_workers_reaped_after_complete_run(self, ball_scen, exp_model,
+                                               monkeypatch):
         monkeypatch.setattr(montecarlo, "_CHUNK", 7)
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: 3)
         run_basic_mc(ball_scen, exp_model, 0.15, 20, seed=1)
         assert_no_child_process()
