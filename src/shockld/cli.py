@@ -7,10 +7,12 @@ center-diagnostics.  mc and is write the reports.csv row of a one-point
 sweep-eps at run.eps (is runs is-delta); mc, is and sweep-eps refuse
 scenario.delta = 0, whose terminal event has probability 0, and
 center-diagnostics refuses a run.eps whose center law has variance 0 (eps =
-0, or eps^2 underflowing).
-center-diagnostics reduces each chunk of terminal slices to its wave centers
-as the kernel produces them, so its memory grows with K floats, not K x M.
-sweep-x0 and sweep-T are one rate sweep over x0 or T.  Every *_meta.json
+0, or eps^2 underflowing).  sweep-eps is one epsilon_sweep call, whose
+kernel spreads the chunks of every eps over all usable CPUs, so it does not
+fan out over processes; sweep-x0 and sweep-T, one rate sweep over x0 or T,
+fan their points out over --threads processes.  center-diagnostics reduces
+each chunk of terminal slices to its wave centers as the kernel produces
+them, so its memory grows with K floats, not K x M.  Every *_meta.json
 records the numerical regime: the grid's CFL number and the BLAS thread
 variables, and the Monte Carlo sidecars the kernel's worker process count.
 SHOCKLD_THREADS is the fallback for --threads; a thread count below 1 is
@@ -38,7 +40,7 @@ from .diagnostics import (analytic_center_law, analytic_exit_probability,
                           transition_margin_ok, wave_centers)
 from .fluxes import cfl_number, check_cfl
 from .grid import SpaceTimeGrid
-from .montecarlo import kernel_workers, run_estimators, sample_terminal_states
+from .montecarlo import epsilon_sweep, kernel_workers, sample_terminal_states
 from .noise import build_noise_model
 from .optimize import (initial_values, linear_interpolation_path,
                        linear_shift_path, midpoint_convexity_test,
@@ -173,26 +175,11 @@ def cmd_optimize(cfg: RunConfig, out_dir: str, threads: int) -> None:
           f"iters={opt.iterations} converged={opt.converged}")
 
 
-def _eps_point(args):
-    """Worker for the estimators: every forcing at one eps, one kernel call."""
-    scen, model, eps, K, forcings, seed, run_key = args
-    return run_estimators(scen, model, eps, K, forcings, seed, run_key=run_key)
-
-
-def _map_points(worker, items, threads: int):
-    if threads > 1 and len(items) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(worker, items))
-    return [worker(it) for it in items]
-
-
-def _estimate(cfg: RunConfig, out_dir: str, threads: int, eps_grid,
-              estimators):
+def _estimate(cfg: RunConfig, out_dir: str, eps_grid, estimators):
     """mc, is and sweep-eps: every estimator at every eps, into reports.csv.
 
-    Solves for the forcing each importance sampler needs and runs the eps
-    points under run keys 0, 1, ..., as epsilon_sweep does.  Returns the
-    reports, one list per eps, and the solves by estimator name.  Every
+    Solves for each importance sampler's forcing, runs epsilon_sweep and
+    returns its (eps, estimator, report) list and the solves by name.  Every
     estimator scores the terminal ball, so scenario.delta = 0 is refused.
     """
     model = _build(cfg)
@@ -207,21 +194,19 @@ def _estimate(cfg: RunConfig, out_dir: str, threads: int, eps_grid,
                                         model)
     if "is-delta" in estimators:
         solves["is-delta"] = minimize_ball(scen, model)
-    forcings = [solves[name].forcing if name in solves else None
-                for name in estimators]
-    items = [(scen, model, eps, K, forcings, cfg.run.seed, i)
-             for i, eps in enumerate(eps_grid)]
-    results = _map_points(_eps_point, items, threads)
-    rows = [_report_row(eps, name, rep, cfg.run.seed)
-            for eps, reps in zip(eps_grid, results)
-            for name, rep in zip(estimators, reps)]
-    _write_csv(os.path.join(out_dir, "reports.csv"), REPORT_COLUMNS, rows)
+    forcing = {name: opt.forcing for name, opt in solves.items()}
+    results = epsilon_sweep(scen, model, eps_grid, K, estimators, cfg.run.seed,
+                            forcing_pinned=forcing.get("is0"),
+                            forcing_ball=forcing.get("is-delta"))
+    _write_csv(os.path.join(out_dir, "reports.csv"), REPORT_COLUMNS,
+               [_report_row(eps, name, rep, cfg.run.seed)
+                for eps, name, rep in results])
     return results, solves
 
 
 def cmd_mc(cfg: RunConfig, out_dir: str, threads: int) -> None:
     eps = _require(cfg.run.eps, "eps")
-    [[rep]], _ = _estimate(cfg, out_dir, threads, [eps], ["mc"])
+    [(_, _, rep)], _ = _estimate(cfg, out_dir, [eps], ["mc"])
     _write_meta(out_dir, "mc_meta.json", cfg,
                 {"subcommand": "mc", "kernel_workers": kernel_workers(rep.K)})
     print(f"mc: estimate={rep.estimate:.6g} rel_error={rep.relative_error:.3g} "
@@ -230,7 +215,7 @@ def cmd_mc(cfg: RunConfig, out_dir: str, threads: int) -> None:
 
 def cmd_is(cfg: RunConfig, out_dir: str, threads: int) -> None:
     eps = _require(cfg.run.eps, "eps")
-    [[rep]], solves = _estimate(cfg, out_dir, threads, [eps], ["is-delta"])
+    [(_, _, rep)], solves = _estimate(cfg, out_dir, [eps], ["is-delta"])
     i_star = solves["is-delta"].rate_value
     _write_meta(out_dir, "is_meta.json", cfg,
                 {"subcommand": "is", "I_star": i_star,
@@ -242,10 +227,10 @@ def cmd_is(cfg: RunConfig, out_dir: str, threads: int) -> None:
 def cmd_sweep_eps(cfg: RunConfig, out_dir: str, threads: int) -> None:
     eps_grid = _require(cfg.run.eps_grid, "eps_grid")
     estimators = cfg.run.estimators or ("mc", "is-delta")
-    _estimate(cfg, out_dir, threads, eps_grid, estimators)
+    _estimate(cfg, out_dir, eps_grid, estimators)
     _write_meta(out_dir, "sweep_eps_meta.json", cfg,
                 {"subcommand": "sweep-eps",
-                 "kernel_workers": kernel_workers(cfg.run.K)})
+                 "kernel_workers": kernel_workers(cfg.run.K, len(eps_grid))})
     print(f"sweep-eps: {len(eps_grid) * len(estimators)} reports -> reports.csv")
 
 
@@ -276,7 +261,11 @@ def _rate_sweep(cfg: RunConfig, out_dir: str, threads: int, subcommand: str,
         raise ConfigError(f"{subcommand} requires a displacement scenario")
     values = _require(getattr(cfg.run, key), key)
     items = [(cfg, *point(v)) for v in values]
-    rows = _map_points(_sweep_point, items, threads)
+    if threads > 1 and len(items) > 1:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            rows = list(pool.map(_sweep_point, items))
+    else:
+        rows = [_sweep_point(it) for it in items]
     _write_csv(os.path.join(out_dir, "rate_summary.csv"), _SWEEP_HEADER, rows)
     _write_meta(out_dir, f"{subcommand.replace('-', '_')}_meta.json", cfg,
                 {"subcommand": subcommand})
@@ -370,7 +359,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None,
                         help="override run.seed from the config")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker count for sweep fan-out "
+                        help="worker count for sweep-x0/sweep-T fan-out "
                              "(SHOCKLD_THREADS as fallback)")
     args = parser.parse_args(argv)
 

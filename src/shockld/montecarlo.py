@@ -21,33 +21,27 @@ so that E[indicator * w] is the original-event probability for any forcing.
 _log_weights is the one implementation of this weight: one dot product per
 sample, with no difference of two large square sums to cancel digits.
 
-One trajectory kernel, _simulate, serves every caller.  It takes a sequence
-of forcings (None for the untilted scheme) and works through the samples in
-chunks: per chunk it colors the normals once, weighs them under each tilted
-forcing, steps one trajectory batch per forcing from those increments and
-yields the terminal slices with their log-weights.  run_estimators scores
-the slices (indicator times weight), sample_terminal_states stores them.
-An epsilon sweep therefore runs mc, is0 and is-delta at one eps from one set
-of draws.
+One trajectory kernel, _simulate, serves every caller.  It takes runs, each
+an (eps, run_key) pair, and forcings (None for the untilted scheme), and
+forks one worker process per usable CPU.  Per chunk of a run a worker colors
+the normals once, weighs them under each tilted forcing and steps one batch
+per forcing; chunks are handed out on demand and their terminal slices and
+log-weights come back in shared memory, in completion order.  Consumers
+place each value by its sample index, so no output depends on that order.
+run_estimators scores the slices (indicator times weight) and
+sample_terminal_states stores them, each as one run; epsilon_sweep is one
+call with a run per eps, where mc, is0 and is-delta share each eps's draws.
+Processes, not threads: the draws' per-sample Python holds the GIL.
 
-The kernel runs in worker processes forked per call, one per usable CPU:
-each draws, colors, weighs and steps its share of the chunks and hands the
-results over in shared memory; the caller only scores them.  In threads,
-the draws' per-sample Python would take the GIL hundreds of times a chunk.
-
-Each trajectory batch is held cells-major, as an (M, B) array whose
-contiguous axis runs over the samples, so each elementwise pass of a step
-(drift, increments, boundary cells) is one long loop rather than B short
-ones over strided row slices.  The per-element arithmetic and its order are
-those of a row-major (B, M) batch, so every value is bit-identical to it.
-The coloring is Phi's AR(1) recurrence, x_0 = sigma z_0, x_i = rho x_{i-1} +
-sigma s z_i, with sqrt(dt/dx) eps folded into the per-cell factors of the one
-pass that writes the draws cells-major, as (N, M-2, B), so each step adds one
-contiguous slice.  Neither the coloring nor the weights call BLAS, so no
-thread setting moves a bit of the output.  Every value is computed per
-sample, so it keeps its bits at any chunk size, block size or worker count.
-Callers reduce each chunk's terminal slices before moving to the next, so
-no (K, M) array exists unless the caller asks for the slices themselves.
+Each batch is held cells-major, as an (M, B) array whose contiguous axis runs
+over the samples, so each elementwise pass of a step is one long loop, with
+the per-element arithmetic and order of a row-major (B, M) batch.  The
+coloring is Phi's AR(1) recurrence, x_0 = sigma z_0, x_i = rho x_{i-1} +
+sigma s z_i, with sqrt(dt/dx) eps folded into the pass that writes the draws
+cells-major.  No BLAS is called, and every value is computed per sample, so
+it keeps its bits at any thread setting, chunk size, block size or worker
+count.  Callers reduce each chunk's terminal slices as it arrives, so no
+(K, M) array exists unless the caller asks for the slices themselves.
 
 Seeding contract: a 64-bit root seed expands into one independent stream per
 sample index (counter-based spawn keys), so the draws of sample k never
@@ -64,8 +58,10 @@ import mmap
 import operator
 import os
 import signal
+from collections import deque
+from contextlib import suppress
 from dataclasses import dataclass
-from multiprocessing.connection import Pipe
+from multiprocessing.connection import Pipe, wait
 
 import numpy as np
 
@@ -73,17 +69,9 @@ from .fluxes import drift, pin_edges
 from .noise import NoiseModel, ar1_accumulate, unwhiten
 from .optimize import RareEventSpec, boundary_edges, initial_values, target_values
 
-__all__ = [
-    "ESTIMATORS",
-    "EstimatorReport",
-    "run_basic_mc",
-    "run_estimators",
-    "run_importance_sampling",
-    "epsilon_sweep",
-    "sample_terminal_states",
-    "sample_stream",
-    "kernel_workers",
-]
+__all__ = ["ESTIMATORS", "EstimatorReport", "run_basic_mc", "run_estimators",
+           "run_importance_sampling", "epsilon_sweep",
+           "sample_terminal_states", "sample_stream", "kernel_workers"]
 
 ESTIMATORS = ("mc", "is0", "is-delta")  # names of epsilon_sweep's estimators
 
@@ -239,37 +227,34 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def kernel_workers(K: int) -> int:
-    """Worker processes the kernel forks for K samples: one per usable CPU,
-    at most one per chunk."""
-    return min(_cpus(), -(-K // _CHUNK))
+def kernel_workers(K: int, runs: int = 1) -> int:
+    """Worker processes the kernel forks for `runs` runs of K samples: one
+    per usable CPU, at most one per chunk."""
+    return min(_cpus(), runs * -(-K // _CHUNK))
 
 
-def _worker(conn, slots, first: int, step: int, scen: RareEventSpec,
-            model: NoiseModel, eps: float, K: int, seed: int, run_key: int,
-            forcings) -> None:
-    """Run the kernel on chunks first, first + step, ... of the K samples.
+def _worker(conn, slots, scen: RareEventSpec, model: NoiseModel, K: int,
+            seed: int, forcings) -> None:
+    """Run the kernel on the items the caller sends, until it closes the pipe.
 
-    Runs in a forked worker, in buffers of its own allocated once and viewed
-    at each chunk's size B.  Per chunk, _normals draws the unit normals z
-    (B, N, M-2); one transposing pass over blocks of _BLOCK samples writes
-    them, scaled per cell by sqrt(dt/dx) eps diag(Phi), into dW (N, M-2, B),
-    which noise.ar1_accumulate colors in place; _log_weights weighs z under
-    each tilted forcing; and each forcing's batch qT (M, B) is stepped, drift
-    writing into the increment inc (M-2, B) through the Fortran-ordered
+    An item (eps, run_key, start, s) is the chunk of that run's K samples
+    that begins at sample start, to be handed over in slots[s]; the caller
+    sends it once that slot is free.  Per item, in buffers allocated once:
+    _normals draws z (B, N, M-2); one transposing pass over blocks of _BLOCK
+    samples writes them, scaled per cell by sqrt(dt/dx) eps diag(Phi), into
+    dW (N, M-2, B), which noise.ar1_accumulate colors in place; _log_weights
+    weighs z under each tilted forcing; and each forcing's batch qT (M, B) is
+    stepped, drift writing into inc (M-2, B) through the Fortran-ordered
     views qT.T and inc.T.  The terminal slices (F, B, M) and log-weights
-    (F, B) are then copied into slots[j % 2], j counting the worker's
-    chunks, and None is sent; before writing a slot the second time the
-    worker waits for the caller to release it.  A failure sends the
-    exception and ends the loop; a closed pipe means the caller has stopped
-    listening.  The worker touches only numpy, the pipe and its slots, so no
-    lock held by another thread of the caller at the fork can block it.
+    (F, B) go into slots[s] and None is sent, or the exception on failure.
+    Touching only numpy, the pipe and its slots, the worker cannot block on
+    a lock another thread of the caller held at the fork.
     """
     try:
         grid, wave = model.grid, scen.wave
         N, M, dt, n_int = grid.N, grid.M, grid.dt, grid.M - 2
         q0, edges = initial_values(scen, grid), boundary_edges(scen, grid)
-        scale = (math.sqrt(dt / grid.dx) * eps) * model.Phi.diagonal()[:, None]
+        root, phi = math.sqrt(dt / grid.dx), model.Phi.diagonal()[:, None]
         tilts = [None if h is None else unwhiten(model, h)[:, :, None]
                  for h in forcings]
         size = min(K, _CHUNK)
@@ -277,7 +262,9 @@ def _worker(conn, slots, first: int, step: int, scen: RareEventSpec,
                                          (N * n_int, N * n_int, M, n_int))
         terms = np.empty((len(forcings), size, M))
         logw = np.empty((len(forcings), size))
-        for j, start in enumerate(range(first * _CHUNK, K, step * _CHUNK)):
+        while True:
+            eps, run_key, start, s = conn.recv()
+            scale = (root * eps) * phi
             B = min(K - start, _CHUNK)
             z = _normals(z_mem[:N * n_int * B].reshape(B, N, n_int), seed,
                          run_key, start)
@@ -301,9 +288,7 @@ def _worker(conn, slots, first: int, step: int, scen: RareEventSpec,
                     qT[1:-1] += inc
                     pin_edges(qT.T, edges[n + 1])
                 terms[i, :B] = qT.T
-            if j >= 2:
-                conn.recv()
-            for slot, result in zip(slots[j % 2], (terms, logw)):
+            for slot, result in zip(slots[s], (terms, logw)):
                 slot[:, :B] = result[:, :B]
             conn.send(None)
     except (EOFError, ConnectionError):
@@ -343,7 +328,7 @@ def _log_weights(z: np.ndarray, h: np.ndarray, eps: float,
             - math.sqrt(dx_dt) / eps * np.einsum("...ij,ij->...", z, h))
 
 
-def _checked(K: int, eps: float, forcings, model: NoiseModel) -> list:
+def _checked(K: int, eps_list, forcings, model: NoiseModel) -> list:
     """Forcings as (N, M-2) float arrays; refuses bad K, eps and forcings."""
     if K < 1:
         raise ValueError("K must be at least 1")
@@ -352,18 +337,17 @@ def _checked(K: int, eps: float, forcings, model: NoiseModel) -> list:
                 for h in forcings]
     if not forcings:
         raise ValueError("forcings must be nonempty")
-    for h in forcings:
-        if h is None:
-            continue
+    for h in (h for h in forcings if h is not None):
         if h.shape != shape:
             raise ValueError(f"forcing must have shape (N, M-2) = {shape}, "
                              f"got {h.shape}")
         if not np.isfinite(h).all():
             raise ValueError("forcing entries must be finite")
-    if not 0 <= eps < np.inf:
-        raise ValueError(f"eps must be nonnegative and finite, got {eps}")
-    if eps <= 0 and any(h is not None for h in forcings):
-        raise ValueError("importance sampling requires eps > 0")
+    for eps in eps_list:
+        if not 0 <= eps < np.inf:
+            raise ValueError(f"eps must be nonnegative and finite, got {eps}")
+        if eps <= 0 and any(h is not None for h in forcings):
+            raise ValueError("importance sampling requires eps > 0")
     return forcings
 
 
@@ -379,31 +363,37 @@ def _inside(q: np.ndarray, target: np.ndarray, dx: float,
     return dx * np.sum(q, axis=1) <= delta_sq
 
 
-def _simulate(scen: RareEventSpec, model: NoiseModel, eps: float, K: int,
-              seed: int, run_key: int, forcings):
-    """Evolve K trajectories per forcing from one set of per-sample draws.
+def _simulate(scen: RareEventSpec, model: NoiseModel, K: int, seed: int,
+              runs, forcings):
+    """Evolve K trajectories per run and forcing from per-sample draws.
 
-    forcings holds checked (N, M-2) arrays h, None meaning the untilted
-    scheme.  W = kernel_workers(K) workers, forked here, run _worker: worker
-    w takes chunks w, w + W, ... of _CHUNK samples.  This process takes the
-    chunks in index order and yields, per forcing, (i, start, logw, q): the
-    forcing's index, the chunk's first sample, its (B,) log-weights (None
-    for the untilted scheme) and its C-ordered (B, M) terminal slices.  Each
-    worker owns one pipe, on which it announces its chunks, and two result
-    slots, shared mappings allocated before the forks; a slot is released
-    once this process has moved past its chunk.  logw and q are views of
-    the slot: a consumer may overwrite them, but must not keep them past its
-    loop iteration.  An exception raised in a worker surfaces here with its
-    type and message.  Every worker is killed and reaped whether the run
-    completes, fails or is abandoned.
+    runs lists (eps, run_key) pairs, forcings checked (N, M-2) arrays or None
+    (untilted).  Items, one per run and chunk in that order, are dealt to the
+    W = kernel_workers(K, len(runs)) forked workers (_worker) two at a time,
+    one per result slot, round-robin; a worker that hands one over gets the
+    next for the freed slot once the consumer's loop iteration is done with
+    it.  This yields per forcing, in completion order, (r, i, start, logw,
+    q): run and forcing indices, first sample, (B,) log-weights (None if
+    untilted) and (B, M) terminal slices, slot views a consumer may
+    overwrite but not keep.  Worker exceptions surface with type and
+    message; every worker is killed and reaped however this ends.
     """
-    W = kernel_workers(K)
-    n_chunks = -(-K // _CHUNK)
+    todo = deque((r, start) for r in range(len(runs))
+                 for start in range(0, K, _CHUNK))
+    W = kernel_workers(K, len(runs))
     shape = (len(forcings), min(K, _CHUNK))
     slots = [[(_shared_array(shape + (model.grid.M,)), _shared_array(shape))
               for _ in range(2)] for _ in range(W)]
     import numpy.random  # noqa: F401  (lazy in numpy: load it once, here)
-    conns, pids = [], []
+    conns, pids, flight = [], [], {}  # flight: each pipe's items, in order
+
+    def deal(conn, s):  # the next item, if any, to conn for its free slot s
+        if todo:
+            r, start = todo.popleft()
+            flight[conn].append((r, start, s))
+            with suppress(ConnectionError):  # a stopped worker's pipe says why
+                conn.send((*runs[r], start, s))
+
     try:
         for w in range(W):
             conn, child_conn = Pipe()
@@ -416,38 +406,74 @@ def _simulate(scen: RareEventSpec, model: NoiseModel, eps: float, K: int,
                     # trim thresholds, so the drift's temporaries stay in the
                     # heap rather than being faulted in again at every step
                     np.empty(1 << 21)
-                    _worker(child_conn, slots[w], w, W, scen, model, eps, K,
-                            seed, run_key, forcings)
+                    _worker(child_conn, slots[w], scen, model, K, seed,
+                            forcings)
                 finally:
                     os._exit(0)
             child_conn.close()
             conns.append(conn)
             pids.append(pid)
-        for c in range(n_chunks):
-            conn = conns[c % W]
-            try:
-                failure = conn.recv()
-            except (EOFError, ConnectionError):
-                raise RuntimeError("a kernel worker exited before "
-                                   "finishing its chunks") from None
-            if failure is not None:
-                raise failure
-            start = c * _CHUNK
-            B = min(K - start, _CHUNK)
-            terms, logw = slots[c % W][(c // W) % 2]
-            for i, h in enumerate(forcings):
-                yield i, start, None if h is None else logw[i, :B], terms[i, :B]
-            if c + 2 * W < n_chunks:
-                try:  # the slot is free for the worker's chunk after next
-                    conn.send(None)
-                except ConnectionError:
-                    pass  # the worker has stopped; the next recv says why
+            flight[conn] = deque()
+            deal(conn, 0)
+        for conn in conns:
+            deal(conn, 1)
+        while busy := [conn for conn in conns if flight[conn]]:
+            for conn in wait(busy):
+                try:
+                    failure = conn.recv()
+                except (EOFError, ConnectionError):
+                    raise RuntimeError("a kernel worker exited before "
+                                       "finishing its chunks") from None
+                if failure is not None:
+                    raise failure
+                r, start, s = flight[conn].popleft()
+                B = min(K - start, _CHUNK)
+                terms, logw = slots[conns.index(conn)][s]
+                for i, h in enumerate(forcings):
+                    yield (r, i, start, None if h is None else logw[i, :B],
+                           terms[i, :B])
+                deal(conn, s)
     finally:
         for conn in conns:
             conn.close()
         for pid in pids:
-            os.kill(pid, signal.SIGKILL)  # done with its chunks, or abandoned
+            os.kill(pid, signal.SIGKILL)  # done with its items, or abandoned
             os.waitpid(pid, 0)
+
+
+def _score(scen: RareEventSpec, model: NoiseModel, K: int, seed: int, runs,
+           forcings) -> list[list[EstimatorReport]]:
+    """run_estimators for each (eps, run_key) of runs, in one kernel call.
+
+    Only the oldest unreduced run's values fill an (F, K) array; a later
+    run's (B,) chunk values wait until it is the oldest.
+    """
+    if not scen.delta > 0:
+        raise ValueError("the estimators need scenario delta > 0: the event "
+                         "dx |Q^N - target|^2 <= 0 has probability 0")
+    forcings = _checked(K, [eps for eps, _ in runs], forcings, model)
+    target = target_values(scen, model.grid)
+    F, n_chunks = len(forcings), -(-K // _CHUNK)
+    reports, hits, waiting, p = [], [[0] * F for _ in runs], {}, None
+    for r, i, start, logw, q in _simulate(scen, model, K, seed, runs,
+                                          forcings):
+        ind = _inside(q, target, model.grid.dx, scen.delta ** 2)
+        hits[r][i] += int(np.count_nonzero(ind))
+        waiting.setdefault(r, []).append(
+            (i, start, ind if logw is None else ind * np.exp(logw)))
+        while (oldest := len(reports)) in waiting:
+            if p is None:
+                p, left = np.empty((F, K)), F * n_chunks
+            values = waiting.pop(oldest)
+            for i, start, v in values:
+                p[i, start:start + len(v)] = v
+            left -= len(values)
+            if left:
+                break
+            reports.append([_report(row, runs[oldest][0], n)
+                            for row, n in zip(p, hits[oldest])])
+            p = None
+    return reports
 
 
 def run_estimators(scen: RareEventSpec, model: NoiseModel, eps: float, K: int,
@@ -460,22 +486,7 @@ def run_estimators(scen: RareEventSpec, model: NoiseModel, eps: float, K: int,
     Raises ValueError when scen.delta = 0: the event
     dx |Q^N - target|^2 <= 0 has probability 0.
     """
-    if not scen.delta > 0:
-        raise ValueError("the estimators need scenario delta > 0: the event "
-                         "dx |Q^N - target|^2 <= 0 has probability 0")
-    forcings = _checked(K, eps, forcings, model)
-    grid = model.grid
-    target = target_values(scen, grid)
-    delta_sq = scen.delta ** 2
-
-    p = np.empty((len(forcings), K))
-    hits = [0] * len(forcings)
-    for i, start, logw, q in _simulate(scen, model, eps, K, seed, run_key,
-                                       forcings):
-        ind = _inside(q, target, grid.dx, delta_sq)
-        hits[i] += int(np.count_nonzero(ind))
-        p[i, start:start + len(q)] = ind if logw is None else ind * np.exp(logw)
-    return [_report(row, eps, n) for row, n in zip(p, hits)]
+    return _score(scen, model, K, seed, [(eps, run_key)], forcings)[0]
 
 
 def run_basic_mc(scen: RareEventSpec, model: NoiseModel, eps: float, K: int,
@@ -509,10 +520,10 @@ def sample_terminal_states(scen: RareEventSpec, model: NoiseModel, eps: float,
     samples; without it the slices themselves are returned.  A keep that
     reduces each slice to a few numbers keeps memory at O(K) of them.
     """
-    forcings = _checked(K, eps, [forcing], model)
+    forcings = _checked(K, [eps], [forcing], model)
     kept = None
-    for _, start, _, q in _simulate(scen, model, eps, K, seed, run_key,
-                                    forcings):
+    for _, _, start, _, q in _simulate(scen, model, K, seed,
+                                       [(eps, run_key)], forcings):
         rows = q if keep is None else keep(q)
         if kept is None:
             kept = np.empty((K,) + rows.shape[1:], rows.dtype)
@@ -528,9 +539,11 @@ def epsilon_sweep(scen: RareEventSpec, model: NoiseModel, eps_list,
 
     estimators lists distinct names of ESTIMATORS; the importance samplers need
     their forcing passed in (pinned-optimum h for is0, ball-optimum h for
-    is-delta).  Each eps gets an independent run key, so
-    adding grid points never perturbs existing ones.  Returns a list of
-    (eps, estimator, EstimatorReport) in sweep order.
+    is-delta).  Each eps gets an independent run key, its index i in
+    eps_list, so adding grid points never perturbs existing ones.  Every eps
+    is checked, then all of them run in one kernel call, so its workers
+    take chunks of any eps as they free up.  Returns a list of (eps,
+    estimator, EstimatorReport) in sweep order.
     """
     eps_list = list(eps_list)
     if not eps_list:
@@ -549,10 +562,8 @@ def epsilon_sweep(scen: RareEventSpec, model: NoiseModel, eps_list,
         raise ValueError("estimator is-delta requires forcing_ball")
 
     forcing = {"mc": None, "is0": forcing_pinned, "is-delta": forcing_ball}
-    out = []
-    for i, eps in enumerate(eps_list):
-        reps = run_estimators(scen, model, eps, K,
-                              [forcing[name] for name in estimators], seed,
-                              run_key=i)
-        out.extend((eps, name, rep) for name, rep in zip(estimators, reps))
-    return out
+    reports = _score(scen, model, K, seed,
+                     [(eps, i) for i, eps in enumerate(eps_list)],
+                     [forcing[name] for name in estimators])
+    return [(eps, name, rep) for eps, reps in zip(eps_list, reports)
+            for name, rep in zip(estimators, reps)]

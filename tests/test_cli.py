@@ -210,7 +210,8 @@ class TestSubcommands:
     def test_monte_carlo_meta_records_kernel_workers(
             self, tmp_path, monkeypatch, subcommand, cpus, workers):
         # 20 samples in chunks of 7: one worker per usable CPU, at most one
-        # per chunk
+        # per chunk; sweep-eps at three eps of 5 samples each is one kernel
+        # call over three chunks
         monkeypatch.setattr(montecarlo, "_CHUNK", 7)
         monkeypatch.setattr(montecarlo, "_cpus", lambda: cpus)
         delta = 0.0 if subcommand == "center-diagnostics" else DELTA
@@ -224,6 +225,14 @@ class TestSubcommands:
         meta = json.loads((out / name).read_text())
         assert meta["kernel_workers"] == workers
         assert "thread_env" in meta
+        if subcommand == "sweep-eps":
+            cfg_path = make_config(
+                tmp_path, **{"run.K": 5, "run.eps_grid": [0.1, 0.15, 0.2],
+                             "run.estimators": ["mc"]})
+            assert main([subcommand, "--config", str(cfg_path),
+                         "--out", str(out)]) == 0
+            meta = json.loads((out / name).read_text())
+            assert meta["kernel_workers"] == workers
 
     def test_optimize_meta_records_ball_outer_steps(self, tmp_path):
         cfg_path = make_config(
@@ -310,8 +319,8 @@ class TestSubcommands:
     def test_sweep_eps_threads_byte_identical(self, tmp_path, ball_scen,
                                               exp_model, ball_exp_opt,
                                               pinned_exp_opt, monkeypatch):
-        # each pool worker forks kernel workers of its own, which hand over
-        # the 120 samples in three chunks
+        # --threads does not fan sweep-eps out: one kernel call takes the
+        # three chunks of 50 of each eps
         monkeypatch.setattr(montecarlo, "_CHUNK", 50)
         cfg_path = make_config(
             tmp_path,
@@ -450,7 +459,8 @@ class TestSubcommands:
                                                     monkeypatch):
         # perfbench/tracing.py times the center reduction and counts the
         # trajectories by patching these shockld.cli attributes; the kernel
-        # must call the patched wave_centers once per chunk
+        # must call the patched wave_centers once per chunk, in the order the
+        # workers hand the chunks over
         calls, counts = [], []
         centers, sample = cli.wave_centers, cli.sample_terminal_states
 
@@ -470,7 +480,7 @@ class TestSubcommands:
                                             "scenario.delta": 0.0})
         assert main(["center-diagnostics", "--config", str(cfg_path),
                      "--out", str(tmp_path / "out")]) == 0
-        assert calls == [(7, 70), (7, 70), (6, 70)]
+        assert sorted(calls) == [(6, 70), (7, 70), (7, 70)]
         assert counts == [20]
 
     def test_negative_eps_grid_fails_with_diagnostic(self, tmp_path, capsys):

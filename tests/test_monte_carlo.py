@@ -445,6 +445,22 @@ class TestEpsilonSweep:
         with pytest.raises(ValueError, match="forcings must be nonempty"):
             run_estimators(ball_scen, exp_model, 0.1, 10, [], seed=1)
 
+    def test_every_eps_checked_before_the_kernel_starts(
+            self, ball_scen, exp_model, ball_exp_opt, monkeypatch):
+        # the whole sweep is one kernel call: a bad eps anywhere in the grid
+        # is refused before any worker is forked
+        def forking(*args):
+            raise AssertionError("the kernel was started")
+
+        monkeypatch.setattr(montecarlo, "_simulate", forking)
+        for eps_list, message in (([0.1, -0.1], "eps must be nonnegative"),
+                                  ([0.1, math.nan], "eps must be nonnegative"),
+                                  ([0.1, 0.0], "requires eps > 0")):
+            with pytest.raises(ValueError, match=message):
+                epsilon_sweep(ball_scen, exp_model, eps_list, 10,
+                              ["mc", "is-delta"], seed=1,
+                              forcing_ball=ball_exp_opt.forcing)
+
 
 class TestOneStepIncrements:
     """The kernel's one-step increments: zero mean, independent samples."""
@@ -641,7 +657,8 @@ class TestKernelBuffers:
         # a consumer may overwrite each chunk's results while the workers run
         # ahead into their other slots; four runs at once (eight workers in
         # all, more than a small host has cores), consumed in turn, each see
-        # exactly their own
+        # exactly their own, every chunk once, in whatever order the workers
+        # finish them, with the forcings of a chunk in order
         monkeypatch.setattr(montecarlo, "_CHUNK", 3)
         monkeypatch.setattr(montecarlo, "_cpus", lambda: 2)
         K, eps, h = 40, 0.15, ball_exp_opt.forcing
@@ -650,15 +667,19 @@ class TestKernelBuffers:
             ball_scen, exp_model, eps, K, 5, key, [None, h])] for key in keys}
         weights = {key: girsanov_log_weights(stream_draws(grid, K, 5, key), h,
                                              eps, grid) for key in keys}
-        runs = {key: montecarlo._simulate(ball_scen, exp_model, eps, K, 5, key,
-                                          [None, h]) for key in keys}
+        runs = {key: montecarlo._simulate(ball_scen, exp_model, K, 5,
+                                          [(eps, key)], [None, h])
+                for key in keys}
         chunks = {key: [] for key in keys}
         for _ in range(-(-K // 3)):
             for key, run in runs.items():
                 for i in range(2):
-                    j, start, logw, q = next(run)
+                    r, j, start, logw, q = next(run)
+                    if i == 0:
+                        first = start
                     stop = start + len(q)
-                    assert j == i and (logw is None) == (i == 0)
+                    assert r == 0 and j == i and (logw is None) == (i == 0)
+                    assert start == first
                     ref = terminals[key][i][start:stop]
                     assert np.array_equal(q.view(np.int64), ref.view(np.int64))
                     q.fill(np.nan)
@@ -671,7 +692,7 @@ class TestKernelBuffers:
         for run in runs.values():
             assert next(run, None) is None
         expected = [(lo, min(lo + 3, K)) for lo in range(0, K, 3)]
-        assert all(c == expected for c in chunks.values())
+        assert all(sorted(c) == expected for c in chunks.values())
         assert_no_child_process()
 
     def test_numpy_peak_stays_within_four_chunk_blocks(self, ball_scen,
@@ -679,11 +700,16 @@ class TestKernelBuffers:
                                                        pinned_exp_opt,
                                                        monkeypatch):
         # in blocks of 5.6 MB, one draw array at this K on the benchmark
-        # grid.  One worker's chunk loop, run in this process under
-        # tracemalloc, holds the draws, the colored store and the per-batch
-        # arrays and temporaries: 2.50 blocks.  The caller holds the report
-        # arrays and, in shared mappings that tracemalloc does not see, two
-        # result slots per worker, whose mapped bytes are added.
+        # grid.  One worker's chunk loop, fed the three chunks of one run
+        # through a stand-in pipe and run in this process under tracemalloc,
+        # holds the draws, the colored store and the per-batch arrays and
+        # temporaries: 2.50 blocks.  The caller holds the report arrays and,
+        # in shared mappings that tracemalloc does not see, two result slots
+        # per worker, whose mapped bytes are added.  A sweep holds the values
+        # of one eps at a time, so with one worker, which hands the chunks
+        # over in order, a six-eps sweep's peak exceeds the one-eps sweep's
+        # by at most one run's values (it does by its finished reports; five
+        # more runs' values would be five times that).
         grid = exp_model.grid
         block = montecarlo._CHUNK * grid.N * (grid.M - 2) * 8
         forcings = [None, pinned_exp_opt.forcing, ball_exp_opt.forcing]
@@ -692,11 +718,19 @@ class TestKernelBuffers:
         slots = [(montecarlo._shared_array(shape + (grid.M,)),
                   montecarlo._shared_array(shape)) for _ in range(2)]
         sent = []
-        conn = types.SimpleNamespace(send=sent.append, recv=lambda: None)
+        items = iter([(0.1, 0, start, j % 2) for j, start in
+                      enumerate(range(0, K, montecarlo._CHUNK))])
+
+        def recv():  # the items, then a closed pipe
+            for item in items:
+                return item
+            raise EOFError
+
+        conn = types.SimpleNamespace(send=sent.append, recv=recv)
         tracemalloc.start()
         try:
-            montecarlo._worker(conn, slots, 0, 1, ball_scen, exp_model, 0.1, K,
-                               1, 0, forcings)
+            montecarlo._worker(conn, slots, ball_scen, exp_model, K, 1,
+                               forcings)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -722,6 +756,21 @@ class TestKernelBuffers:
         slot = [slots[0][0].nbytes, slots[0][1].nbytes]
         assert mapped == slot * 4
         assert peak + sum(mapped) <= 0.65 * block
+
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: 1)
+        sweep_peaks = []
+        for eps_list in ([0.1], [0.05, 0.08, 0.1, 0.12, 0.15, 0.2]):
+            tracemalloc.start()
+            try:
+                epsilon_sweep(ball_scen, exp_model, eps_list, K,
+                              ["mc", "is0", "is-delta"], seed=1,
+                              forcing_pinned=pinned_exp_opt.forcing,
+                              forcing_ball=ball_exp_opt.forcing)
+                sweep_peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert mapped == slot * 8
+        assert sweep_peaks[1] - sweep_peaks[0] <= len(forcings) * K * 8
 
     def test_centers_path_holds_no_slice_array(self, displacement_scen,
                                                wave):
@@ -887,6 +936,47 @@ class TestStreams:
         assert outputs[0] == outputs[1] == outputs[2]
         assert [r.hits for r in reports[1]] == [30] * 3
 
+    def test_idle_worker_takes_the_next_chunk(self, ball_scen, exp_model,
+                                              ball_exp_opt, monkeypatch,
+                                              tmp_path):
+        # ten chunks of 7 on two workers, chunk 0 of run key 0 slowed by half
+        # a second: its worker hands over only the chunks it was dealt first,
+        # 0 and 2, while the other takes each chunk as it frees up.  Every
+        # stream is opened in the worker that steps its chunk, which appends
+        # (its pid, the chunk's first sample) to a file that this process
+        # reads back.  In a two-eps sweep the second eps's chunks all arrive
+        # before the first eps is complete; no report may change.
+        log = tmp_path / "chunks.txt"
+        original = montecarlo._stream_states
+
+        def logged(seed, run_key, start, stop):
+            with open(log, "a") as fh:
+                fh.write("%d %d\n" % (os.getpid(), start))
+            if slow and run_key == 0 and start == 0:
+                time.sleep(0.5)
+            return original(seed, run_key, start, stop)
+
+        monkeypatch.setattr(montecarlo, "_CHUNK", 7)
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: 2)
+        monkeypatch.setattr(montecarlo, "_stream_states", logged)
+        outputs = []
+        for slow in (False, True):
+            log.write_text("")
+            reports = run_estimators(ball_scen, exp_model, 0.15, 70,
+                                     [None, ball_exp_opt.forcing], seed=9)
+            chunks = [tuple(map(int, line.split()))
+                      for line in log.read_text().splitlines()]
+            sweep = epsilon_sweep(ball_scen, exp_model, [0.15, 0.2], 70,
+                                  ["mc", "is-delta"], seed=9,
+                                  forcing_ball=ball_exp_opt.forcing)
+            outputs.append(([report_bits(r) for r in reports],
+                            [(eps, name, report_bits(r))
+                             for eps, name, r in sweep]))
+        assert outputs[0] == outputs[1]
+        assert sorted(start for _, start in chunks) == list(range(0, 70, 7))
+        slow_pid = next(pid for pid, start in chunks if start == 0)
+        assert sum(pid != slow_pid for pid, _ in chunks) >= 7
+
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("consumer", ["estimators", "slow_keep"])
     def test_worker_failure_surfaces(self, consumer, workers, ball_scen,
@@ -949,10 +1039,11 @@ class TestStreams:
                                               monkeypatch):
         monkeypatch.setattr(montecarlo, "_CHUNK", 7)
         monkeypatch.setattr(montecarlo, "_cpus", lambda: 3)
-        kernel = montecarlo._simulate(ball_scen, exp_model, 0.15, 30, 1, 0,
+        kernel = montecarlo._simulate(ball_scen, exp_model, 30, 1, [(0.15, 0)],
                                       [None])
-        _, start, _, q = next(kernel)
-        assert start == 0 and q.shape == (7, exp_model.grid.M)
+        # the first chunk handed over is one of the three workers' first
+        _, _, start, _, q = next(kernel)
+        assert start in (0, 7, 14) and q.shape == (7, exp_model.grid.M)
         kernel.close()
         assert_no_child_process()
 
