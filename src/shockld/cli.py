@@ -14,7 +14,9 @@ fan their points out over --threads processes.  center-diagnostics reduces
 each chunk of terminal slices to its wave centers as the kernel produces
 them, so its memory grows with K floats, not K x M.  Every *_meta.json
 records the numerical regime: the grid's CFL number and the BLAS thread
-variables, and the Monte Carlo sidecars the kernel's worker process count.
+variables, and the Monte Carlo sidecars the kernel's worker process count;
+is_meta.json and sweep_eps_meta.json record each importance sampler's solve
+(converged, message, iterations, evaluations) under "solves".
 SHOCKLD_THREADS is the fallback for --threads; a thread count below 1 is
 refused.  All numeric output is written with 17 significant digits so that
 reruns with the same seed are byte-identical and path files round-trip
@@ -204,6 +206,15 @@ def _estimate(cfg: RunConfig, out_dir: str, eps_grid, estimators):
     return results, solves
 
 
+def _solve_records(solves) -> dict:
+    """The sidecar's record of each importance sampler's solve, by name: a
+    forcing from a solve that stalled shows as converged false."""
+    return {name: {"converged": opt.converged, "message": opt.message,
+                   "iterations": opt.iterations,
+                   "evaluations": opt.evaluations}
+            for name, opt in solves.items()}
+
+
 def cmd_mc(cfg: RunConfig, out_dir: str, threads: int) -> None:
     eps = _require(cfg.run.eps, "eps")
     [(_, _, rep)], _ = _estimate(cfg, out_dir, [eps], ["mc"])
@@ -219,7 +230,8 @@ def cmd_is(cfg: RunConfig, out_dir: str, threads: int) -> None:
     i_star = solves["is-delta"].rate_value
     _write_meta(out_dir, "is_meta.json", cfg,
                 {"subcommand": "is", "I_star": i_star,
-                 "kernel_workers": kernel_workers(rep.K)})
+                 "kernel_workers": kernel_workers(rep.K),
+                 "solves": _solve_records(solves)})
     print(f"is: estimate={rep.estimate:.6g} rel_error={rep.relative_error:.3g} "
           f"hits={rep.hits} I*={i_star:.6g}")
 
@@ -227,10 +239,11 @@ def cmd_is(cfg: RunConfig, out_dir: str, threads: int) -> None:
 def cmd_sweep_eps(cfg: RunConfig, out_dir: str, threads: int) -> None:
     eps_grid = _require(cfg.run.eps_grid, "eps_grid")
     estimators = cfg.run.estimators or ("mc", "is-delta")
-    _estimate(cfg, out_dir, eps_grid, estimators)
+    _, solves = _estimate(cfg, out_dir, eps_grid, estimators)
     _write_meta(out_dir, "sweep_eps_meta.json", cfg,
                 {"subcommand": "sweep-eps",
-                 "kernel_workers": kernel_workers(cfg.run.K, len(eps_grid))})
+                 "kernel_workers": kernel_workers(cfg.run.K, len(eps_grid)),
+                 "solves": _solve_records(solves)})
     print(f"sweep-eps: {len(eps_grid) * len(estimators)} reports -> reports.csv")
 
 

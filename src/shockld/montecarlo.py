@@ -23,13 +23,13 @@ sample, with no difference of two large square sums to cancel digits.
 
 One trajectory kernel, _simulate, serves every caller.  It takes runs, each
 an (eps, run_key) pair, and forcings (None for the untilted scheme), and
-forks one worker process per usable CPU.  Per chunk of a run a worker colors
-the normals once, weighs them under each tilted forcing and steps one batch
-per forcing; chunks are handed out on demand and their terminal slices and
-log-weights come back in shared memory, in completion order.  Consumers
-place each value by its sample index, so no output depends on that order.
-run_estimators scores the slices (indicator times weight) and
-sample_terminal_states stores them, each as one run; epsilon_sweep is one
+forks one worker process per usable CPU.  Per chunk of a run, handed out on
+demand, a worker colors the normals once, weighs them under each tilted
+forcing, steps one batch per forcing and reduces its terminal slices and
+log-weights with the caller's function; the results come over its pipe in
+completion order, and consumers place each value by its sample index.
+run_estimators has the workers score the slices; sample_terminal_states
+has them send the slices and applies keep itself; epsilon_sweep is one
 call with a run per eps, where mc, is0 and is-delta share each eps's draws.
 Processes, not threads: the draws' per-sample Python holds the GIL.
 
@@ -40,8 +40,8 @@ coloring is Phi's AR(1) recurrence, x_0 = sigma z_0, x_i = rho x_{i-1} +
 sigma s z_i, with sqrt(dt/dx) eps folded into the pass that writes the draws
 cells-major.  No BLAS is called, and every value is computed per sample, so
 it keeps its bits at any thread setting, chunk size, block size or worker
-count.  Callers reduce each chunk's terminal slices as it arrives, so no
-(K, M) array exists unless the caller asks for the slices themselves.
+count.  Each chunk's terminal slices are reduced as soon as they are made,
+so no (K, M) array exists unless the caller asks for the slices themselves.
 
 Seeding contract: a 64-bit root seed expands into one independent stream per
 sample index (counter-based spawn keys), so the draws of sample k never
@@ -54,7 +54,6 @@ vectorized pass and draws each sample's normals from them.
 from __future__ import annotations
 
 import math
-import mmap
 import operator
 import os
 import signal
@@ -214,12 +213,6 @@ def _normals(z: np.ndarray, seed: int, run_key: int, start: int) -> np.ndarray:
     return z
 
 
-def _shared_array(shape: tuple[int, ...]) -> np.ndarray:
-    """An uninitialized float array in anonymous memory shared across fork."""
-    size = math.prod(shape)
-    return np.frombuffer(mmap.mmap(-1, 8 * size), count=size).reshape(shape)
-
-
 def _cpus() -> int:
     """The number of CPUs this process may run on."""
     if not hasattr(os, "sched_getaffinity"):  # not on macOS
@@ -233,22 +226,21 @@ def kernel_workers(K: int, runs: int = 1) -> int:
     return min(_cpus(), runs * -(-K // _CHUNK))
 
 
-def _worker(conn, slots, scen: RareEventSpec, model: NoiseModel, K: int,
-            seed: int, forcings) -> None:
+def _worker(conn, scen: RareEventSpec, model: NoiseModel, K: int, seed: int,
+            forcings, reduce) -> None:
     """Run the kernel on the items the caller sends, until it closes the pipe.
 
-    An item (eps, run_key, start, s) is the chunk of that run's K samples
-    that begins at sample start, to be handed over in slots[s]; the caller
-    sends it once that slot is free.  Per item, in buffers allocated once:
-    _normals draws z (B, N, M-2); one transposing pass over blocks of _BLOCK
-    samples writes them, scaled per cell by sqrt(dt/dx) eps diag(Phi), into
-    dW (N, M-2, B), which noise.ar1_accumulate colors in place; _log_weights
-    weighs z under each tilted forcing; and each forcing's batch qT (M, B) is
-    stepped, drift writing into inc (M-2, B) through the Fortran-ordered
-    views qT.T and inc.T.  The terminal slices (F, B, M) and log-weights
-    (F, B) go into slots[s] and None is sent, or the exception on failure.
-    Touching only numpy, the pipe and its slots, the worker cannot block on
-    a lock another thread of the caller held at the fork.
+    An item (eps, run_key, start) is the chunk of that run's K samples that
+    begins at sample start.  Per item, in buffers allocated once: _normals
+    draws z (B, N, M-2); one transposing pass over blocks of _BLOCK samples
+    writes them, scaled per cell by sqrt(dt/dx) eps diag(Phi), into dW
+    (N, M-2, B), which noise.ar1_accumulate colors in place; and each
+    forcing's batch qT (M, B) is stepped, drift writing into inc (M-2, B)
+    through the Fortran-ordered views qT.T and inc.T.  Per forcing, reduce
+    gets a fresh C-ordered copy (B, M) of the terminal slices and the
+    log-weights.  The chunk's message is the list of what it returned, or
+    the exception on failure.  Touching only numpy and the pipe, the worker
+    cannot block on a lock another thread of the caller held at the fork.
     """
     try:
         grid, wave = model.grid, scen.wave
@@ -260,10 +252,8 @@ def _worker(conn, slots, scen: RareEventSpec, model: NoiseModel, K: int,
         size = min(K, _CHUNK)
         z_mem, dW_mem, q_mem, inc_mem = (np.empty(n * size) for n in
                                          (N * n_int, N * n_int, M, n_int))
-        terms = np.empty((len(forcings), size, M))
-        logw = np.empty((len(forcings), size))
         while True:
-            eps, run_key, start, s = conn.recv()
+            eps, run_key, start = conn.recv()
             scale = (root * eps) * phi
             B = min(K - start, _CHUNK)
             z = _normals(z_mem[:N * n_int * B].reshape(B, N, n_int), seed,
@@ -275,9 +265,10 @@ def _worker(conn, slots, scen: RareEventSpec, model: NoiseModel, K: int,
                 np.multiply(z[lo:lo + _BLOCK].transpose(1, 2, 0), scale,
                             out=dW[:, :, lo:lo + _BLOCK])
             ar1_accumulate(model, dW.transpose(0, 2, 1))
-            for i, (h, tilt) in enumerate(zip(forcings, tilts)):
-                if h is not None:
-                    logw[i, :B] = _log_weights(z, h, eps, grid.dx / dt)
+            results = []
+            for h, tilt in zip(forcings, tilts):
+                logw = (None if h is None
+                        else _log_weights(z, h, eps, grid.dx / dt))
                 qT[...] = q0[:, None]
                 for n in range(N):
                     drift(qT.T, grid, wave, out=inc.T)
@@ -287,10 +278,8 @@ def _worker(conn, slots, scen: RareEventSpec, model: NoiseModel, K: int,
                         inc += tilt[n]
                     qT[1:-1] += inc
                     pin_edges(qT.T, edges[n + 1])
-                terms[i, :B] = qT.T
-            for slot, result in zip(slots[s], (terms, logw)):
-                slot[:, :B] = result[:, :B]
-            conn.send(None)
+                results.append(reduce(qT.T.copy(), logw))
+            conn.send(results)
     except (EOFError, ConnectionError):
         pass
     except Exception as err:
@@ -351,90 +340,70 @@ def _checked(K: int, eps_list, forcings, model: NoiseModel) -> list:
     return forcings
 
 
-def _inside(q: np.ndarray, target: np.ndarray, dx: float,
-            delta_sq: float) -> np.ndarray:
-    """Event indicator dx ||q - target||^2 <= delta^2 of (B, M) slices.
-
-    q is C-ordered, so the distance sums keep the summation order of a
-    row-major batch; the squared distances overwrite it.
-    """
-    q -= target
-    q *= q
-    return dx * np.sum(q, axis=1) <= delta_sq
-
-
 def _simulate(scen: RareEventSpec, model: NoiseModel, K: int, seed: int,
-              runs, forcings):
+              runs, forcings, reduce):
     """Evolve K trajectories per run and forcing from per-sample draws.
 
     runs lists (eps, run_key) pairs, forcings checked (N, M-2) arrays or None
-    (untilted).  Items, one per run and chunk in that order, are dealt to the
-    W = kernel_workers(K, len(runs)) forked workers (_worker) two at a time,
-    one per result slot, round-robin; a worker that hands one over gets the
-    next for the freed slot once the consumer's loop iteration is done with
-    it.  This yields per forcing, in completion order, (r, i, start, logw,
-    q): run and forcing indices, first sample, (B,) log-weights (None if
-    untilted) and (B, M) terminal slices, slot views a consumer may
-    overwrite but not keep.  Worker exceptions surface with type and
-    message; every worker is killed and reaped however this ends.
+    (untilted).  reduce(q, logw) maps a forcing's (B, M) terminal slices,
+    which it may overwrite, and (B,) log-weights (None if untilted) to a
+    picklable result; it runs in the workers (_worker).  Items, one per run
+    and chunk in that order, are dealt to the W = kernel_workers(K,
+    len(runs)) forked workers two at a time, round-robin; a worker that
+    hands one over gets the next at once.  This yields per chunk, in
+    completion order, (r, start, results): run index, first sample and one
+    result per forcing.  Worker exceptions surface with type and message;
+    every worker is killed and reaped however this ends.
     """
     todo = deque((r, start) for r in range(len(runs))
                  for start in range(0, K, _CHUNK))
     W = kernel_workers(K, len(runs))
-    shape = (len(forcings), min(K, _CHUNK))
-    slots = [[(_shared_array(shape + (model.grid.M,)), _shared_array(shape))
-              for _ in range(2)] for _ in range(W)]
     import numpy.random  # noqa: F401  (lazy in numpy: load it once, here)
-    conns, pids, flight = [], [], {}  # flight: each pipe's items, in order
+    pids, flight = [], {}  # flight: each worker's pipe -> its items, in order
 
-    def deal(conn, s):  # the next item, if any, to conn for its free slot s
+    def deal(conn):  # the next item, if any, to conn
         if todo:
             r, start = todo.popleft()
-            flight[conn].append((r, start, s))
+            flight[conn].append((r, start))
             with suppress(ConnectionError):  # a stopped worker's pipe says why
-                conn.send((*runs[r], start, s))
+                conn.send((*runs[r], start))
 
     try:
-        for w in range(W):
+        for _ in range(W):
             conn, child_conn = Pipe()
             pid = os.fork()
-            if pid == 0:  # worker w: never returns into the caller's code
+            if pid == 0:  # a worker: never returns into the caller's code
                 try:
-                    for c in conns + [conn]:
+                    for c in [*flight, conn]:
                         c.close()
                     # freeing a 16 MB mapped block raises glibc's mmap and
                     # trim thresholds, so the drift's temporaries stay in the
                     # heap rather than being faulted in again at every step
                     np.empty(1 << 21)
-                    _worker(child_conn, slots[w], scen, model, K, seed,
-                            forcings)
+                    _worker(child_conn, scen, model, K, seed, forcings,
+                            reduce)
                 finally:
                     os._exit(0)
             child_conn.close()
-            conns.append(conn)
             pids.append(pid)
             flight[conn] = deque()
-            deal(conn, 0)
-        for conn in conns:
-            deal(conn, 1)
-        while busy := [conn for conn in conns if flight[conn]]:
+            deal(conn)
+        for conn in flight:
+            deal(conn)
+        while busy := [conn for conn, items in flight.items() if items]:
             for conn in wait(busy):
                 try:
-                    failure = conn.recv()
+                    results = conn.recv()
                 except (EOFError, ConnectionError):
                     raise RuntimeError("a kernel worker exited before "
                                        "finishing its chunks") from None
-                if failure is not None:
-                    raise failure
-                r, start, s = flight[conn].popleft()
-                B = min(K - start, _CHUNK)
-                terms, logw = slots[conns.index(conn)][s]
-                for i, h in enumerate(forcings):
-                    yield (r, i, start, None if h is None else logw[i, :B],
-                           terms[i, :B])
-                deal(conn, s)
+                if isinstance(results, Exception):
+                    raise results
+                r, start = flight[conn].popleft()
+                deal(conn)
+                yield r, start, results
     finally:
-        for conn in conns:
+        for conn in flight:
             conn.close()
         for pid in pids:
             os.kill(pid, signal.SIGKILL)  # done with its items, or abandoned
@@ -446,32 +415,42 @@ def _score(scen: RareEventSpec, model: NoiseModel, K: int, seed: int, runs,
     """run_estimators for each (eps, run_key) of runs, in one kernel call.
 
     Only the oldest unreduced run's values fill an (F, K) array; a later
-    run's (B,) chunk values wait until it is the oldest.
+    run's chunks wait until it is the oldest.
     """
     if not scen.delta > 0:
         raise ValueError("the estimators need scenario delta > 0: the event "
                          "dx |Q^N - target|^2 <= 0 has probability 0")
     forcings = _checked(K, [eps for eps, _ in runs], forcings, model)
-    target = target_values(scen, model.grid)
+    target, dx, delta_sq = (target_values(scen, model.grid), model.grid.dx,
+                            scen.delta ** 2)
+
+    def reduce(q, logw):  # in a worker: hits and values of the event
+        # dx |q - target|^2 <= delta^2; q is C-ordered, so the distance sums
+        # keep the summation order of a row-major batch
+        q -= target
+        q *= q
+        ind = dx * np.sum(q, axis=1) <= delta_sq
+        return (int(np.count_nonzero(ind)),
+                ind if logw is None else ind * np.exp(logw))
+
     F, n_chunks = len(forcings), -(-K // _CHUNK)
-    reports, hits, waiting, p = [], [[0] * F for _ in runs], {}, None
-    for r, i, start, logw, q in _simulate(scen, model, K, seed, runs,
-                                          forcings):
-        ind = _inside(q, target, model.grid.dx, scen.delta ** 2)
-        hits[r][i] += int(np.count_nonzero(ind))
-        waiting.setdefault(r, []).append(
-            (i, start, ind if logw is None else ind * np.exp(logw)))
+    reports, waiting, p = [], {}, None
+    for r, start, results in _simulate(scen, model, K, seed, runs, forcings,
+                                       reduce):
+        waiting.setdefault(r, []).append((start, results))
         while (oldest := len(reports)) in waiting:
             if p is None:
-                p, left = np.empty((F, K)), F * n_chunks
-            values = waiting.pop(oldest)
-            for i, start, v in values:
-                p[i, start:start + len(v)] = v
-            left -= len(values)
+                p, hits, left = np.empty((F, K)), [0] * F, n_chunks
+            chunks = waiting.pop(oldest)
+            for start, results in chunks:
+                for i, (n, v) in enumerate(results):
+                    hits[i] += n
+                    p[i, start:start + len(v)] = v
+            left -= len(chunks)
             if left:
                 break
             reports.append([_report(row, runs[oldest][0], n)
-                            for row, n in zip(p, hits[oldest])])
+                            for row, n in zip(p, hits)])
             p = None
     return reports
 
@@ -518,13 +497,16 @@ def sample_terminal_states(scen: RareEventSpec, model: NoiseModel, eps: float,
     keep maps the terminal slices of a chunk of B samples, a C-ordered
     (B, M) array, to B rows, and the result stacks the rows of all K
     samples; without it the slices themselves are returned.  A keep that
-    reduces each slice to a few numbers keeps memory at O(K) of them.
+    reduces each slice to a few numbers keeps memory at O(K) of them.  The
+    workers send each chunk's slices; keep runs in this process.
     """
     forcings = _checked(K, [eps], [forcing], model)
     kept = None
-    for _, _, start, _, q in _simulate(scen, model, K, seed,
-                                       [(eps, run_key)], forcings):
-        rows = q if keep is None else keep(q)
+    for _, start, results in _simulate(scen, model, K, seed, [(eps, run_key)],
+                                       forcings, lambda q, logw: q):
+        # popped, so no chunk's slices outlive its keep call and overlap the
+        # receipt of the next chunk's
+        rows = results.pop() if keep is None else keep(results.pop())
         if kept is None:
             kept = np.empty((K,) + rows.shape[1:], rows.dtype)
         kept[start:start + len(rows)] = rows

@@ -26,6 +26,16 @@ def test_optimal_paths_pass_checks(workloads, tmp_path):
     assert workload.check(workload.run_pass()) == (2, 0, [])
 
 
+def test_estimator_sweep_pass_checks(workloads, tmp_path):
+    # one pass: six eps times three estimators, every output check passing.
+    # Seed 1 is fixed because the "mc saturated at eps 0.05" check is
+    # statistical: at some seeds (26) basic MC gets a hit there on correct
+    # code.
+    workload = workloads.WORKLOADS["estimator-sweep"](1, str(tmp_path))
+    workload.setup()
+    assert workload.check(workload.run_pass()) == (18, 0, [])
+
+
 @pytest.mark.parametrize("name", ["estimator-sweep", "center-law"])
 def test_setup(workloads, tmp_path, name):
     workloads.WORKLOADS[name](1, str(tmp_path)).setup()

@@ -234,6 +234,62 @@ class TestSubcommands:
             meta = json.loads((out / name).read_text())
             assert meta["kernel_workers"] == workers
 
+    def test_estimator_meta_records_each_solve(self, tmp_path):
+        # the benchmark ball solve converges; both weak_to_strong solves
+        # stall on a Godunov kink and end in a failed line search, and their
+        # forcings still feed the samplers, so the record must say so
+        cfg_path = make_config(tmp_path, **{"run.K": 20, "run.eps": 0.2})
+        out = tmp_path / "is"
+        assert main(["is", "--config", str(cfg_path), "--out", str(out)]) == 0
+        meta = json.loads((out / "is_meta.json").read_text())
+        cfg = parse_config(cfg_path.read_text())
+        model = build_noise_model(cfg.noise_kind, cfg.grid, sigma=cfg.sigma,
+                                  l_c=cfg.l_c)
+        opt = cli.minimize_ball(cfg.scenario, model)
+        assert meta["I_star"] == opt.rate_value
+        assert meta["solves"] == {"is-delta": {
+            "converged": True, "message": "converged",
+            "iterations": opt.iterations, "evaluations": opt.evaluations}}
+
+        cfg_path = make_config(
+            tmp_path, **{"wave.u_minus": 1.75, "wave.u_plus": 1.25,
+                         "scenario.kind": "weak_to_strong", "scenario.x0": None,
+                         "scenario.target_wave": {"u_minus": 2.5,
+                                                  "u_plus": 0.5},
+                         "scenario.delta": 0.5, "run.K": 20,
+                         "run.eps_grid": [0.2],
+                         "run.estimators": ["mc", "is0", "is-delta"]})
+        out = tmp_path / "sweep"
+        assert main(["sweep-eps", "--config", str(cfg_path),
+                     "--out", str(out)]) == 0
+        solves = json.loads((out / "sweep_eps_meta.json").read_text())["solves"]
+        assert sorted(solves) == ["is-delta", "is0"]
+        for record in solves.values():
+            assert record["converged"] is False
+            assert record["message"] == \
+                "line search failed; best iterate returned"
+            assert 0 < record["iterations"] < record["evaluations"]
+
+    def test_optimize_on_acceptance_scaling_grid_warns_once(self, tmp_path):
+        # criteria 01 and 02 solve on dx 0.2, dt 0.02 with D = 1, just past
+        # the explicit-Euler stability heuristic:
+        # 0.02 (0.5 / 0.2 + 2 / 0.04) = 1.05 > 1
+        cfg_path = make_config(
+            tmp_path, **{"grid.R": 35.0, "grid.dx": 0.2, "grid.dt": 0.02,
+                         "noise.kind": "identity", "noise.sigma": None,
+                         "noise.l_c": None, "scenario.x0": 2.0,
+                         "scenario.delta": 0.0})
+        out = tmp_path / "out"
+        with pytest.warns(RuntimeWarning) as caught:
+            assert main(["optimize", "--config", str(cfg_path),
+                         "--out", str(out)]) == 0
+        assert [str(w.message) for w in caught
+                if issubclass(w.category, RuntimeWarning)] == [
+            "explicit Euler stability heuristic exceeded: "
+            "dt*(max|F'|/dx + 2D/dx^2) = 1.05 > 1"]
+        meta = json.loads((out / "optimize_meta.json").read_text())
+        assert meta["cfl_number"] == pytest.approx(1.05)
+
     def test_optimize_meta_records_ball_outer_steps(self, tmp_path):
         cfg_path = make_config(
             tmp_path, **{"grid.dt": 0.1, "noise.kind": "identity",

@@ -654,11 +654,15 @@ class TestSampleBlocks:
 class TestKernelBuffers:
     def test_overwritten_chunks_match_fresh_draws(self, ball_scen, exp_model,
                                                   ball_exp_opt, monkeypatch):
-        # a consumer may overwrite each chunk's results while the workers run
-        # ahead into their other slots; four runs at once (eight workers in
-        # all, more than a small host has cores), consumed in turn, each see
-        # exactly their own, every chunk once, in whatever order the workers
-        # finish them, with the forcings of a chunk in order
+        # the workers send each chunk's reduced results over their pipes,
+        # into memory of the consumer's own, which it may overwrite.  With a
+        # reduction that returns the slices and log-weights themselves, four
+        # runs at once (eight workers in all, more than a small host has
+        # cores), consumed in turn, each see exactly their own, every chunk
+        # once, in whatever order the workers finish them, with the forcings
+        # of a chunk in order.  A worker that sent one forcing's slices from
+        # a buffer the next forcing overwrites would send the untilted slices
+        # equal to the tilted ones.
         monkeypatch.setattr(montecarlo, "_CHUNK", 3)
         monkeypatch.setattr(montecarlo, "_cpus", lambda: 2)
         K, eps, h = 40, 0.15, ball_exp_opt.forcing
@@ -668,18 +672,17 @@ class TestKernelBuffers:
         weights = {key: girsanov_log_weights(stream_draws(grid, K, 5, key), h,
                                              eps, grid) for key in keys}
         runs = {key: montecarlo._simulate(ball_scen, exp_model, K, 5,
-                                          [(eps, key)], [None, h])
+                                          [(eps, key)], [None, h],
+                                          lambda q, logw: (q, logw))
                 for key in keys}
         chunks = {key: [] for key in keys}
         for _ in range(-(-K // 3)):
             for key, run in runs.items():
-                for i in range(2):
-                    r, j, start, logw, q = next(run)
-                    if i == 0:
-                        first = start
+                r, start, results = next(run)
+                assert r == 0 and len(results) == 2
+                for i, (q, logw) in enumerate(results):
                     stop = start + len(q)
-                    assert r == 0 and j == i and (logw is None) == (i == 0)
-                    assert start == first
+                    assert (logw is None) == (i == 0)
                     ref = terminals[key][i][start:stop]
                     assert np.array_equal(q.view(np.int64), ref.view(np.int64))
                     q.fill(np.nan)
@@ -702,50 +705,43 @@ class TestKernelBuffers:
         # in blocks of 5.6 MB, one draw array at this K on the benchmark
         # grid.  One worker's chunk loop, fed the three chunks of one run
         # through a stand-in pipe and run in this process under tracemalloc,
-        # holds the draws, the colored store and the per-batch arrays and
-        # temporaries: 2.50 blocks.  The caller holds the report arrays and,
-        # in shared mappings that tracemalloc does not see, two result slots
-        # per worker, whose mapped bytes are added.  A sweep holds the values
-        # of one eps at a time, so with one worker, which hands the chunks
-        # over in order, a six-eps sweep's peak exceeds the one-eps sweep's
-        # by at most one run's values (it does by its finished reports; five
-        # more runs' values would be five times that).
+        # holds the draws, the colored store, the per-batch arrays and
+        # temporaries and a chunk's results: 2.32 blocks, with a reduction
+        # that keeps every forcing's slices.  The caller holds the report
+        # arrays and the chunk values the workers send, and maps nothing:
+        # 0.0114 blocks.  A sweep holds the values of one eps at a time, so
+        # with one worker, which hands the chunks over in order, a six-eps
+        # sweep's peak exceeds the one-eps sweep's by at most one run's
+        # values (it does by its finished reports; five more runs' values
+        # would be five times that).
         grid = exp_model.grid
         block = montecarlo._CHUNK * grid.N * (grid.M - 2) * 8
         forcings = [None, pinned_exp_opt.forcing, ball_exp_opt.forcing]
         K = 2 * montecarlo._CHUNK + 100
-        shape = (len(forcings), montecarlo._CHUNK)
-        slots = [(montecarlo._shared_array(shape + (grid.M,)),
-                  montecarlo._shared_array(shape)) for _ in range(2)]
         sent = []
-        items = iter([(0.1, 0, start, j % 2) for j, start in
-                      enumerate(range(0, K, montecarlo._CHUNK))])
+        items = iter([(0.1, 0, start)
+                      for start in range(0, K, montecarlo._CHUNK)])
 
         def recv():  # the items, then a closed pipe
             for item in items:
                 return item
             raise EOFError
 
-        conn = types.SimpleNamespace(send=sent.append, recv=recv)
+        def send(results):  # the shapes only: keep no chunk's results
+            sent.append([q.shape for q in results])
+
+        conn = types.SimpleNamespace(send=send, recv=recv)
         tracemalloc.start()
         try:
-            montecarlo._worker(conn, slots, ball_scen, exp_model, K, 1,
-                               forcings)
+            montecarlo._worker(conn, ball_scen, exp_model, K, 1, forcings,
+                               lambda q, logw: q)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sent == [None] * 3
-        assert peak <= 2.51 * block
+        assert sent == [[(montecarlo._CHUNK, grid.M)] * 3] * 2 + \
+            [[(100, grid.M)] * 3]
+        assert peak <= 2.32 * block
 
-        mapped = []
-        shared = montecarlo._shared_array
-
-        def recording(shape):
-            out = shared(shape)
-            mapped.append(out.nbytes)
-            return out
-
-        monkeypatch.setattr(montecarlo, "_shared_array", recording)
         monkeypatch.setattr(montecarlo, "_cpus", lambda: 2)
         tracemalloc.start()
         try:
@@ -753,9 +749,7 @@ class TestKernelBuffers:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        slot = [slots[0][0].nbytes, slots[0][1].nbytes]
-        assert mapped == slot * 4
-        assert peak + sum(mapped) <= 0.65 * block
+        assert peak <= 0.0115 * block
 
         monkeypatch.setattr(montecarlo, "_cpus", lambda: 1)
         sweep_peaks = []
@@ -769,7 +763,6 @@ class TestKernelBuffers:
                 sweep_peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert mapped == slot * 8
         assert sweep_peaks[1] - sweep_peaks[0] <= len(forcings) * K * 8
 
     def test_centers_path_holds_no_slice_array(self, displacement_scen,
@@ -1008,6 +1001,22 @@ class TestStreams:
                                        keep=slow_keep)
         assert_no_child_process()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_worker_reduction_failure_surfaces(self, workers, ball_scen,
+                                               exp_model, monkeypatch):
+        # the workers score each chunk against the target; a target one
+        # cell too long fails there, in numpy, and that failure surfaces in
+        # the caller with its type and message, with no worker left
+        target = montecarlo.target_values
+        monkeypatch.setattr(montecarlo, "_CHUNK", 7)
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: workers)
+        monkeypatch.setattr(montecarlo, "target_values",
+                            lambda scen, grid: np.append(target(scen, grid), 0))
+        with pytest.raises(ValueError,
+                           match="^operands could not be broadcast together"):
+            run_estimators(ball_scen, exp_model, 0.15, 20, [None], seed=1)
+        assert_no_child_process()
+
     def test_unpicklable_worker_failure_keeps_type_and_message(
             self, ball_scen, exp_model, monkeypatch):
         class DrawError(Exception):  # local, so it cannot be pickled
@@ -1040,9 +1049,9 @@ class TestStreams:
         monkeypatch.setattr(montecarlo, "_CHUNK", 7)
         monkeypatch.setattr(montecarlo, "_cpus", lambda: 3)
         kernel = montecarlo._simulate(ball_scen, exp_model, 30, 1, [(0.15, 0)],
-                                      [None])
+                                      [None], lambda q, logw: q)
         # the first chunk handed over is one of the three workers' first
-        _, _, start, _, q = next(kernel)
+        _, start, [q] = next(kernel)
         assert start in (0, 7, 14) and q.shape == (7, exp_model.grid.M)
         kernel.close()
         assert_no_child_process()
