@@ -12,15 +12,16 @@ kernel spreads the chunks of every eps over all usable CPUs, so it does not
 fan out over processes; sweep-x0 and sweep-T, one rate sweep over x0 or T,
 fan their points out over --threads processes.  center-diagnostics reduces
 each chunk of terminal slices to its wave centers as the kernel produces
-them, so its memory grows with K floats, not K x M.  Every *_meta.json
-records the numerical regime: the grid's CFL number and the BLAS thread
-variables, and the Monte Carlo sidecars the kernel's worker process count;
-is_meta.json and sweep_eps_meta.json record each importance sampler's solve
-(converged, message, iterations, evaluations) under "solves".
-SHOCKLD_THREADS is the fallback for --threads; a thread count below 1 is
-refused.  All numeric output is written with 17 significant digits so that
-reruns with the same seed are byte-identical and path files round-trip
-through the rate function exactly.
+them and takes their statistics in place, so what it holds grows by 9 bytes
+per sample, the K float centers and a K-byte exit indicator, not by K x M
+floats.  Every *_meta.json records the numerical regime: the grid's CFL
+number and the BLAS thread variables, and the Monte Carlo sidecars the
+kernel's worker process count; is_meta.json and sweep_eps_meta.json
+record each importance sampler's solve (converged, message, iterations,
+evaluations) under "solves".  SHOCKLD_THREADS is the fallback for
+--threads; a thread count below 1 is refused.  All numeric output is written
+with 17 significant digits so that reruns with the same seed are
+byte-identical and path files round-trip through the rate function exactly.
 """
 
 from __future__ import annotations
@@ -309,6 +310,19 @@ def cmd_convexity(cfg: RunConfig, out_dir: str, threads: int) -> None:
     print(f"convexity: fraction={frac:.4f} over {trials} pairs")
 
 
+def _mean_var_in_place(x: np.ndarray):
+    """np.mean(x) and np.var(x) of a 1-D float array, bit for bit.
+
+    These are np.var's own steps, the pairwise sum over the size, then the
+    deviations squared and summed the same way, but run in x rather than in
+    a temporary of its size: x is left holding the squared deviations.
+    """
+    mean = np.sum(x) / x.size
+    x -= mean
+    x *= x
+    return mean, np.sum(x) / x.size
+
+
 def cmd_center_diagnostics(cfg: RunConfig, out_dir: str, threads: int) -> None:
     model = _build(cfg)
     eps = _require(cfg.run.eps, "eps")
@@ -323,14 +337,13 @@ def cmd_center_diagnostics(cfg: RunConfig, out_dir: str, threads: int) -> None:
     centers = sample_terminal_states(
         cfg.scenario, model, eps, K, cfg.run.seed,
         keep=lambda q: wave_centers(q, reference, wave, grid.dx))
-    emp_mean = float(np.mean(centers))
-    emp_var = float(np.var(centers))
-
     p_target = cfg.run.exit_probability or 0.01
     threshold = float(np.sqrt(var) * NormalDist().inv_cdf(1.0 - p_target))
-    exceed = (centers >= mean + threshold).astype(float)
-    mc_p = float(np.mean(exceed))
-    mc_std = float(np.std(exceed))
+    exceed = centers >= mean + threshold
+    emp_mean, emp_var = map(float, _mean_var_in_place(centers))
+    centers[:] = exceed  # the spent centers take the indicator as 0.0/1.0
+    mc_p, mc_var = map(float, _mean_var_in_place(centers))
+    mc_std = float(np.sqrt(mc_var))
     half = 2.6 * mc_std / np.sqrt(K)
     analytic_p = analytic_exit_probability(threshold, grid.T, eps, model,
                                            wave)

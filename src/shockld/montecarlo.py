@@ -290,9 +290,12 @@ def _worker(conn, scen: RareEventSpec, model: NoiseModel, K: int, seed: int,
 
 
 def _report(p: np.ndarray, eps: float, hits: int) -> EstimatorReport:
+    """The report of the K per-sample values p, which are squared in place
+    for the second moment, so p is spent."""
     K = p.size
     mean = float(np.mean(p))
-    var = float(np.mean(p * p)) - mean * mean
+    p *= p
+    var = float(np.mean(p)) - mean * mean
     std = float(np.sqrt(max(var, 0.0)))
     half = 2.6 * std / math.sqrt(K)
     rel = std / mean if mean > 0 else float("inf")

@@ -1,23 +1,37 @@
 """The benchmark harness runs against the package as it stands.
 
-perfbench/workloads.py is imported unchanged, so a change to a name or
-signature it calls fails here and not only in a benchmark run.
+perfbench/workloads.py and perfbench/tracing.py are imported unchanged, so a
+change to a name or signature they use fails here and not only in a
+benchmark run.
 """
 
+import importlib
 import importlib.util
 import pathlib
 
 import pytest
 
-WORKLOADS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def workloads():
-    spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load("workloads")
+
+
+def test_every_traced_name_resolves():
+    # a traced run (run.py --trace 1) patches each (module, attribute) of
+    # TARGETS where its caller looks it up; a renamed one would fail there
+    for module, attr, *_ in load("tracing").TARGETS:
+        assert callable(getattr(importlib.import_module(module), attr, None)), \
+            f"{module}.{attr}"
 
 
 def test_optimal_paths_pass_checks(workloads, tmp_path):

@@ -5,6 +5,8 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -13,10 +15,13 @@ import shockld
 from shockld import cli, montecarlo
 from shockld.cli import _write_matrix, main
 from shockld.config import ConfigError, parse_config
+from shockld.diagnostics import (analytic_center_law,
+                                 analytic_exit_probability, wave_centers)
 from shockld.fluxes import cfl_number
 from shockld.grid import SpaceTimeGrid, WaveSpec
-from shockld.montecarlo import epsilon_sweep
+from shockld.montecarlo import epsilon_sweep, sample_terminal_states
 from shockld.noise import build_noise_model
+from shockld.optimize import initial_values
 from shockld.rate import PathMatrix, rate
 
 TABLE1 = {
@@ -630,6 +635,93 @@ class TestSubcommands:
         assert main(argv) == 1
         assert "thread count must be a positive integer" in \
             capsys.readouterr().err
+
+
+def float_bits(*values):
+    return np.array(values, dtype=float).view(np.uint64).tolist()
+
+
+class TestCenterStatistics:
+    @pytest.mark.parametrize("size", [1, 7, 129, 100003])
+    @pytest.mark.parametrize("kind", ["float", "indicator"])
+    def test_in_place_moments_match_numpy_bits(self, size, kind):
+        rng = np.random.default_rng(size)
+        if kind == "float":
+            x = 3.0 + 2.0 * rng.standard_normal(size)
+        else:
+            x = (rng.random(size) < 0.3).astype(float)
+        mean, var = cli._mean_var_in_place(x.copy())
+        assert float_bits(mean, var, np.sqrt(var)) == \
+            float_bits(np.mean(x), np.var(x), np.std(x))
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_csv_matches_numpy_reference(self, tmp_path, seed):
+        # the row as np.mean, np.var and np.std on a float copy of the exit
+        # indicator compute it, every column to the last bit
+        K, eps, p_exit = 700, 0.1, 0.1
+        cfg_path = make_config(tmp_path, **{"run.K": K, "run.eps": eps,
+                                            "run.seed": seed,
+                                            "run.exit_probability": p_exit,
+                                            "scenario.delta": 0.0})
+        cfg = parse_config(cfg_path.read_text())
+        grid, wave = cfg.grid, cfg.wave
+        model = build_noise_model(cfg.noise_kind, grid, sigma=cfg.sigma,
+                                  l_c=cfg.l_c)
+        reference = initial_values(cfg.scenario, grid)
+        centers = wave_centers(
+            sample_terminal_states(cfg.scenario, model, eps, K, seed),
+            reference, wave, grid.dx)
+        mean, var = analytic_center_law(eps, grid.T, model, wave)
+        threshold = float(np.sqrt(var) * NormalDist().inv_cdf(1.0 - p_exit))
+        exceed = (centers >= mean + threshold).astype(float)
+        mc_p, mc_std = float(np.mean(exceed)), float(np.std(exceed))
+        half = 2.6 * mc_std / np.sqrt(K)
+        emp_var = float(np.var(centers))
+        expected = {"empirical_mean": float(np.mean(centers)),
+                    "empirical_var": emp_var, "var_ratio": emp_var / var,
+                    "exit_threshold": threshold, "exit_mc": mc_p,
+                    "exit_ci_low": mc_p - half, "exit_ci_high": mc_p + half,
+                    "exit_analytic": analytic_exit_probability(
+                        threshold, grid.T, eps, model, wave)}
+        assert 0 < mc_p < 1
+        out = tmp_path / "out"
+        assert main(["center-diagnostics", "--config", str(cfg_path),
+                     "--out", str(out)]) == 0
+        row = read_rows(out / "center_diagnostics.csv")[0]
+        assert {key: row[key] for key in expected} == \
+            {key: f"{v:.17g}" for key, v in expected.items()}
+
+    def test_statistics_hold_one_float_array_and_one_bool_array(
+            self, tmp_path, monkeypatch):
+        # after the kernel, the caller holds the K centers (8K bytes) and
+        # the exit indicator (K bytes) and no K-float temporary: np.var on
+        # the centers, or np.std on a float copy of the indicator, would
+        # add 8K each.  The constant covers small objects and the 128 KiB
+        # that csv.writer allocates for its first row in a process.
+        K = 100_000
+        cfg_path = make_config(tmp_path, **{"run.K": K, "run.eps": 0.1,
+                                            "scenario.delta": 0.0})
+        cfg = parse_config(cfg_path.read_text())
+        model = build_noise_model(cfg.noise_kind, cfg.grid, sigma=cfg.sigma,
+                                  l_c=cfg.l_c)
+        _, var = analytic_center_law(0.1, cfg.grid.T, model, cfg.wave)
+        prepared = np.sqrt(var) * np.random.default_rng(5).standard_normal(K)
+        before = []
+
+        def prepared_centers(*args, **kwargs):
+            before.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+            return prepared.copy()
+
+        monkeypatch.setattr(cli, "sample_terminal_states", prepared_centers)
+        tracemalloc.start()
+        try:
+            assert main(["center-diagnostics", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "out")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before[0] <= 8 * K + K + 192 * 1024
 
 
 def test_cli_import_loads_no_scipy():

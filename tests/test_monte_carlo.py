@@ -234,11 +234,12 @@ class TestLikelihoodRatio:
         for eps in (0.05, 0.1, 0.2):
             w = unblocked_weights(exp_model, eps, 20, ball_exp_opt.forcing,
                                   31, 0)
+            assert np.all(w > 0)
             rep = run_importance_sampling(certain_scen, exp_model, eps, 20,
                                           ball_exp_opt.forcing, seed=31)
+            # _report squares w in place, so w is checked first
             assert report_bits(rep) == \
                 report_bits(montecarlo._report(w, eps, 20))
-            assert np.all(w > 0)
 
     def test_unbiased_at_moderate_sample_size(self, ball_scen, exp_model,
                                               ball_exp_opt, table1_grid):
