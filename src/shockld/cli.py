@@ -8,9 +8,14 @@ sweep-eps at run.eps (is runs is-delta); mc, is and sweep-eps refuse
 scenario.delta = 0, whose terminal event has probability 0, and
 center-diagnostics refuses a run.eps whose center law has variance 0 (eps =
 0, or eps^2 underflowing).  sweep-eps is one epsilon_sweep call, whose
-kernel spreads the chunks of every eps over all usable CPUs, so it does not
-fan out over processes; sweep-x0 and sweep-T, one rate sweep over x0 or T,
-fan their points out over --threads processes.  center-diagnostics reduces
+kernel spreads the chunks of the K samples over all usable CPUs, at most one
+worker per chunk, and steps each chunk's draws at every eps, so it does not
+fan out over processes.  Its points share their draws: each row equals the
+mc or is row at that eps, per-point confidence intervals are those of
+standalone runs, and the points' errors are positively correlated, so
+disjoint intervals stay conservative evidence of a difference; a repeated
+eps is refused.  sweep-x0 and sweep-T, one rate sweep over x0 or T, fan
+their points out over --threads processes.  center-diagnostics reduces
 each chunk of terminal slices to its wave centers as the kernel produces
 them and takes their statistics in place, so what it holds grows by 9 bytes
 per sample, the K float centers and a K-byte exit indicator, not by K x M
@@ -50,7 +55,7 @@ from .optimize import (initial_values, linear_interpolation_path,
                        minimize_ball, minimize_pinned, project_onto_pinning)
 from .rate import discrete_lower_bound, rate
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 REPORT_COLUMNS = ["format_version", "eps", "estimator", "estimate", "std",
                   "ci_low", "ci_high", "rel_error", "K", "seed", "saturated"]
@@ -243,7 +248,7 @@ def cmd_sweep_eps(cfg: RunConfig, out_dir: str, threads: int) -> None:
     _, solves = _estimate(cfg, out_dir, eps_grid, estimators)
     _write_meta(out_dir, "sweep_eps_meta.json", cfg,
                 {"subcommand": "sweep-eps",
-                 "kernel_workers": kernel_workers(cfg.run.K, len(eps_grid)),
+                 "kernel_workers": kernel_workers(cfg.run.K),
                  "solves": _solve_records(solves)})
     print(f"sweep-eps: {len(eps_grid) * len(estimators)} reports -> reports.csv")
 

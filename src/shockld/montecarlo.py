@@ -19,18 +19,20 @@ Girsanov's form
 
 so that E[indicator * w] is the original-event probability for any forcing.
 _log_weights is the one implementation of this weight: one dot product per
-sample, with no difference of two large square sums to cancel digits.
+sample, with no difference of two large square sums to cancel digits, and
+that dot product does not depend on eps.
 
-One trajectory kernel, _simulate, serves every caller.  It takes runs, each
-an (eps, run_key) pair, and forcings (None for the untilted scheme), and
-forks one worker process per usable CPU.  Per chunk of a run, handed out on
-demand, a worker colors the normals once, weighs them under each tilted
-forcing, steps one batch per forcing and reduces its terminal slices and
-log-weights with the caller's function; the results come over its pipe in
-completion order, and consumers place each value by its sample index.
-run_estimators has the workers score the slices; sample_terminal_states
-has them send the slices and applies keep itself; epsilon_sweep is one
-call with a run per eps, where mc, is0 and is-delta share each eps's draws.
+One trajectory kernel, _simulate, serves every caller.  It takes a run key,
+a list of eps and forcings (None for the untilted scheme), and forks one
+worker process per usable CPU, at most one per chunk.  Per chunk of the K
+samples, handed out on demand, a worker draws the normals once and takes
+each tilted forcing's dot products once; then per eps it colors the normals,
+steps one batch per forcing and reduces its terminal slices and log-weights
+with the caller's function.  The results come over its pipe in completion
+order, and consumers place each by its chunk.  run_estimators has the
+workers reduce each chunk to the moments of its values; sample_terminal_states
+has them send the slices and applies keep itself; epsilon_sweep is one call
+with all its eps, so mc, is0 and is-delta at every eps share the draws.
 Processes, not threads: the draws' per-sample Python holds the GIL.
 
 Each batch is held cells-major, as an (M, B) array whose contiguous axis runs
@@ -42,13 +44,17 @@ cells-major.  No BLAS is called, and every value is computed per sample, so
 it keeps its bits at any thread setting, chunk size, block size or worker
 count.  Each chunk's terminal slices are reduced as soon as they are made,
 so no (K, M) array exists unless the caller asks for the slices themselves.
+A report's moments are summed per chunk of _CHUNK samples, then over the
+chunks in index order: hit counts and basic-MC reports (sums of 0 and 1 are
+exact) keep their bits at any chunk size, while the tilted reports' last
+bits depend on _CHUNK, and no report depends on the worker count.
 
 Seeding contract: a 64-bit root seed expands into one independent stream per
 sample index (counter-based spawn keys), so the draws of sample k never
-depend on K, on chunking, or on which estimators consume them.  Statistics
-reduce in deterministic index order.  sample_stream defines sample k's
-stream; the kernel derives the same PCG64 states for a whole chunk in one
-vectorized pass and draws each sample's normals from them.
+depend on K, on chunking, on the eps, or on which estimators consume them.
+Statistics reduce in deterministic index order.  sample_stream defines
+sample k's stream; the kernel derives the same PCG64 states for a whole
+chunk in one vectorized pass and draws each sample's normals from them.
 """
 
 from __future__ import annotations
@@ -220,26 +226,27 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def kernel_workers(K: int, runs: int = 1) -> int:
-    """Worker processes the kernel forks for `runs` runs of K samples: one
-    per usable CPU, at most one per chunk."""
-    return min(_cpus(), runs * -(-K // _CHUNK))
+def kernel_workers(K: int) -> int:
+    """Worker processes the kernel forks for K samples: one per usable CPU,
+    at most one per chunk."""
+    return min(_cpus(), -(-K // _CHUNK))
 
 
 def _worker(conn, scen: RareEventSpec, model: NoiseModel, K: int, seed: int,
-            forcings, reduce) -> None:
-    """Run the kernel on the items the caller sends, until it closes the pipe.
+            run_key: int, eps_list, forcings, reduce) -> None:
+    """Run the kernel on the chunks the caller sends, until it closes the pipe.
 
-    An item (eps, run_key, start) is the chunk of that run's K samples that
-    begins at sample start.  Per item, in buffers allocated once: _normals
-    draws z (B, N, M-2); one transposing pass over blocks of _BLOCK samples
-    writes them, scaled per cell by sqrt(dt/dx) eps diag(Phi), into dW
-    (N, M-2, B), which noise.ar1_accumulate colors in place; and each
-    forcing's batch qT (M, B) is stepped, drift writing into inc (M-2, B)
-    through the Fortran-ordered views qT.T and inc.T.  Per forcing, reduce
-    gets a fresh C-ordered copy (B, M) of the terminal slices and the
-    log-weights.  The chunk's message is the list of what it returned, or
-    the exception on failure.  Touching only numpy and the pipe, the worker
+    An item is the first sample of a chunk of the K samples.  Per item, in
+    buffers allocated once: _normals draws z (B, N, M-2) once, and each
+    tilted forcing's dot products z.h are taken once; then per eps, one
+    transposing pass over blocks of _BLOCK samples writes z, scaled per cell
+    by sqrt(dt/dx) eps diag(Phi), into dW (N, M-2, B), which
+    noise.ar1_accumulate colors in place, and each forcing's batch qT (M, B)
+    is stepped, drift writing into inc (M-2, B) through the Fortran-ordered
+    views qT.T and inc.T.  Per eps and forcing, reduce gets a fresh C-ordered
+    copy (B, M) of the terminal slices and the log-weights.  The chunk's
+    message is the list, per eps, of the lists of what it returned, or the
+    exception on failure.  Touching only numpy and the pipe, the worker
     cannot block on a lock another thread of the caller held at the fork.
     """
     try:
@@ -253,32 +260,37 @@ def _worker(conn, scen: RareEventSpec, model: NoiseModel, K: int, seed: int,
         z_mem, dW_mem, q_mem, inc_mem = (np.empty(n * size) for n in
                                          (N * n_int, N * n_int, M, n_int))
         while True:
-            eps, run_key, start = conn.recv()
-            scale = (root * eps) * phi
+            start = conn.recv()
             B = min(K - start, _CHUNK)
             z = _normals(z_mem[:N * n_int * B].reshape(B, N, n_int), seed,
                          run_key, start)
+            dots = [None if h is None else np.einsum("...ij,ij->...", z, h)
+                    for h in forcings]
             dW = dW_mem[:N * n_int * B].reshape(N, n_int, B)
             qT = q_mem[:M * B].reshape(M, B)
             inc = inc_mem[:n_int * B].reshape(n_int, B)
-            for lo in range(0, B, _BLOCK):
-                np.multiply(z[lo:lo + _BLOCK].transpose(1, 2, 0), scale,
-                            out=dW[:, :, lo:lo + _BLOCK])
-            ar1_accumulate(model, dW.transpose(0, 2, 1))
             results = []
-            for h, tilt in zip(forcings, tilts):
-                logw = (None if h is None
-                        else _log_weights(z, h, eps, grid.dx / dt))
-                qT[...] = q0[:, None]
-                for n in range(N):
-                    drift(qT.T, grid, wave, out=inc.T)
-                    inc *= dt
-                    inc += dW[n]
-                    if tilt is not None:
-                        inc += tilt[n]
-                    qT[1:-1] += inc
-                    pin_edges(qT.T, edges[n + 1])
-                results.append(reduce(qT.T.copy(), logw))
+            for eps in eps_list:
+                scale = (root * eps) * phi
+                for lo in range(0, B, _BLOCK):
+                    np.multiply(z[lo:lo + _BLOCK].transpose(1, 2, 0), scale,
+                                out=dW[:, :, lo:lo + _BLOCK])
+                ar1_accumulate(model, dW.transpose(0, 2, 1))
+                row = []
+                for h, tilt, zh in zip(forcings, tilts, dots):
+                    logw = (None if h is None
+                            else _log_weights(zh, h, eps, grid.dx / dt))
+                    qT[...] = q0[:, None]
+                    for n in range(N):
+                        drift(qT.T, grid, wave, out=inc.T)
+                        inc *= dt
+                        inc += dW[n]
+                        if tilt is not None:
+                            inc += tilt[n]
+                        qT[1:-1] += inc
+                        pin_edges(qT.T, edges[n + 1])
+                    row.append(reduce(qT.T.copy(), logw))
+                results.append(row)
             conn.send(results)
     except (EOFError, ConnectionError):
         pass
@@ -289,35 +301,35 @@ def _worker(conn, scen: RareEventSpec, model: NoiseModel, K: int, seed: int,
             conn.send(RuntimeError(f"{type(err).__name__}: {err}"))
 
 
-def _report(p: np.ndarray, eps: float, hits: int) -> EstimatorReport:
-    """The report of the K per-sample values p, which are squared in place
-    for the second moment, so p is spent."""
-    K = p.size
-    mean = float(np.mean(p))
-    p *= p
-    var = float(np.mean(p)) - mean * mean
-    std = float(np.sqrt(max(var, 0.0)))
+def _report(moments, K: int, eps: float) -> EstimatorReport:
+    """The report of K per-sample values p from their moments (hits, sum p,
+    sum p^2)."""
+    hits, total, squares = moments
+    mean = float(total) / K
+    var = float(squares) / K - mean * mean
+    std = math.sqrt(max(var, 0.0))
     half = 2.6 * std / math.sqrt(K)
     rel = std / mean if mean > 0 else float("inf")
     return EstimatorReport(
         estimate=mean, std=std, ci_low=mean - half, ci_high=mean + half,
-        relative_error=rel, K=K, epsilon=float(eps), hits=hits,
+        relative_error=rel, K=K, epsilon=float(eps), hits=int(hits),
         flagged_saturated=rel >= 0.9 * math.sqrt(K))
 
 
-def _log_weights(z: np.ndarray, h: np.ndarray, eps: float,
+def _log_weights(zh: np.ndarray, h: np.ndarray, eps: float,
                  dx_dt: float) -> np.ndarray:
     """Gaussian log-likelihood ratio log dP/dQ of tilted unit-normal draws.
 
-    z holds the unit normals (..., N, M-2) whose whitened increments are
-    sqrt(dt/dx) z, h the forcing (N, M-2) and dx_dt the ratio dx/dt.  In
-    Girsanov's form, log w = -I(h)/eps^2 - (sqrt(dx/dt)/eps) sum z.h with
-    I(h) = (dx/2dt) |h|^2: one dot product per sample (einsum, which calls
-    no BLAS, so no thread setting changes a bit of it).
+    zh holds the dot products z.h, one per sample, of the unit normals z
+    (..., N, M-2) whose whitened increments are sqrt(dt/dx) z with the
+    forcing h (N, M-2), and dx_dt is the ratio dx/dt.  In Girsanov's form,
+    log w = -I(h)/eps^2 - (sqrt(dx/dt)/eps) z.h with I(h) = (dx/2dt) |h|^2:
+    one dot product per sample, shared by every eps.  The kernel takes it
+    with np.einsum("...ij,ij->...", z, h), which calls no BLAS, so no
+    thread setting changes a bit of it.
     """
     action = 0.5 * dx_dt * np.sum(h * h)
-    return (-action / (eps * eps)
-            - math.sqrt(dx_dt) / eps * np.einsum("...ij,ij->...", z, h))
+    return -action / (eps * eps) - math.sqrt(dx_dt) / eps * zh
 
 
 def _checked(K: int, eps_list, forcings, model: NoiseModel) -> list:
@@ -344,32 +356,31 @@ def _checked(K: int, eps_list, forcings, model: NoiseModel) -> list:
 
 
 def _simulate(scen: RareEventSpec, model: NoiseModel, K: int, seed: int,
-              runs, forcings, reduce):
-    """Evolve K trajectories per run and forcing from per-sample draws.
+              run_key: int, eps_list, forcings, reduce):
+    """Evolve K trajectories per eps and forcing, from one draw per sample.
 
-    runs lists (eps, run_key) pairs, forcings checked (N, M-2) arrays or None
+    Sample k's normals come from stream (seed, run_key, k), and every eps
+    and forcing steps them.  forcings are checked (N, M-2) arrays or None
     (untilted).  reduce(q, logw) maps a forcing's (B, M) terminal slices,
     which it may overwrite, and (B,) log-weights (None if untilted) to a
-    picklable result; it runs in the workers (_worker).  Items, one per run
-    and chunk in that order, are dealt to the W = kernel_workers(K,
-    len(runs)) forked workers two at a time, round-robin; a worker that
-    hands one over gets the next at once.  This yields per chunk, in
-    completion order, (r, start, results): run index, first sample and one
-    result per forcing.  Worker exceptions surface with type and message;
-    every worker is killed and reaped however this ends.
+    picklable result; it runs in the workers (_worker).  Chunks are dealt
+    to the W = kernel_workers(K) forked workers two at a time, round-robin;
+    a worker that hands one over gets the next at once.  This yields per
+    chunk, in completion order, (start, results): its first sample and, per
+    eps, one result per forcing.  Worker exceptions surface with type and
+    message; every worker is killed and reaped however this ends.
     """
-    todo = deque((r, start) for r in range(len(runs))
-                 for start in range(0, K, _CHUNK))
-    W = kernel_workers(K, len(runs))
+    todo = deque(range(0, K, _CHUNK))
+    W = kernel_workers(K)
     import numpy.random  # noqa: F401  (lazy in numpy: load it once, here)
-    pids, flight = [], {}  # flight: each worker's pipe -> its items, in order
+    pids, flight = [], {}  # flight: each worker's pipe -> its chunks, in order
 
-    def deal(conn):  # the next item, if any, to conn
+    def deal(conn):  # the next chunk, if any, to conn
         if todo:
-            r, start = todo.popleft()
-            flight[conn].append((r, start))
+            start = todo.popleft()
+            flight[conn].append(start)
             with suppress(ConnectionError):  # a stopped worker's pipe says why
-                conn.send((*runs[r], start))
+                conn.send(start)
 
     try:
         for _ in range(W):
@@ -383,8 +394,8 @@ def _simulate(scen: RareEventSpec, model: NoiseModel, K: int, seed: int,
                     # trim thresholds, so the drift's temporaries stay in the
                     # heap rather than being faulted in again at every step
                     np.empty(1 << 21)
-                    _worker(child_conn, scen, model, K, seed, forcings,
-                            reduce)
+                    _worker(child_conn, scen, model, K, seed, run_key,
+                            eps_list, forcings, reduce)
                 finally:
                     os._exit(0)
             child_conn.close()
@@ -393,7 +404,7 @@ def _simulate(scen: RareEventSpec, model: NoiseModel, K: int, seed: int,
             deal(conn)
         for conn in flight:
             deal(conn)
-        while busy := [conn for conn, items in flight.items() if items]:
+        while busy := [conn for conn, starts in flight.items() if starts]:
             for conn in wait(busy):
                 try:
                     results = conn.recv()
@@ -402,60 +413,55 @@ def _simulate(scen: RareEventSpec, model: NoiseModel, K: int, seed: int,
                                        "finishing its chunks") from None
                 if isinstance(results, Exception):
                     raise results
-                r, start = flight[conn].popleft()
+                start = flight[conn].popleft()
                 deal(conn)
-                yield r, start, results
+                yield start, results
     finally:
         for conn in flight:
             conn.close()
         for pid in pids:
-            os.kill(pid, signal.SIGKILL)  # done with its items, or abandoned
+            os.kill(pid, signal.SIGKILL)  # done with its chunks, or abandoned
             os.waitpid(pid, 0)
 
 
-def _score(scen: RareEventSpec, model: NoiseModel, K: int, seed: int, runs,
-           forcings) -> list[list[EstimatorReport]]:
-    """run_estimators for each (eps, run_key) of runs, in one kernel call.
+def _score(scen: RareEventSpec, model: NoiseModel, K: int, seed: int,
+           run_key: int, eps_list, forcings) -> list[list[EstimatorReport]]:
+    """run_estimators at each eps of eps_list, in one kernel call.
 
-    Only the oldest unreduced run's values fill an (F, K) array; a later
-    run's chunks wait until it is the oldest.
+    The workers reduce each chunk to moments (hits, sum p, sum p^2) per eps
+    and forcing; they are filed by chunk and summed over the chunks in index
+    order, so no report depends on the worker count or completion order.
     """
     if not scen.delta > 0:
         raise ValueError("the estimators need scenario delta > 0: the event "
                          "dx |Q^N - target|^2 <= 0 has probability 0")
-    forcings = _checked(K, [eps for eps, _ in runs], forcings, model)
+    forcings = _checked(K, eps_list, forcings, model)
     target, dx, delta_sq = (target_values(scen, model.grid), model.grid.dx,
                             scen.delta ** 2)
 
-    def reduce(q, logw):  # in a worker: hits and values of the event
+    def reduce(q, logw):  # in a worker: moments of the event
         # dx |q - target|^2 <= delta^2; q is C-ordered, so the distance sums
         # keep the summation order of a row-major batch
         q -= target
         q *= q
         ind = dx * np.sum(q, axis=1) <= delta_sq
-        return (int(np.count_nonzero(ind)),
-                ind if logw is None else ind * np.exp(logw))
+        hits = int(np.count_nonzero(ind))
+        if logw is None:  # values 0 and 1: both sums are the hit count
+            return hits, hits, hits
+        p = ind * np.exp(logw)
+        total = float(np.sum(p))
+        p *= p
+        return hits, total, float(np.sum(p))
 
-    F, n_chunks = len(forcings), -(-K // _CHUNK)
-    reports, waiting, p = [], {}, None
-    for r, start, results in _simulate(scen, model, K, seed, runs, forcings,
-                                       reduce):
-        waiting.setdefault(r, []).append((start, results))
-        while (oldest := len(reports)) in waiting:
-            if p is None:
-                p, hits, left = np.empty((F, K)), [0] * F, n_chunks
-            chunks = waiting.pop(oldest)
-            for start, results in chunks:
-                for i, (n, v) in enumerate(results):
-                    hits[i] += n
-                    p[i, start:start + len(v)] = v
-            left -= len(chunks)
-            if left:
-                break
-            reports.append([_report(row, runs[oldest][0], n)
-                            for row, n in zip(p, hits)])
-            p = None
-    return reports
+    moments = np.empty((-(-K // _CHUNK), len(eps_list), len(forcings), 3))
+    for start, results in _simulate(scen, model, K, seed, run_key, eps_list,
+                                    forcings, reduce):
+        moments[start // _CHUNK] = results
+    total = np.zeros(moments.shape[1:])
+    for chunk in moments:
+        total += chunk
+    return [[_report(m, K, eps) for m in row]
+            for eps, row in zip(eps_list, total.tolist())]
 
 
 def run_estimators(scen: RareEventSpec, model: NoiseModel, eps: float, K: int,
@@ -468,7 +474,7 @@ def run_estimators(scen: RareEventSpec, model: NoiseModel, eps: float, K: int,
     Raises ValueError when scen.delta = 0: the event
     dx |Q^N - target|^2 <= 0 has probability 0.
     """
-    return _score(scen, model, K, seed, [(eps, run_key)], forcings)[0]
+    return _score(scen, model, K, seed, run_key, [eps], forcings)[0]
 
 
 def run_basic_mc(scen: RareEventSpec, model: NoiseModel, eps: float, K: int,
@@ -505,8 +511,8 @@ def sample_terminal_states(scen: RareEventSpec, model: NoiseModel, eps: float,
     """
     forcings = _checked(K, [eps], [forcing], model)
     kept = None
-    for _, start, results in _simulate(scen, model, K, seed, [(eps, run_key)],
-                                       forcings, lambda q, logw: q):
+    for start, [results] in _simulate(scen, model, K, seed, run_key, [eps],
+                                      forcings, lambda q, logw: q):
         # popped, so no chunk's slices outlive its keep call and overlap the
         # receipt of the next chunk's
         rows = results.pop() if keep is None else keep(results.pop())
@@ -524,15 +530,25 @@ def epsilon_sweep(scen: RareEventSpec, model: NoiseModel, eps_list,
 
     estimators lists distinct names of ESTIMATORS; the importance samplers need
     their forcing passed in (pinned-optimum h for is0, ball-optimum h for
-    is-delta).  Each eps gets an independent run key, its index i in
-    eps_list, so adding grid points never perturbs existing ones.  Every eps
-    is checked, then all of them run in one kernel call, so its workers
-    take chunks of any eps as they free up.  Returns a list of (eps,
-    estimator, EstimatorReport) in sweep order.
+    is-delta).  eps_list lists distinct values.  The points share their
+    draws: every eps steps sample k's normals of run key 0, so point i
+    equals run_estimators at its eps with the same seed and run key 0, bit
+    for bit, and adding grid points never perturbs existing ones.  Each
+    point's estimate is unbiased with its standalone variance, so per-point
+    confidence intervals are unchanged; the errors of different points are
+    positively correlated (common random numbers), which makes differences
+    and slopes across eps more precise, and disjoint intervals stay
+    conservative evidence of a difference.  Every eps is checked, then all
+    of them run in one kernel call over the chunks of the K samples.
+    Returns a list of (eps, estimator, EstimatorReport) in sweep order.
     """
     eps_list = list(eps_list)
     if not eps_list:
         raise ValueError("eps_list must be nonempty")
+    for i, eps in enumerate(eps_list):
+        # on shared draws a repeated eps would step identical batches twice
+        if eps in eps_list[:i]:
+            raise ValueError(f"repeated eps: {eps}")
     estimators = list(estimators)
     if not estimators:
         raise ValueError("estimators must be nonempty")
@@ -547,8 +563,7 @@ def epsilon_sweep(scen: RareEventSpec, model: NoiseModel, eps_list,
         raise ValueError("estimator is-delta requires forcing_ball")
 
     forcing = {"mc": None, "is0": forcing_pinned, "is-delta": forcing_ball}
-    reports = _score(scen, model, K, seed,
-                     [(eps, i) for i, eps in enumerate(eps_list)],
+    reports = _score(scen, model, K, seed, 0, eps_list,
                      [forcing[name] for name in estimators])
     return [(eps, name, rep) for eps, reps in zip(eps_list, reports)
             for name, rep in zip(estimators, reps)]

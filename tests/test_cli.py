@@ -175,7 +175,7 @@ class TestSubcommands:
         assert main(["optimize", "--config", str(cfg_path),
                      "--out", str(out)]) == 0
         row = read_rows(out / "optimize_summary.csv")[0]
-        assert row["format_version"] == "1"
+        assert row["format_version"] == "2"
         grid = SpaceTimeGrid.from_spacing(-15.0, 20.0, 0.5, 1.0, 0.1)
         wave = WaveSpec(2.0, 1.0, 1.0, gamma=1.5)
         model = build_noise_model("identity", grid)
@@ -215,8 +215,7 @@ class TestSubcommands:
     def test_monte_carlo_meta_records_kernel_workers(
             self, tmp_path, monkeypatch, subcommand, cpus, workers):
         # 20 samples in chunks of 7: one worker per usable CPU, at most one
-        # per chunk; sweep-eps at three eps of 5 samples each is one kernel
-        # call over three chunks
+        # per chunk
         monkeypatch.setattr(montecarlo, "_CHUNK", 7)
         monkeypatch.setattr(montecarlo, "_cpus", lambda: cpus)
         delta = 0.0 if subcommand == "center-diagnostics" else DELTA
@@ -230,14 +229,22 @@ class TestSubcommands:
         meta = json.loads((out / name).read_text())
         assert meta["kernel_workers"] == workers
         assert "thread_env" in meta
-        if subcommand == "sweep-eps":
-            cfg_path = make_config(
-                tmp_path, **{"run.K": 5, "run.eps_grid": [0.1, 0.15, 0.2],
-                             "run.estimators": ["mc"]})
-            assert main([subcommand, "--config", str(cfg_path),
-                         "--out", str(out)]) == 0
-            meta = json.loads((out / name).read_text())
-            assert meta["kernel_workers"] == workers
+
+    @pytest.mark.parametrize("K, chunks", [(5, 1), (20, 3)])
+    def test_sweep_eps_meta_records_one_worker_per_chunk(
+            self, tmp_path, monkeypatch, K, chunks):
+        # a sweep's items are the chunks of its K samples, each stepped at
+        # every eps: three eps add no worker, even with CPUs to spare
+        monkeypatch.setattr(montecarlo, "_CHUNK", 7)
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: 8)
+        cfg_path = make_config(
+            tmp_path, **{"run.K": K, "run.eps_grid": [0.1, 0.15, 0.2],
+                         "run.estimators": ["mc"]})
+        out = tmp_path / "out"
+        assert main(["sweep-eps", "--config", str(cfg_path),
+                     "--out", str(out)]) == 0
+        meta = json.loads((out / "sweep_eps_meta.json").read_text())
+        assert meta["kernel_workers"] == chunks
 
     def test_estimator_meta_records_each_solve(self, tmp_path):
         # the benchmark ball solve converges; both weak_to_strong solves
@@ -377,6 +384,22 @@ class TestSubcommands:
         assert "repeated estimator in run.estimators: 'mc'" in err
         assert not (out / "reports.csv").exists()
 
+    def test_sweep_eps_repeated_eps_fails_with_diagnostic(self, tmp_path,
+                                                          capsys):
+        # the points share their draws, so a repeated eps would only copy
+        # a report
+        cfg_path = make_config(tmp_path, **{"run.K": 50, "run.eps": None,
+                                            "run.eps_grid": [0.1, 0.2, 0.1],
+                                            "run.estimators": ["mc"]})
+        out = tmp_path / "out"
+        assert main(["sweep-eps", "--config", str(cfg_path),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "shockld sweep-eps" in err
+        assert "ValueError: repeated eps: 0.1" in err
+        assert not (out / "reports.csv").exists()
+
     def test_sweep_eps_threads_byte_identical(self, tmp_path, ball_scen,
                                               exp_model, ball_exp_opt,
                                               pinned_exp_opt, monkeypatch):
@@ -395,7 +418,7 @@ class TestSubcommands:
                          str(out), "--threads", threads]) == 0
             outs.append((out / "reports.csv").read_bytes())
         assert outs[0] == outs[1]
-        # the points keep epsilon_sweep's run keys
+        # the points are epsilon_sweep's
         rows = read_rows(tmp_path / "t2" / "reports.csv")
         ref = epsilon_sweep(ball_scen, exp_model, [0.1, 0.15, 0.2], 120,
                             ["mc", "is0", "is-delta"], seed=1234,
@@ -427,6 +450,8 @@ class TestSubcommands:
                              ids=["mc", "is-delta"])
     def test_estimator_row_is_one_point_sweep(self, tmp_path, subcommand,
                                               estimator):
+        # the row equals the one-point sweep's, and the points of a longer
+        # sweep share their draws, so its row at run.eps is the same
         cfg_path = make_config(
             tmp_path, **{"run.K": 300, "run.eps": 0.2, "run.eps_grid": [0.2],
                          "run.estimators": [estimator]})
@@ -437,6 +462,14 @@ class TestSubcommands:
                      "--out", str(sweep)]) == 0
         reports = (one / "reports.csv").read_bytes()
         assert reports == (sweep / "reports.csv").read_bytes()
+        cfg_path = make_config(
+            tmp_path, **{"run.K": 300, "run.eps_grid": [0.15, 0.2],
+                         "run.estimators": [estimator]})
+        assert main(["sweep-eps", "--config", str(cfg_path),
+                     "--out", str(sweep)]) == 0
+        header, row = reports.splitlines()
+        assert (sweep / "reports.csv").read_bytes().splitlines()[::2] == \
+            [header, row]
         assert read_rows(one / "reports.csv")[0]["estimator"] == estimator
         if subcommand == "is":
             meta = json.loads((one / "is_meta.json").read_text())

@@ -32,7 +32,8 @@ def certain_scen(ball_scen):
     """The benchmark ball widened until every sample hits it.
 
     There an importance sampler's per-sample values are its likelihood
-    weights, bit for bit (1.0 * w), so its report is _report of the weights.
+    weights, bit for bit (1.0 * w), so its report is chunked_report of the
+    weights.
     """
     return dataclasses.replace(ball_scen, delta=1e3)
 
@@ -64,6 +65,18 @@ def girsanov_log_weights(z, h, eps, grid):
             - np.sqrt(dx_dt) / eps * np.einsum("kij,ij->k", z, h))
 
 
+def chunked_report(p, eps, hits):
+    """The report of the per-sample values p, their moments summed the
+    kernel's way: np.sum of p and of p^2 over each chunk of _CHUNK samples,
+    then the chunks' sums in index order."""
+    total = squares = 0.0
+    for lo in range(0, p.size, montecarlo._CHUNK):
+        chunk = p[lo:lo + montecarlo._CHUNK]
+        total += float(np.sum(chunk))
+        squares += float(np.sum(chunk * chunk))
+    return montecarlo._report((hits, total, squares), p.size, eps)
+
+
 def stream_draws(grid, K, seed, run_key):
     """Per-sample sample_stream normals, (K, N, M-2)."""
     return np.array([sample_stream(seed, run_key, k)
@@ -77,7 +90,7 @@ def row_major_kernel(scen, model, eps, K, seed, run_key, forcings):
     colored by the written-out AR(1) recurrence, drift on the (K, M) array
     and the kernel's order of additions; the outer cells are written from
     the rows of the pinned-value table here, not through pin_edges.  Returns
-    one (report, terminal slices) per forcing.
+    one (per-sample values, hits, terminal slices) per forcing.
     """
     grid, wave = model.grid, scen.wave
     N, M, dt, dx = grid.N, grid.M, grid.dt, grid.dx
@@ -106,7 +119,7 @@ def row_major_kernel(scen, model, eps, K, seed, run_key, forcings):
             p = ind.astype(float)
         else:
             p = ind * np.exp(girsanov_log_weights(z, h, eps, grid))
-        out.append((montecarlo._report(p, eps, int(np.count_nonzero(ind))), q))
+        out.append((p, int(np.count_nonzero(ind)), q))
     return out
 
 
@@ -221,8 +234,9 @@ class TestLikelihoodRatio:
         sd = np.sqrt(dt / dx)
         for w_tilde in (-0.3, -0.05, 0.0, 0.17, 0.6):
             # w_tilde is the whitened increment sqrt(dt/dx) z
-            lr = np.exp(montecarlo._log_weights(np.array([[w_tilde / sd]]),
-                                                np.array([[h]]), eps, dx / dt))
+            zh = np.array(w_tilde / sd * h)
+            lr = np.exp(montecarlo._log_weights(zh, np.array([[h]]), eps,
+                                                dx / dt))
             # increment under the tilted law: mean h/eps, same variance
             x = w_tilde + h / eps
             expected = norm.pdf(x, 0.0, sd) / norm.pdf(x, h / eps, sd)
@@ -237,9 +251,7 @@ class TestLikelihoodRatio:
             assert np.all(w > 0)
             rep = run_importance_sampling(certain_scen, exp_model, eps, 20,
                                           ball_exp_opt.forcing, seed=31)
-            # _report squares w in place, so w is checked first
-            assert report_bits(rep) == \
-                report_bits(montecarlo._report(w, eps, 20))
+            assert report_bits(rep) == report_bits(chunked_report(w, eps, 20))
 
     def test_unbiased_at_moderate_sample_size(self, ball_scen, exp_model,
                                               ball_exp_opt, table1_grid):
@@ -275,7 +287,8 @@ class TestLikelihoodRatio:
         r = np.longdouble(grid.dx) / np.longdouble(grid.dt)
         ref = (-(r / 2) * np.sum(hl * hl) / (el * el)
                - np.sqrt(r) / el * np.einsum("kij,ij->k", zl, hl))
-        new = montecarlo._log_weights(z, h, eps, grid.dx / grid.dt)
+        new = montecarlo._log_weights(np.einsum("kij,ij->k", z, h), h, eps,
+                                      grid.dx / grid.dt)
         y = np.sqrt(grid.dt / grid.dx) * z
         s = y + h / eps
         old = -(grid.dx / (2.0 * grid.dt)) * (np.sum(s * s, axis=(1, 2))
@@ -375,31 +388,34 @@ class TestEpsilonSweep:
 
     def test_fused_sweep_equals_separate_runners(self, ball_scen, exp_model,
                                                  ball_exp_opt, pinned_exp_opt):
-        # K = 2100 spans several chunks and ends inside one
+        # K = 2100 spans several chunks and ends inside one.  The points
+        # share their draws: each equals the runners at its eps with run
+        # key 0, not only the first
         K, eps_list = 2100, [0.12, 0.2]
         res = epsilon_sweep(ball_scen, exp_model, eps_list, K,
                             ["mc", "is0", "is-delta"], seed=17,
                             forcing_pinned=pinned_exp_opt.forcing,
                             forcing_ball=ball_exp_opt.forcing)
         expected = []
-        for i, eps in enumerate(eps_list):
+        for eps in eps_list:
             expected += [
                 (eps, "mc", run_basic_mc(ball_scen, exp_model, eps, K,
-                                         seed=17, run_key=i)),
+                                         seed=17, run_key=0)),
                 (eps, "is0", run_importance_sampling(
                     ball_scen, exp_model, eps, K, pinned_exp_opt.forcing,
-                    seed=17, run_key=i)),
+                    seed=17, run_key=0)),
                 (eps, "is-delta", run_importance_sampling(
                     ball_scen, exp_model, eps, K, ball_exp_opt.forcing,
-                    seed=17, run_key=i)),
+                    seed=17, run_key=0)),
             ]
         assert res == expected
 
-    def test_one_stream_per_sample_per_eps(self, ball_scen, exp_model,
-                                           ball_exp_opt, pinned_exp_opt,
-                                           monkeypatch, tmp_path):
+    def test_one_stream_per_sample_per_sweep(self, ball_scen, exp_model,
+                                             ball_exp_opt, pinned_exp_opt,
+                                             monkeypatch, tmp_path):
         # the streams are opened in the kernel workers, which append each
-        # (run key, k) to a file that this process reads back
+        # (run key, k) to a file that this process reads back: one stream
+        # per sample, of run key 0, opened once for all the eps
         log = tmp_path / "opened.txt"
         original = montecarlo._stream_states
 
@@ -417,7 +433,7 @@ class TestEpsilonSweep:
                       forcing_ball=ball_exp_opt.forcing)
         opened = [tuple(map(int, line.split()))
                   for line in log.read_text().splitlines()]
-        assert sorted(opened) == [(i, k) for i in range(2) for k in range(K)]
+        assert sorted(opened) == [(0, k) for k in range(K)]
 
     def test_repeated_estimator_refused(self, ball_scen, exp_model):
         # ["mc", "mc"] would step one batch twice and report it twice
@@ -425,12 +441,16 @@ class TestEpsilonSweep:
             epsilon_sweep(ball_scen, exp_model, [0.2], 50, ["mc", "mc"],
                           seed=1)
 
-    def test_eps_points_use_independent_streams(self, ball_scen, exp_model):
-        res = epsilon_sweep(ball_scen, exp_model, [0.15, 0.15], 300, ["mc"],
-                            seed=55)
-        # same eps, different run keys -> independent draws, not a copy
-        assert res[0][2].hits != res[1][2].hits or \
-            res[0][2].estimate != res[1][2].estimate
+    def test_repeated_eps_refused(self, ball_scen, exp_model, monkeypatch):
+        # on shared draws [0.15, 0.15] would step identical batches twice
+        # and report a copy; refused before any worker is forked
+        def forking(*args):
+            raise AssertionError("the kernel was started")
+
+        monkeypatch.setattr(montecarlo, "_simulate", forking)
+        with pytest.raises(ValueError, match=r"^repeated eps: 0\.15$"):
+            epsilon_sweep(ball_scen, exp_model, [0.1, 0.15, 0.2, 0.15], 300,
+                          ["mc"], seed=55)
 
     def test_argument_validation(self, ball_scen, exp_model):
         with pytest.raises(ValueError):
@@ -609,9 +629,9 @@ class TestKernelLayout:
         reports = run_estimators(scen, model, eps, K, [None, h], seed=31,
                                  run_key=2)
         assert [report_bits(r) for r in reports] == \
-            [report_bits(r) for r, _ in ref]
+            [report_bits(chunked_report(p, eps, hits)) for p, hits, _ in ref]
         assert 0 < reports[0].hits < K
-        for h_i, (_, q_ref) in zip([None, h], ref):
+        for h_i, (_, _, q_ref) in zip([None, h], ref):
             q = sample_terminal_states(scen, model, eps, K, seed=31,
                                        run_key=2, forcing=h_i)
             assert np.array_equal(q.view(np.int64), q_ref.view(np.int64))
@@ -648,8 +668,7 @@ class TestSampleBlocks:
         assert np.array_equal(kept.view(np.int64), centers.view(np.int64))
         rep = run_importance_sampling(certain_scen, model, eps, K, forcing,
                                       seed=8, run_key=1)
-        assert report_bits(rep) == \
-            report_bits(montecarlo._report(weights, eps, K))
+        assert report_bits(rep) == report_bits(chunked_report(weights, eps, K))
 
 
 class TestKernelBuffers:
@@ -658,40 +677,47 @@ class TestKernelBuffers:
         # the workers send each chunk's reduced results over their pipes,
         # into memory of the consumer's own, which it may overwrite.  With a
         # reduction that returns the slices and log-weights themselves, four
-        # runs at once (eight workers in all, more than a small host has
-        # cores), consumed in turn, each see exactly their own, every chunk
-        # once, in whatever order the workers finish them, with the forcings
-        # of a chunk in order.  A worker that sent one forcing's slices from
-        # a buffer the next forcing overwrites would send the untilted slices
-        # equal to the tilted ones.
+        # two-eps runs at once (eight workers in all, more than a small host
+        # has cores), consumed in turn, each see exactly their own, every
+        # chunk once, in whatever order the workers finish them, with the
+        # eps and forcings of a chunk in order.  A worker that sent one
+        # forcing's or eps's slices from a buffer the next one overwrites
+        # would send them equal to the next one's.
         monkeypatch.setattr(montecarlo, "_CHUNK", 3)
         monkeypatch.setattr(montecarlo, "_cpus", lambda: 2)
-        K, eps, h = 40, 0.15, ball_exp_opt.forcing
+        K, eps_list, h = 40, [0.15, 0.2], ball_exp_opt.forcing
         grid, keys = exp_model.grid, range(4)
-        terminals = {key: [q for _, q in row_major_kernel(
-            ball_scen, exp_model, eps, K, 5, key, [None, h])] for key in keys}
-        weights = {key: girsanov_log_weights(stream_draws(grid, K, 5, key), h,
-                                             eps, grid) for key in keys}
-        runs = {key: montecarlo._simulate(ball_scen, exp_model, K, 5,
-                                          [(eps, key)], [None, h],
+        terminals, weights = {}, {}
+        for key in keys:
+            draws = stream_draws(grid, K, 5, key)
+            terminals[key] = [[q for _, _, q in row_major_kernel(
+                ball_scen, exp_model, eps, K, 5, key, [None, h])]
+                for eps in eps_list]
+            weights[key] = [girsanov_log_weights(draws, h, eps, grid)
+                            for eps in eps_list]
+        runs = {key: montecarlo._simulate(ball_scen, exp_model, K, 5, key,
+                                          eps_list, [None, h],
                                           lambda q, logw: (q, logw))
                 for key in keys}
         chunks = {key: [] for key in keys}
         for _ in range(-(-K // 3)):
             for key, run in runs.items():
-                r, start, results = next(run)
-                assert r == 0 and len(results) == 2
-                for i, (q, logw) in enumerate(results):
-                    stop = start + len(q)
-                    assert (logw is None) == (i == 0)
-                    ref = terminals[key][i][start:stop]
-                    assert np.array_equal(q.view(np.int64), ref.view(np.int64))
-                    q.fill(np.nan)
-                    if logw is not None:
-                        ref = weights[key][start:stop]
-                        assert np.array_equal(logw.view(np.int64),
+                start, results = next(run)
+                assert len(results) == len(eps_list)
+                for e, row in enumerate(results):
+                    assert len(row) == 2
+                    for i, (q, logw) in enumerate(row):
+                        stop = start + len(q)
+                        assert (logw is None) == (i == 0)
+                        ref = terminals[key][e][i][start:stop]
+                        assert np.array_equal(q.view(np.int64),
                                               ref.view(np.int64))
-                        logw.fill(np.nan)
+                        q.fill(np.nan)
+                        if logw is not None:
+                            ref = weights[key][e][start:stop]
+                            assert np.array_equal(logw.view(np.int64),
+                                                  ref.view(np.int64))
+                            logw.fill(np.nan)
                 chunks[key].append((start, stop))
         for run in runs.values():
             assert next(run, None) is None
@@ -704,24 +730,24 @@ class TestKernelBuffers:
                                                        pinned_exp_opt,
                                                        monkeypatch):
         # in blocks of 5.6 MB, one draw array at this K on the benchmark
-        # grid.  One worker's chunk loop, fed the three chunks of one run
+        # grid.  One worker's chunk loop, fed the three chunks of one eps
         # through a stand-in pipe and run in this process under tracemalloc,
         # holds the draws, the colored store, the per-batch arrays and
         # temporaries and a chunk's results: 2.32 blocks, with a reduction
-        # that keeps every forcing's slices.  The caller holds the report
-        # arrays and the chunk values the workers send, and maps nothing:
-        # 0.0114 blocks.  A sweep holds the values of one eps at a time, so
-        # with one worker, which hands the chunks over in order, a six-eps
-        # sweep's peak exceeds the one-eps sweep's by at most one run's
-        # values (it does by its finished reports; five more runs' values
-        # would be five times that).
+        # that keeps every forcing's slices.  The caller holds the chunk
+        # moments the workers send and the reports, and maps nothing: 0.0029
+        # blocks (0.0114 when it held the (F, K) values).  A sweep's caller
+        # holds R x F x n_chunks moments of three floats, so with one worker
+        # a six-eps sweep's peak exceeds the one-eps sweep's by at most three
+        # times all six eps's moments: the filed moments, one chunk's message
+        # and the reports.  It measured 1.5-2.2 kB against that 3.9 kB bound;
+        # holding one eps's (F, K) values at a time measured 4.3-5.1 kB.
         grid = exp_model.grid
         block = montecarlo._CHUNK * grid.N * (grid.M - 2) * 8
         forcings = [None, pinned_exp_opt.forcing, ball_exp_opt.forcing]
         K = 2 * montecarlo._CHUNK + 100
         sent = []
-        items = iter([(0.1, 0, start)
-                      for start in range(0, K, montecarlo._CHUNK)])
+        items = iter(range(0, K, montecarlo._CHUNK))
 
         def recv():  # the items, then a closed pipe
             for item in items:
@@ -729,18 +755,18 @@ class TestKernelBuffers:
             raise EOFError
 
         def send(results):  # the shapes only: keep no chunk's results
-            sent.append([q.shape for q in results])
+            sent.append([[q.shape for q in row] for row in results])
 
         conn = types.SimpleNamespace(send=send, recv=recv)
         tracemalloc.start()
         try:
-            montecarlo._worker(conn, ball_scen, exp_model, K, 1, forcings,
-                               lambda q, logw: q)
+            montecarlo._worker(conn, ball_scen, exp_model, K, 1, 0, [0.1],
+                               forcings, lambda q, logw: q)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sent == [[(montecarlo._CHUNK, grid.M)] * 3] * 2 + \
-            [[(100, grid.M)] * 3]
+        assert sent == [[[(montecarlo._CHUNK, grid.M)] * 3]] * 2 + \
+            [[[(100, grid.M)] * 3]]
         assert peak <= 2.32 * block
 
         monkeypatch.setattr(montecarlo, "_cpus", lambda: 2)
@@ -750,11 +776,11 @@ class TestKernelBuffers:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 0.0115 * block
+        assert peak <= 0.004 * block
 
         monkeypatch.setattr(montecarlo, "_cpus", lambda: 1)
-        sweep_peaks = []
-        for eps_list in ([0.1], [0.05, 0.08, 0.1, 0.12, 0.15, 0.2]):
+        sweep_peaks, sweep_eps = [], [0.05, 0.08, 0.1, 0.12, 0.15, 0.2]
+        for eps_list in ([0.1], sweep_eps):
             tracemalloc.start()
             try:
                 epsilon_sweep(ball_scen, exp_model, eps_list, K,
@@ -764,7 +790,9 @@ class TestKernelBuffers:
                 sweep_peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert sweep_peaks[1] - sweep_peaks[0] <= len(forcings) * K * 8
+        n_chunks = -(-K // montecarlo._CHUNK)
+        moments = len(sweep_eps) * len(forcings) * n_chunks * 3 * 8
+        assert sweep_peaks[1] - sweep_peaks[0] <= 3 * moments
 
     def test_centers_path_holds_no_slice_array(self, displacement_scen,
                                                wave):
@@ -885,21 +913,31 @@ class TestStreams:
     def test_chunk_size_does_not_matter(self, model_name, chunk, ball_scen,
                                         ball_exp_opt, pinned_exp_opt,
                                         request, monkeypatch):
+        # hits, the untilted report and the terminal slices keep their bits
+        # at any chunk and block size; the tilted reports' moments are
+        # summed per chunk, so they equal the chunked reference
         model = request.getfixturevalue(model_name)
         forcings = [None, pinned_exp_opt.forcing, ball_exp_opt.forcing]
+        K, eps = 30, 0.15
 
         def outputs():
-            return (run_estimators(ball_scen, model, 0.15, 30, forcings,
+            return (run_estimators(ball_scen, model, eps, K, forcings,
                                    seed=21, run_key=3),
-                    sample_terminal_states(ball_scen, model, 0.15, 30,
+                    sample_terminal_states(ball_scen, model, eps, K,
                                            seed=21, forcing=ball_exp_opt.forcing))
 
         reports, terminals = outputs()
+        values = row_major_kernel(ball_scen, model, eps, K, 21, 3, forcings)
         monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+        expected = [report_bits(chunked_report(p, eps, hits))
+                    for p, hits, _ in values]
         for block in (1, 7, montecarlo._BLOCK):
             monkeypatch.setattr(montecarlo, "_BLOCK", block)
             chunked_reports, chunked_terminals = outputs()
-            assert chunked_reports == reports
+            assert [r.hits for r in chunked_reports] == \
+                [r.hits for r in reports]
+            assert chunked_reports[0] == reports[0]
+            assert [report_bits(r) for r in chunked_reports] == expected
             assert np.array_equal(chunked_terminals.view(np.int64),
                                   terminals.view(np.int64))
 
@@ -911,6 +949,7 @@ class TestStreams:
         # 30 samples are five chunks of 7, the last one short: two workers
         # take three and two of them, three workers two, two and one.  On
         # the certain event every report is one of the weights' statistics.
+        # A three-eps sweep deals the same five chunks.
         model = request.getfixturevalue(model_name)
         forcings = [None, pinned_exp_opt.forcing, ball_exp_opt.forcing]
         monkeypatch.setattr(montecarlo, "_CHUNK", 7)
@@ -925,28 +964,34 @@ class TestStreams:
                        for scen in (ball_scen, certain_scen)]
             rows = sample_terminal_states(ball_scen, model, 0.15, 30, seed=21,
                                           forcing=ball_exp_opt.forcing)
+            sweep = epsilon_sweep(ball_scen, model, [0.1, 0.15, 0.2], 30,
+                                  ["mc", "is0", "is-delta"], seed=21,
+                                  forcing_pinned=pinned_exp_opt.forcing,
+                                  forcing_ball=ball_exp_opt.forcing)
             outputs.append(([report_bits(r) for r in reports[0] + reports[1]],
-                            rows.view(np.int64).tolist()))
+                            rows.view(np.int64).tolist(),
+                            [(eps, name, report_bits(r))
+                             for eps, name, r in sweep]))
         assert outputs[0] == outputs[1] == outputs[2]
         assert [r.hits for r in reports[1]] == [30] * 3
 
     def test_idle_worker_takes_the_next_chunk(self, ball_scen, exp_model,
                                               ball_exp_opt, monkeypatch,
                                               tmp_path):
-        # ten chunks of 7 on two workers, chunk 0 of run key 0 slowed by half
-        # a second: its worker hands over only the chunks it was dealt first,
-        # 0 and 2, while the other takes each chunk as it frees up.  Every
-        # stream is opened in the worker that steps its chunk, which appends
-        # (its pid, the chunk's first sample) to a file that this process
-        # reads back.  In a two-eps sweep the second eps's chunks all arrive
-        # before the first eps is complete; no report may change.
+        # ten chunks of 7 on two workers, chunk 0 slowed by half a second:
+        # its worker hands over only the chunks it was dealt first, 0 and 2,
+        # while the other takes each chunk as it frees up.  Every stream is
+        # opened in the worker that steps its chunk, which appends (its pid,
+        # the chunk's first sample) to a file that this process reads back.
+        # A two-eps sweep deals the same ten chunks, each stepped at both
+        # eps; no report may change.
         log = tmp_path / "chunks.txt"
         original = montecarlo._stream_states
 
         def logged(seed, run_key, start, stop):
             with open(log, "a") as fh:
                 fh.write("%d %d\n" % (os.getpid(), start))
-            if slow and run_key == 0 and start == 0:
+            if slow and start == 0:
                 time.sleep(0.5)
             return original(seed, run_key, start, stop)
 
@@ -955,21 +1000,27 @@ class TestStreams:
         monkeypatch.setattr(montecarlo, "_stream_states", logged)
         outputs = []
         for slow in (False, True):
+            logged_chunks = []
             log.write_text("")
             reports = run_estimators(ball_scen, exp_model, 0.15, 70,
                                      [None, ball_exp_opt.forcing], seed=9)
-            chunks = [tuple(map(int, line.split()))
-                      for line in log.read_text().splitlines()]
+            logged_chunks.append(log.read_text())
+            log.write_text("")
             sweep = epsilon_sweep(ball_scen, exp_model, [0.15, 0.2], 70,
                                   ["mc", "is-delta"], seed=9,
                                   forcing_ball=ball_exp_opt.forcing)
+            logged_chunks.append(log.read_text())
             outputs.append(([report_bits(r) for r in reports],
                             [(eps, name, report_bits(r))
                              for eps, name, r in sweep]))
         assert outputs[0] == outputs[1]
-        assert sorted(start for _, start in chunks) == list(range(0, 70, 7))
-        slow_pid = next(pid for pid, start in chunks if start == 0)
-        assert sum(pid != slow_pid for pid, _ in chunks) >= 7
+        for text in logged_chunks:
+            chunks = [tuple(map(int, line.split()))
+                      for line in text.splitlines()]
+            assert sorted(start for _, start in chunks) == \
+                list(range(0, 70, 7))
+            slow_pid = next(pid for pid, start in chunks if start == 0)
+            assert sum(pid != slow_pid for pid, _ in chunks) >= 7
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("consumer", ["estimators", "slow_keep"])
@@ -1049,10 +1100,10 @@ class TestStreams:
                                               monkeypatch):
         monkeypatch.setattr(montecarlo, "_CHUNK", 7)
         monkeypatch.setattr(montecarlo, "_cpus", lambda: 3)
-        kernel = montecarlo._simulate(ball_scen, exp_model, 30, 1, [(0.15, 0)],
+        kernel = montecarlo._simulate(ball_scen, exp_model, 30, 1, 0, [0.15],
                                       [None], lambda q, logw: q)
         # the first chunk handed over is one of the three workers' first
-        _, start, [q] = next(kernel)
+        start, [[q]] = next(kernel)
         assert start in (0, 7, 14) and q.shape == (7, exp_model.grid.M)
         kernel.close()
         assert_no_child_process()
