@@ -15,10 +15,10 @@ mc or is row at that eps, per-point confidence intervals are those of
 standalone runs, and the points' errors are positively correlated, so
 disjoint intervals stay conservative evidence of a difference; a repeated
 eps is refused.  sweep-x0 and sweep-T, one rate sweep over x0 or T, fan
-their points out over --threads processes.  center-diagnostics reduces
-each chunk of terminal slices to its wave centers as the kernel produces
-them and takes their statistics in place, so what it holds grows by 9 bytes
-per sample, the K float centers and a K-byte exit indicator, not by K x M
+their points out over --threads processes.  center-diagnostics has the
+kernel's workers reduce each chunk of terminal slices to its wave centers
+and takes their statistics in place, so what it holds grows by 9 bytes per
+sample, the K float centers and a K-byte exit indicator, not by K x M
 floats.  Every *_meta.json records the numerical regime: the grid's CFL
 number and the BLAS thread variables, and the Monte Carlo sidecars the
 kernel's worker process count; is_meta.json and sweep_eps_meta.json
@@ -338,7 +338,7 @@ def cmd_center_diagnostics(cfg: RunConfig, out_dir: str, threads: int) -> None:
         raise ConfigError(f"run.eps = {eps!r} gives the center law variance "
                           f"{var!r}; center-diagnostics needs it positive")
     reference = initial_values(cfg.scenario, grid)
-    # reduced to centers chunk by chunk, so no (K, M) array of slices is held
+    # reduced to centers per chunk in the workers: no (K, M) slices are held
     centers = sample_terminal_states(
         cfg.scenario, model, eps, K, cfg.run.seed,
         keep=lambda q: wave_centers(q, reference, wave, grid.dx))

@@ -25,25 +25,25 @@ that dot product does not depend on eps.
 One trajectory kernel, _simulate, serves every caller.  It takes a run key,
 a list of eps and forcings (None for the untilted scheme), and forks one
 worker process per usable CPU, at most one per chunk.  Per chunk of the K
-samples, handed out on demand, a worker draws the normals once and takes
-each tilted forcing's dot products once; then per eps it colors the normals,
-steps one batch per forcing and reduces its terminal slices and log-weights
-with the caller's function.  The results come over its pipe in completion
-order, and consumers place each by its chunk.  run_estimators has the
-workers reduce each chunk to the moments of its values; sample_terminal_states
-has them send the slices and applies keep itself; epsilon_sweep is one call
-with all its eps, so mc, is0 and is-delta at every eps share the draws.
+samples, handed out on demand, a worker draws the normals once, takes each
+tilted forcing's dot products once and copies the normals cells-major once;
+then per eps it colors them, steps one batch per forcing and reduces its
+terminal slices and log-weights with the caller's function.  The results
+come over its pipe in completion order, and consumers place each by its
+chunk.  run_estimators has the workers reduce each chunk to the moments of
+its values, sample_terminal_states to keep's rows; epsilon_sweep is one
+call with all its eps, so mc, is0 and is-delta at every eps share the draws.
 Processes, not threads: the draws' per-sample Python holds the GIL.
 
 Each batch is held cells-major, as an (M, B) array whose contiguous axis runs
 over the samples, so each elementwise pass of a step is one long loop, with
 the per-element arithmetic and order of a row-major (B, M) batch.  The
 coloring is Phi's AR(1) recurrence, x_0 = sigma z_0, x_i = rho x_{i-1} +
-sigma s z_i, with sqrt(dt/dx) eps folded into the pass that writes the draws
-cells-major.  No BLAS is called, and every value is computed per sample, so
-it keeps its bits at any thread setting, chunk size, block size or worker
-count.  Each chunk's terminal slices are reduced as soon as they are made,
-so no (K, M) array exists unless the caller asks for the slices themselves.
+sigma s z_i, with sqrt(dt/dx) eps folded into the pass that scales the
+cells-major draws.  No BLAS is called, and every value is computed per
+sample, so it keeps its bits at any thread setting, chunk size, block size
+or worker count.  Each chunk's terminal slices are reduced in its worker, so
+no (K, M) array exists unless the caller asks for the slices themselves.
 A report's moments are summed per chunk of _CHUNK samples, then over the
 chunks in index order: hit counts and basic-MC reports (sums of 0 and 1 are
 exact) keep their bits at any chunk size, while the tilted reports' last
@@ -237,17 +237,17 @@ def _worker(conn, scen: RareEventSpec, model: NoiseModel, K: int, seed: int,
     """Run the kernel on the chunks the caller sends, until it closes the pipe.
 
     An item is the first sample of a chunk of the K samples.  Per item, in
-    buffers allocated once: _normals draws z (B, N, M-2) once, and each
-    tilted forcing's dot products z.h are taken once; then per eps, one
-    transposing pass over blocks of _BLOCK samples writes z, scaled per cell
-    by sqrt(dt/dx) eps diag(Phi), into dW (N, M-2, B), which
-    noise.ar1_accumulate colors in place, and each forcing's batch qT (M, B)
-    is stepped, drift writing into inc (M-2, B) through the Fortran-ordered
-    views qT.T and inc.T.  Per eps and forcing, reduce gets a fresh C-ordered
-    copy (B, M) of the terminal slices and the log-weights.  The chunk's
-    message is the list, per eps, of the lists of what it returned, or the
-    exception on failure.  Touching only numpy and the pipe, the worker
-    cannot block on a lock another thread of the caller held at the fork.
+    buffers allocated once: _normals draws z (B, N, M-2) once, each tilted
+    forcing's dot products z.h are taken once, and one transposing pass over
+    blocks of _BLOCK samples copies z into zT (N, M-2, B); then per eps,
+    noise.ar1_accumulate colors dW = zT sqrt(dt/dx) eps diag(Phi), in z's
+    spent buffer, and each forcing's batch qT (M, B) is stepped, drift
+    writing into inc (M-2, B) through the Fortran-ordered views qT.T and
+    inc.T.  Per eps and forcing, reduce gets a fresh C-ordered copy (B, M)
+    of the terminal slices and the log-weights.  The chunk's message is the
+    list, per eps, of the lists of what it returned, or the exception on
+    failure.  Touching only numpy and the pipe, the worker cannot block on a
+    lock another thread of the caller held at the fork.
     """
     try:
         grid, wave = model.grid, scen.wave
@@ -266,15 +266,15 @@ def _worker(conn, scen: RareEventSpec, model: NoiseModel, K: int, seed: int,
                          run_key, start)
             dots = [None if h is None else np.einsum("...ij,ij->...", z, h)
                     for h in forcings]
-            dW = dW_mem[:N * n_int * B].reshape(N, n_int, B)
+            zT = dW_mem[:N * n_int * B].reshape(N, n_int, B)
+            for lo in range(0, B, _BLOCK):
+                zT[:, :, lo:lo + _BLOCK] = z[lo:lo + _BLOCK].transpose(1, 2, 0)
+            dW = z_mem[:N * n_int * B].reshape(N, n_int, B)  # z is spent
             qT = q_mem[:M * B].reshape(M, B)
             inc = inc_mem[:n_int * B].reshape(n_int, B)
             results = []
             for eps in eps_list:
-                scale = (root * eps) * phi
-                for lo in range(0, B, _BLOCK):
-                    np.multiply(z[lo:lo + _BLOCK].transpose(1, 2, 0), scale,
-                                out=dW[:, :, lo:lo + _BLOCK])
+                np.multiply(zT, (root * eps) * phi, out=dW)
                 ar1_accumulate(model, dW.transpose(0, 2, 1))
                 row = []
                 for h, tilt, zh in zip(forcings, tilts, dots):
@@ -505,17 +505,16 @@ def sample_terminal_states(scen: RareEventSpec, model: NoiseModel, eps: float,
 
     keep maps the terminal slices of a chunk of B samples, a C-ordered
     (B, M) array, to B rows, and the result stacks the rows of all K
-    samples; without it the slices themselves are returned.  A keep that
-    reduces each slice to a few numbers keeps memory at O(K) of them.  The
-    workers send each chunk's slices; keep runs in this process.
+    samples; without it the slices themselves are returned.  keep runs in
+    the worker processes, so it must depend on the slices alone, and its
+    rows must be picklable; one that reduces each slice to a few numbers
+    keeps memory and messages at O(K) of them.  Its exceptions surface with
+    type and message, as other worker failures do.
     """
-    forcings = _checked(K, [eps], [forcing], model)
-    kept = None
-    for start, [results] in _simulate(scen, model, K, seed, run_key, [eps],
-                                      forcings, lambda q, logw: q):
-        # popped, so no chunk's slices outlive its keep call and overlap the
-        # receipt of the next chunk's
-        rows = results.pop() if keep is None else keep(results.pop())
+    forcings, kept = _checked(K, [eps], [forcing], model), None
+    for start, [[rows]] in _simulate(
+            scen, model, K, seed, run_key, [eps], forcings,
+            lambda q, logw: q if keep is None else keep(q)):
         if kept is None:
             kept = np.empty((K,) + rows.shape[1:], rows.dtype)
         kept[start:start + len(rows)] = rows

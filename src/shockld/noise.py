@@ -130,8 +130,9 @@ def ar1_accumulate(model: NoiseModel, x: np.ndarray) -> np.ndarray:
     """
     rho = model.rho
     if rho:
+        row = np.empty_like(x[..., 0])
         for i in range(1, x.shape[-1]):
-            x[..., i] += rho * x[..., i - 1]
+            x[..., i] += np.multiply(x[..., i - 1], rho, out=row)
     return x
 
 

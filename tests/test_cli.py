@@ -553,13 +553,16 @@ class TestSubcommands:
                                                     monkeypatch):
         # perfbench/tracing.py times the center reduction and counts the
         # trajectories by patching these shockld.cli attributes; the kernel
-        # must call the patched wave_centers once per chunk, in the order the
-        # workers hand the chunks over
-        calls, counts = [], []
+        # must call the patched wave_centers once per chunk.  The workers
+        # run it, so each appends (its pid, the chunk's shape) per call to a
+        # file that this process reads back.
+        log = tmp_path / "centers.txt"
+        counts = []
         centers, sample = cli.wave_centers, cli.sample_terminal_states
 
         def counting_centers(states, *args, **kwargs):
-            calls.append(states.shape)
+            with open(log, "a") as fh:
+                fh.write("%d %d %d\n" % (os.getpid(), *states.shape))
             return centers(states, *args, **kwargs)
 
         def counting_sample(*args, **kwargs):
@@ -568,13 +571,18 @@ class TestSubcommands:
             return out
 
         monkeypatch.setattr(montecarlo, "_CHUNK", 7)
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: 2)
         monkeypatch.setattr(cli, "wave_centers", counting_centers)
         monkeypatch.setattr(cli, "sample_terminal_states", counting_sample)
         cfg_path = make_config(tmp_path, **{"run.K": 20, "run.eps": 0.1,
                                             "scenario.delta": 0.0})
         assert main(["center-diagnostics", "--config", str(cfg_path),
                      "--out", str(tmp_path / "out")]) == 0
-        assert sorted(calls) == [(6, 70), (7, 70), (7, 70)]
+        calls = [tuple(map(int, line.split()))
+                 for line in log.read_text().splitlines()]
+        assert sorted(shape for _, *shape in calls) == \
+            [[6, 70], [7, 70], [7, 70]]
+        assert os.getpid() not in {pid for pid, *_ in calls}
         assert counts == [20]
 
     def test_negative_eps_grid_fails_with_diagnostic(self, tmp_path, capsys):

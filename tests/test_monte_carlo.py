@@ -671,6 +671,42 @@ class TestSampleBlocks:
         assert report_bits(rep) == report_bits(chunked_report(weights, eps, K))
 
 
+    @pytest.mark.parametrize("model_name", ["exp_model", "identity_model"])
+    def test_each_eps_of_shared_draws_matches_row_major_kernel(
+            self, model_name, ball_scen, ball_exp_opt, request, monkeypatch):
+        # a worker copies each chunk's draws cells-major once and scales
+        # them per eps into their spent buffer: at every eps of a three-eps
+        # run and every block size, the terminal slices and log-weights are
+        # the row-major kernel's, bit for bit
+        model = request.getfixturevalue(model_name)
+        grid, h = model.grid, ball_exp_opt.forcing
+        K, eps_list = 17, [0.1, 0.15, 0.2]
+        draws = stream_draws(grid, K, 8, 1)
+        expected = [([q for _, _, q in row_major_kernel(
+            ball_scen, model, eps, K, 8, 1, [None, h])],
+            girsanov_log_weights(draws, h, eps, grid)) for eps in eps_list]
+        monkeypatch.setattr(montecarlo, "_CHUNK", 7)
+        for block in (1, 7, 64):
+            monkeypatch.setattr(montecarlo, "_BLOCK", block)
+            slices = np.full((len(eps_list), 2, K, grid.M), np.nan)
+            logws = np.full((len(eps_list), K), np.nan)
+            for start, results in montecarlo._simulate(
+                    ball_scen, model, K, 8, 1, eps_list, [None, h],
+                    lambda q, logw: (q, logw)):
+                for e, row in enumerate(results):
+                    for i, (q, logw) in enumerate(row):
+                        assert (logw is None) == (i == 0)
+                        slices[e, i, start:start + len(q)] = q
+                        if logw is not None:
+                            logws[e, start:start + len(q)] = logw
+            for e, (qs, logw) in enumerate(expected):
+                for i, q in enumerate(qs):
+                    assert np.array_equal(slices[e, i].view(np.int64),
+                                          q.view(np.int64))
+                assert np.array_equal(logws[e].view(np.int64),
+                                      logw.view(np.int64))
+
+
 class TestKernelBuffers:
     def test_overwritten_chunks_match_fresh_draws(self, ball_scen, exp_model,
                                                   ball_exp_opt, monkeypatch):
@@ -795,32 +831,71 @@ class TestKernelBuffers:
         assert sweep_peaks[1] - sweep_peaks[0] <= 3 * moments
 
     def test_centers_path_holds_no_slice_array(self, displacement_scen,
-                                               wave):
+                                               wave, tmp_path):
         # on a two-step grid every chunk-sized buffer is smaller than one
         # (K, M) array of terminal slices, so while the kernel runs no live
-        # allocation may be that large
+        # allocation may be that large, in this process or in a worker.  The
+        # workers run keep and inherit this process's tracing at the fork;
+        # each appends (its pid, its largest live allocation) per chunk to a
+        # file that this process reads back
         grid = SpaceTimeGrid.from_spacing(-15.0, 20.0, 0.5, 0.1, 0.05)
         model = build_noise_model("exponential", grid, sigma=1.0, l_c=5.0)
         K = 4 * montecarlo._CHUNK + 3
         slices = K * grid.M * 8
         assert montecarlo._CHUNK * grid.N * (grid.M - 2) * 8 < slices
         reference = initial_values(displacement_scen, grid)
-        largest = []
+        log = tmp_path / "largest.txt"
 
         def keep(q):
             traces = tracemalloc.take_snapshot().traces
-            largest.append(max(trace.size for trace in traces))
+            with open(log, "a") as fh:
+                fh.write("%d %d\n" % (os.getpid(),
+                                      max(trace.size for trace in traces)))
             return wave_centers(q, reference, wave, grid.dx)
 
         tracemalloc.start()
         try:
             centers = sample_terminal_states(displacement_scen, model, 0.1, K,
                                              seed=3, keep=keep)
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert centers.shape == (K,)
+        largest = [tuple(map(int, line.split()))
+                   for line in log.read_text().splitlines()]
         assert len(largest) == 5
-        assert max(largest) < slices
+        assert os.getpid() not in {pid for pid, _ in largest}
+        assert max(size for _, size in largest) < slices
+        assert peak < slices
+
+    def test_centers_caller_holds_the_centers(self, displacement_scen,
+                                              exp_model, wave, monkeypatch):
+        # the workers reduce each chunk's slices to its centers, so a
+        # chunk's message is B floats and the caller holds the K centers and
+        # about one message: its traced peak stays within 8K bytes + 64 KiB
+        # on the benchmark grid (measured 8K + 25 KB).  Receiving the (B, M)
+        # slices and reducing them here peaked at 8K + 654 KB.  The workers
+        # stop the tracing they inherit, which would only slow them.
+        grid = exp_model.grid
+        K = 20_000
+        reference = initial_values(displacement_scen, grid)
+        worker = montecarlo._worker
+
+        def untraced(*args):
+            tracemalloc.stop()
+            worker(*args)
+
+        monkeypatch.setattr(montecarlo, "_worker", untraced)
+        tracemalloc.start()
+        try:
+            centers = sample_terminal_states(
+                displacement_scen, exp_model, 0.1, K, seed=5,
+                keep=lambda q: wave_centers(q, reference, wave, grid.dx))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert centers.shape == (K,)
+        assert peak <= 8 * K + 64 * 1024
 
     def test_one_traced_drift_call_per_step(self, ball_scen, exp_model,
                                             ball_exp_opt, pinned_exp_opt,
@@ -1023,24 +1098,21 @@ class TestStreams:
             assert sum(pid != slow_pid for pid, _ in chunks) >= 7
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("consumer", ["estimators", "slow_keep"])
+    @pytest.mark.parametrize("consumer", ["estimators", "slow_consumer"])
     def test_worker_failure_surfaces(self, consumer, workers, ball_scen,
                                      exp_model, monkeypatch):
         # chunk 1 fails: with one worker, the worker that handed over chunk
-        # 0; with two, the second worker.  With one worker the slow consumer
-        # is still on chunk 0 when the worker fails and exits, so its release
-        # of chunk 0's slot finds the pipe closed; the worker's exception
-        # must surface all the same
+        # 0; with two, the second worker.  The slow consumer takes the
+        # kernel's chunks with a pause after each.  With one worker it is
+        # still on chunk 0 when the worker fails and exits, so the chunk it
+        # deals next finds the pipe closed; the worker's exception must
+        # surface all the same
         original = montecarlo._stream_states
 
         def failing(seed, run_key, start, stop):
             if start == 7:
                 raise RuntimeError("draw failed")
             return original(seed, run_key, start, stop)
-
-        def slow_keep(q):
-            time.sleep(0.2)
-            return q[:, 0]
 
         monkeypatch.setattr(montecarlo, "_CHUNK", 7)
         monkeypatch.setattr(montecarlo, "_cpus", lambda: workers)
@@ -1049,8 +1121,10 @@ class TestStreams:
             if consumer == "estimators":
                 run_estimators(ball_scen, exp_model, 0.15, 20, [None], seed=1)
             else:
-                sample_terminal_states(ball_scen, exp_model, 0.15, 20, seed=1,
-                                       keep=slow_keep)
+                for _ in montecarlo._simulate(ball_scen, exp_model, 20, 1, 0,
+                                              [0.15], [None],
+                                              lambda q, logw: q[:, 0]):
+                    time.sleep(0.2)
         assert_no_child_process()
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -1082,10 +1156,24 @@ class TestStreams:
             sample_terminal_states(ball_scen, exp_model, 0.15, 5, seed=1)
         assert_no_child_process()
 
+    def test_unpicklable_keep_result_keeps_type_and_message(
+            self, ball_scen, exp_model, monkeypatch):
+        # keep runs in the workers, which send what it returns; a result
+        # that cannot be pickled fails there, and the failure surfaces in
+        # the caller with its type and message, with no worker left
+        monkeypatch.setattr(montecarlo, "_CHUNK", 7)
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: 2)
+        with pytest.raises(TypeError,
+                           match="^cannot pickle 'generator' object$"):
+            sample_terminal_states(ball_scen, exp_model, 0.15, 20, seed=1,
+                                   keep=lambda q: (row for row in q))
+        assert_no_child_process()
+
     def test_workers_reaped_when_keep_fails(self, ball_scen, exp_model,
                                             monkeypatch):
-        # the caller abandons the kernel mid-run; the three workers, then
-        # stepping or waiting to hand over their chunks, must still be reaped
+        # keep fails in a worker and the caller abandons the kernel mid-run;
+        # the three workers, then stepping or waiting to hand over their
+        # chunks, must still be reaped
         def failing(q):
             raise RuntimeError("keep failed")
 
