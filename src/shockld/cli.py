@@ -1,6 +1,6 @@
 """Command-line harness: scenario orchestration, seeding, CSV/JSON outputs.
 
-    shockld <subcommand> --config cfg.json [--out DIR] [--seed SEED] [--threads N]
+    shockld <subcommand> --config cfg.json [--out DIR] [--seed SEED]
 
 Subcommands: optimize, mc, is, sweep-x0, sweep-T, sweep-eps, convexity,
 center-diagnostics.  mc and is write the reports.csv row of a one-point
@@ -9,23 +9,21 @@ scenario.delta = 0, whose terminal event has probability 0, and
 center-diagnostics refuses a run.eps whose center law has variance 0 (eps =
 0, or eps^2 underflowing).  sweep-eps is one epsilon_sweep call, whose
 kernel spreads the chunks of the K samples over all usable CPUs, at most one
-worker per chunk, and steps each chunk's draws at every eps, so it does not
-fan out over processes.  Its points share their draws: each row equals the
-mc or is row at that eps, per-point confidence intervals are those of
-standalone runs, and the points' errors are positively correlated, so
-disjoint intervals stay conservative evidence of a difference; a repeated
-eps is refused.  sweep-x0 and sweep-T, one rate sweep over x0 or T, fan
-their points out over --threads processes.  center-diagnostics has the
-kernel's workers reduce each chunk of terminal slices to its wave centers
-and takes their statistics in place, so what it holds grows by 9 bytes per
-sample, the K float centers and a K-byte exit indicator, not by K x M
-floats.  Every *_meta.json records the numerical regime: the grid's CFL
-number and the BLAS thread variables, and the Monte Carlo sidecars the
-kernel's worker process count; is_meta.json and sweep_eps_meta.json
-record each importance sampler's solve (converged, message, iterations,
-evaluations) under "solves".  SHOCKLD_THREADS is the fallback for
---threads; a thread count below 1 is refused.  All numeric output is written
-with 17 significant digits so that reruns with the same seed are
+worker per chunk, and steps each chunk's draws at every eps.  Its points
+share their draws: each row equals the mc or is row at that eps, per-point
+confidence intervals are those of standalone runs, and the points' errors
+are positively correlated, so disjoint intervals stay conservative evidence
+of a difference; a repeated eps is refused.  sweep-x0 and sweep-T, one rate
+sweep over x0 or T, solve their points in order in this process.
+center-diagnostics has the kernel's workers reduce each chunk of terminal
+slices to its wave centers and takes their statistics in place, so what it
+holds grows by 9 bytes per sample, the K float centers and a K-byte exit
+indicator, not by K x M floats.  Every *_meta.json records the numerical
+regime: the grid's CFL number and the BLAS thread variables, and the Monte
+Carlo sidecars the kernel's worker process count; is_meta.json and
+sweep_eps_meta.json record each importance sampler's solve (converged,
+message, iterations, evaluations) under "solves".  All numeric output is
+written with 17 significant digits so that reruns with the same seed are
 byte-identical and path files round-trip through the rate function exactly.
 """
 
@@ -37,7 +35,6 @@ import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from statistics import NormalDist
 
 import numpy as np
@@ -136,18 +133,6 @@ def _solve_columns(scen, grid: SpaceTimeGrid, model, opt) -> list:
             bound, *test_rates]
 
 
-def _threads(flag: int | None) -> int:
-    """--threads, else SHOCKLD_THREADS, else 1; refused below 1."""
-    raw = os.environ.get("SHOCKLD_THREADS", "1") if flag is None else flag
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ValueError(f"thread count must be a positive integer, got {raw!r}")
-    return threads
-
-
 def _require(value, key: str):
     if value is None:
         raise ConfigError(f"missing field: run.{key}")
@@ -157,7 +142,7 @@ def _require(value, key: str):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_optimize(cfg: RunConfig, out_dir: str, threads: int) -> None:
+def cmd_optimize(cfg: RunConfig, out_dir: str) -> None:
     model = _build(cfg)
     scen = cfg.scenario
     solve = minimize_ball if scen.delta > 0 else minimize_pinned
@@ -221,7 +206,7 @@ def _solve_records(solves) -> dict:
             for name, opt in solves.items()}
 
 
-def cmd_mc(cfg: RunConfig, out_dir: str, threads: int) -> None:
+def cmd_mc(cfg: RunConfig, out_dir: str) -> None:
     eps = _require(cfg.run.eps, "eps")
     [(_, _, rep)], _ = _estimate(cfg, out_dir, [eps], ["mc"])
     _write_meta(out_dir, "mc_meta.json", cfg,
@@ -230,7 +215,7 @@ def cmd_mc(cfg: RunConfig, out_dir: str, threads: int) -> None:
           f"hits={rep.hits}")
 
 
-def cmd_is(cfg: RunConfig, out_dir: str, threads: int) -> None:
+def cmd_is(cfg: RunConfig, out_dir: str) -> None:
     eps = _require(cfg.run.eps, "eps")
     [(_, _, rep)], solves = _estimate(cfg, out_dir, [eps], ["is-delta"])
     i_star = solves["is-delta"].rate_value
@@ -242,7 +227,7 @@ def cmd_is(cfg: RunConfig, out_dir: str, threads: int) -> None:
           f"hits={rep.hits} I*={i_star:.6g}")
 
 
-def cmd_sweep_eps(cfg: RunConfig, out_dir: str, threads: int) -> None:
+def cmd_sweep_eps(cfg: RunConfig, out_dir: str) -> None:
     eps_grid = _require(cfg.run.eps_grid, "eps_grid")
     estimators = cfg.run.estimators or ("mc", "is-delta")
     _, solves = _estimate(cfg, out_dir, eps_grid, estimators)
@@ -258,9 +243,8 @@ _SWEEP_HEADER = ["format_version", "x0", "T", "D", "I_star", "gradient_norm",
                  "I_interp_path", "seed"]
 
 
-def _sweep_point(args):
-    """Worker for sweep-x0 / sweep-T: one pinned solve at (x0, T)."""
-    cfg, x0, T = args
+def _sweep_point(cfg: RunConfig, x0: float, T: float) -> list:
+    """A sweep-x0 / sweep-T row: one pinned solve at (x0, T)."""
     g = cfg.grid
     grid = SpaceTimeGrid.from_spacing(g.L, g.R, g.dx, T, g.dt)
     scen = dataclasses.replace(cfg.scenario, x0=x0, delta=0.0)
@@ -270,8 +254,8 @@ def _sweep_point(args):
             *_solve_columns(scen, grid, model, opt), cfg.run.seed]
 
 
-def _rate_sweep(cfg: RunConfig, out_dir: str, threads: int, subcommand: str,
-                key: str, point) -> None:
+def _rate_sweep(cfg: RunConfig, out_dir: str, subcommand: str, key: str,
+                point) -> None:
     """sweep-x0 and sweep-T: one pinned solve per value of run.<key>.
 
     point(value) gives the (x0, T) of that value's solve.
@@ -279,29 +263,24 @@ def _rate_sweep(cfg: RunConfig, out_dir: str, threads: int, subcommand: str,
     if cfg.scenario.kind != "displacement":
         raise ConfigError(f"{subcommand} requires a displacement scenario")
     values = _require(getattr(cfg.run, key), key)
-    items = [(cfg, *point(v)) for v in values]
-    if threads > 1 and len(items) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(_sweep_point, items))
-    else:
-        rows = [_sweep_point(it) for it in items]
+    rows = [_sweep_point(cfg, *point(v)) for v in values]
     _write_csv(os.path.join(out_dir, "rate_summary.csv"), _SWEEP_HEADER, rows)
     _write_meta(out_dir, f"{subcommand.replace('-', '_')}_meta.json", cfg,
                 {"subcommand": subcommand})
     print(f"{subcommand}: {len(rows)} points -> rate_summary.csv")
 
 
-def cmd_sweep_x0(cfg: RunConfig, out_dir: str, threads: int) -> None:
-    _rate_sweep(cfg, out_dir, threads, "sweep-x0", "x0_grid",
+def cmd_sweep_x0(cfg: RunConfig, out_dir: str) -> None:
+    _rate_sweep(cfg, out_dir, "sweep-x0", "x0_grid",
                 lambda x0: (x0, cfg.grid.T))
 
 
-def cmd_sweep_T(cfg: RunConfig, out_dir: str, threads: int) -> None:
-    _rate_sweep(cfg, out_dir, threads, "sweep-T", "T_grid",
+def cmd_sweep_T(cfg: RunConfig, out_dir: str) -> None:
+    _rate_sweep(cfg, out_dir, "sweep-T", "T_grid",
                 lambda T: (cfg.scenario.x0, T))
 
 
-def cmd_convexity(cfg: RunConfig, out_dir: str, threads: int) -> None:
+def cmd_convexity(cfg: RunConfig, out_dir: str) -> None:
     model = _build(cfg)
     opt = minimize_pinned(dataclasses.replace(cfg.scenario, delta=0.0), model)
     trials = cfg.run.trials if cfg.run.trials is not None else 10_000
@@ -328,7 +307,7 @@ def _mean_var_in_place(x: np.ndarray):
     return mean, np.sum(x) / x.size
 
 
-def cmd_center_diagnostics(cfg: RunConfig, out_dir: str, threads: int) -> None:
+def cmd_center_diagnostics(cfg: RunConfig, out_dir: str) -> None:
     model = _build(cfg)
     eps = _require(cfg.run.eps, "eps")
     K = _require(cfg.run.K, "K")
@@ -389,13 +368,9 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--seed", type=int, default=None,
                         help="override run.seed from the config")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker count for sweep-x0/sweep-T fan-out "
-                             "(SHOCKLD_THREADS as fallback)")
     args = parser.parse_args(argv)
 
     try:
-        threads = _threads(args.threads)
         with open(args.config) as fh:
             text = fh.read()
         cfg = parse_config(text)
@@ -405,7 +380,7 @@ def main(argv=None) -> int:
             cfg = parse_config(json.dumps(doc))
         out_dir = args.out or cfg.run.out or "out"
         os.makedirs(out_dir, exist_ok=True)
-        _COMMANDS[args.subcommand](cfg, out_dir, threads)
+        _COMMANDS[args.subcommand](cfg, out_dir)
     except Exception as err:  # single diagnostic line, nonzero exit
         print(f"shockld {args.subcommand}: "
               f"{err.__class__.__module__}.{err.__class__.__name__}: {err}",

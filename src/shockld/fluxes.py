@@ -2,13 +2,15 @@
 
 The interior update for cells m = 2..M-1 is
 
-    Q_m^{n+1} = Q_m^n + dt * b_m(Q^n) + forcing_m + eps * noise_m,
+    Q_m^{n+1} = Q_m^n + ((dt * b_m(Q^n) + eps * noise_m) + forcing_m),
 
     b_m(Q) = -(F_{m+1/2} - F_{m-1/2}) / dx + D (Q_{m+1} - 2 Q_m + Q_{m-1}) / dx^2,
 
-with first-order Godunov interface fluxes for F(u) = (u - gamma)^2 / 2.
-After every step pin_edges overwrites the outer cells with one row of the
-scenario's pinned-value table (optimize.boundary_edges).  drift evaluates
+with first-order Godunov interface fluxes for F(u) = (u - gamma)^2 / 2,
+summed in the order of the parentheses, which decides the bits.  euler_step,
+the one step of the optimizer's noiseless trajectory and the Monte Carlo
+kernel, then pins the outer cells to one row of the scenario's pinned-value
+table (optimize.boundary_edges) with pin_edges.  drift evaluates
 b_m as G_{m-1/2} - G_{m+1/2}, the difference of the total interface fluxes
 G_{m+1/2} = F_{m+1/2} / dx - D (Q_{m+1} - Q_m) / dx^2.  All flux/drift
 routines broadcast over leading batch axes so that ensembles of trajectories
@@ -105,23 +107,21 @@ def drift(values: np.ndarray, grid: SpaceTimeGrid, wave: WaveSpec,
 
 
 def euler_step(values: np.ndarray, grid: SpaceTimeGrid, wave: WaveSpec,
-               edges: np.ndarray, forcing: np.ndarray | None = None,
-               n: int = 0) -> np.ndarray:
-    """One explicit Euler step from time level n to n+1.
+               edges_row: np.ndarray, *increments, inc=None) -> np.ndarray:
+    """One explicit Euler step of values, in place; returns values.
 
-    `forcing` is an interior vector (shape (..., M-2)) added as-is; it
-    already carries its own dt scaling.  The outer cells take row n+1 of
-    `edges`, the pinned-value table of optimize.boundary_edges.  Returns a
-    fresh array.
+    inc (..., M-2), fresh if None, takes dt b; each increment, already
+    scaled, is then added in the order given (the kernel's ((dt b + eps dW)
+    + Phi h)), and edges_row, the next level's row of the table of
+    optimize.boundary_edges, pins the outer cells.  Either memory order.
     """
-    values = np.asarray(values, dtype=float)
-    out = values.copy()
-    incr = grid.dt * drift(values, grid, wave)
-    if forcing is not None:
-        incr = incr + forcing
-    out[..., 1:-1] += incr
-    pin_edges(out, edges[n + 1])
-    return out
+    inc = drift(values, grid, wave, out=inc)
+    inc *= grid.dt
+    for increment in increments:
+        inc += increment
+    values[..., 1:-1] += inc
+    pin_edges(values, edges_row)
+    return values
 
 
 def pin_edges(values: np.ndarray, edges: np.ndarray) -> None:

@@ -8,11 +8,11 @@ scheme and score the terminal slice against the target ball
 Importance sampling tilts the noise mean along a precomputed forcing h^n
 (from an optimized path), evolving
 
-    Q^{n+1} = Q^n + dt b(Q^n) + (Phi h^n) + eps dW~^n,
+    Q^{n+1} = Q^n + ((dt b(Q^n) + eps dW~^n) + Phi h^n),
 
-and reweights each sample by the exact Gaussian likelihood ratio.  With the
-whitened draws Phi^{-1} dW~^n = sqrt(dt/dx) z^n, z unit normals, it is
-Girsanov's form
+summed in that order by fluxes.euler_step, and reweights each sample by the
+exact Gaussian likelihood ratio.  With the whitened draws Phi^{-1} dW~^n =
+sqrt(dt/dx) z^n, z unit normals, it is Girsanov's form
 
     log w = -I(h)/eps^2 - (sqrt(dx/dt)/eps) sum_n z^n . h^n,
     I(h) = (dx / 2 dt) sum_n ||h^n||^2,
@@ -41,9 +41,9 @@ the per-element arithmetic and order of a row-major (B, M) batch.  The
 coloring is Phi's AR(1) recurrence, x_0 = sigma z_0, x_i = rho x_{i-1} +
 sigma s z_i, with sqrt(dt/dx) eps folded into the pass that scales the
 cells-major draws.  No BLAS is called, and every value is computed per
-sample, so it keeps its bits at any thread setting, chunk size, block size
-or worker count.  Each chunk's terminal slices are reduced in its worker, so
-no (K, M) array exists unless the caller asks for the slices themselves.
+sample, so it keeps its bits at any thread setting, chunk size or worker
+count.  Each chunk's terminal slices are reduced in its worker, so no (K, M)
+array exists unless the caller asks for the slices themselves.
 A report's moments are summed per chunk of _CHUNK samples, then over the
 chunks in index order: hit counts and basic-MC reports (sums of 0 and 1 are
 exact) keep their bits at any chunk size, while the tilted reports' last
@@ -70,7 +70,8 @@ from multiprocessing.connection import Pipe, wait
 
 import numpy as np
 
-from .fluxes import drift, pin_edges
+# drift is here only for perfbench/tracing.py's entry; item 9 drops it
+from .fluxes import drift, euler_step  # noqa: F401
 from .noise import NoiseModel, ar1_accumulate, unwhiten
 from .optimize import RareEventSpec, boundary_edges, initial_values, target_values
 
@@ -83,7 +84,6 @@ ESTIMATORS = ("mc", "is0", "is-delta")  # names of epsilon_sweep's estimators
 _DOMAIN_MC = 1  # spawn-key namespace for trajectory noise
 
 _CHUNK = 512
-_BLOCK = 64  # samples per pass of the transposing copy
 
 # numpy's SeedSequence entropy hash (pool size 4) and PCG64 seeding, restated
 # so that _stream_states can derive a chunk of streams at once.
@@ -238,13 +238,14 @@ def _worker(conn, scen: RareEventSpec, model: NoiseModel, K: int, seed: int,
 
     An item is the first sample of a chunk of the K samples.  Per item, in
     buffers allocated once: _normals draws z (B, N, M-2) once, each tilted
-    forcing's dot products z.h are taken once, and one transposing pass over
-    blocks of _BLOCK samples copies z into zT (N, M-2, B); then per eps,
-    noise.ar1_accumulate colors dW = zT sqrt(dt/dx) eps diag(Phi), in z's
-    spent buffer, and each forcing's batch qT (M, B) is stepped, drift
-    writing into inc (M-2, B) through the Fortran-ordered views qT.T and
-    inc.T.  Per eps and forcing, reduce gets a fresh C-ordered copy (B, M)
-    of the terminal slices and the log-weights.  The chunk's message is the
+    forcing's dot products z.h are taken once, and one transposing copy
+    puts z into zT (N, M-2, B); then per eps, noise.ar1_accumulate colors
+    dW = zT sqrt(dt/dx) eps diag(Phi), in z's spent buffer, and each
+    forcing's batch qT (M, B) is stepped by fluxes.euler_step on the
+    Fortran-ordered views qT.T and inc.T, inc (M-2, B) taking the drift,
+    with the increments dW[n].T and then, if tilted, Phi h^n.  Per eps and
+    forcing, reduce gets a fresh C-ordered copy (B, M) of the terminal
+    slices and the log-weights.  The chunk's message is the
     list, per eps, of the lists of what it returned, or the exception on
     failure.  Touching only numpy and the pipe, the worker cannot block on a
     lock another thread of the caller held at the fork.
@@ -254,7 +255,7 @@ def _worker(conn, scen: RareEventSpec, model: NoiseModel, K: int, seed: int,
         N, M, dt, n_int = grid.N, grid.M, grid.dt, grid.M - 2
         q0, edges = initial_values(scen, grid), boundary_edges(scen, grid)
         root, phi = math.sqrt(dt / grid.dx), model.Phi.diagonal()[:, None]
-        tilts = [None if h is None else unwhiten(model, h)[:, :, None]
+        tilts = [() if h is None else (unwhiten(model, h)[:, None, :],)
                  for h in forcings]
         size = min(K, _CHUNK)
         z_mem, dW_mem, q_mem, inc_mem = (np.empty(n * size) for n in
@@ -267,28 +268,23 @@ def _worker(conn, scen: RareEventSpec, model: NoiseModel, K: int, seed: int,
             dots = [None if h is None else np.einsum("...ij,ij->...", z, h)
                     for h in forcings]
             zT = dW_mem[:N * n_int * B].reshape(N, n_int, B)
-            for lo in range(0, B, _BLOCK):
-                zT[:, :, lo:lo + _BLOCK] = z[lo:lo + _BLOCK].transpose(1, 2, 0)
+            zT[...] = z.transpose(1, 2, 0)
             dW = z_mem[:N * n_int * B].reshape(N, n_int, B)  # z is spent
+            noise = dW.transpose(0, 2, 1)  # (N, B, M-2), Fortran-ordered rows
             qT = q_mem[:M * B].reshape(M, B)
             inc = inc_mem[:n_int * B].reshape(n_int, B)
             results = []
             for eps in eps_list:
                 np.multiply(zT, (root * eps) * phi, out=dW)
-                ar1_accumulate(model, dW.transpose(0, 2, 1))
+                ar1_accumulate(model, noise)
                 row = []
                 for h, tilt, zh in zip(forcings, tilts, dots):
                     logw = (None if h is None
                             else _log_weights(zh, h, eps, grid.dx / dt))
                     qT[...] = q0[:, None]
                     for n in range(N):
-                        drift(qT.T, grid, wave, out=inc.T)
-                        inc *= dt
-                        inc += dW[n]
-                        if tilt is not None:
-                            inc += tilt[n]
-                        qT[1:-1] += inc
-                        pin_edges(qT.T, edges[n + 1])
+                        euler_step(qT.T, grid, wave, edges[n + 1], noise[n],
+                                   *(t[n] for t in tilt), inc=inc.T)
                     row.append(reduce(qT.T.copy(), logw))
                 results.append(row)
             conn.send(results)

@@ -11,8 +11,9 @@ allowed):
   engine, with the free terminal cells held on the sphere if the ball binds.
 
 boundary_edges writes the scenario's pinned outer-cell values once, as one
-table per run that the path scaffold, the ball's feasibility check, the
-Euler step and the Monte Carlo kernel all read.
+table per run that the path scaffold, the ball's feasibility check and
+fluxes.euler_step all read; euler_step is the one step of both the noiseless
+trajectory here and the Monte Carlo kernel.
 
 Every solve starts L-BFGS from the same initial inverse Hessian h0, taken
 from the action with the drift cut to its diffusion term,
@@ -537,7 +538,8 @@ def minimize_ball(scen: RareEventSpec, model: NoiseModel) -> OptimalPath:
 
     q = np.tile(initial_values(scen, grid), (N + 1, 1))  # noiseless path
     for n in range(N):
-        q[n + 1] = euler_step(q[n], grid, scen.wave, edges, n=n)
+        q[n + 1] = q[n]
+        euler_step(q[n + 1], grid, scen.wave, edges[n + 1])
     h0 = _diffusion_preconditioner(scen, model, True)
     res, path = _path_solve(scen, model, True, q[free].ravel(), h0)
     iterations, evaluations = res.iterations, res.evaluations

@@ -110,5 +110,5 @@ def one_step_increments(wave, displacement_scen):
     terminals = sample_terminal_states(displacement_scen, model, 1.0, 100_000,
                                        seed=1003)
     noiseless = euler_step(initial_values(displacement_scen, grid), grid, wave,
-                           boundary_edges(displacement_scen, grid))
+                           boundary_edges(displacement_scen, grid)[1])
     return terminals[:, 1:-1] - noiseless[1:-1], model

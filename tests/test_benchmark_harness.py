@@ -43,11 +43,16 @@ def test_optimal_paths_pass_checks(workloads, tmp_path):
 def test_estimator_sweep_pass_checks(workloads, tmp_path):
     # one pass: six eps times three estimators, every output check passing.
     # Seed 1 is fixed because the "mc saturated at eps 0.05" check is
-    # statistical: at some seeds (26) basic MC gets a hit there on correct
-    # code.
+    # statistical: at some seeds (26, 37) basic MC gets a hit there on
+    # correct code.  The pass's reports are pinned by their digest, so a
+    # change that moves a report bit fails here; a deliberate change of the
+    # stream derivation updates it with its format_version bump.
     workload = workloads.WORKLOADS["estimator-sweep"](1, str(tmp_path))
     workload.setup()
-    assert workload.check(workload.run_pass()) == (18, 0, [])
+    result = workload.run_pass()
+    assert workload.check(result) == (18, 0, [])
+    assert workload.digest(result) == \
+        "c91f5d4fe5a956a6f0e40002e3881fe77fd62de719014b4aea8903cd6fe0533d"
 
 
 @pytest.mark.parametrize("name", ["estimator-sweep", "center-law"])

@@ -400,11 +400,11 @@ class TestSubcommands:
         assert "ValueError: repeated eps: 0.1" in err
         assert not (out / "reports.csv").exists()
 
-    def test_sweep_eps_threads_byte_identical(self, tmp_path, ball_scen,
-                                              exp_model, ball_exp_opt,
-                                              pinned_exp_opt, monkeypatch):
-        # --threads does not fan sweep-eps out: one kernel call takes the
-        # three chunks of 50 of each eps
+    def test_sweep_eps_rerun_byte_identical(self, tmp_path, ball_scen,
+                                            exp_model, ball_exp_opt,
+                                            pinned_exp_opt, monkeypatch):
+        # one kernel call takes the three chunks of 50 of each eps, and a
+        # rerun writes the same bytes
         monkeypatch.setattr(montecarlo, "_CHUNK", 50)
         cfg_path = make_config(
             tmp_path,
@@ -412,14 +412,14 @@ class TestSubcommands:
                "run.eps_grid": [0.1, 0.15, 0.2],
                "run.estimators": ["mc", "is0", "is-delta"]})
         outs = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"t{threads}"
+        for run in ("a", "b"):
+            out = tmp_path / run
             assert main(["sweep-eps", "--config", str(cfg_path), "--out",
-                         str(out), "--threads", threads]) == 0
+                         str(out)]) == 0
             outs.append((out / "reports.csv").read_bytes())
         assert outs[0] == outs[1]
         # the points are epsilon_sweep's
-        rows = read_rows(tmp_path / "t2" / "reports.csv")
+        rows = read_rows(tmp_path / "b" / "reports.csv")
         ref = epsilon_sweep(ball_scen, exp_model, [0.1, 0.15, 0.2], 120,
                             ["mc", "is0", "is-delta"], seed=1234,
                             forcing_pinned=pinned_exp_opt.forcing,
@@ -500,13 +500,13 @@ class TestSubcommands:
                "run.T_grid": [0.5, 1.0, 1.5], "run.K": None,
                "run.eps": None})
         outs = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"t{threads}"
+        for run in ("a", "b"):
+            out = tmp_path / run
             assert main(["sweep-T", "--config", str(cfg_path), "--out",
-                         str(out), "--threads", threads]) == 0
+                         str(out)]) == 0
             outs.append((out / "rate_summary.csv").read_bytes())
         assert outs[0] == outs[1]
-        rows = read_rows(tmp_path / "t1" / "rate_summary.csv")
+        rows = read_rows(tmp_path / "a" / "rate_summary.csv")
         assert [float(r["T"]) for r in rows] == [0.5, 1.0, 1.5]
         istars = [float(r["I_star"]) for r in rows]
         assert istars[0] > istars[1] > istars[2]
@@ -639,8 +639,7 @@ class TestSubcommands:
                      "--out", str(tmp_path / "o")]) == 1
         assert "invalid JSON" in capsys.readouterr().err
 
-    def test_threads_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SHOCKLD_THREADS", "2")
+    def test_sweep_x0_two_points(self, tmp_path):
         cfg_path = make_config(
             tmp_path,
             **{"grid.dt": 0.1, "noise.kind": "identity", "noise.sigma": None,
@@ -651,31 +650,35 @@ class TestSubcommands:
                      "--out", str(out)]) == 0
         assert len(read_rows(out / "rate_summary.csv")) == 2
 
-    def test_threads_env_not_an_integer(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("SHOCKLD_THREADS", "two")
+    @pytest.mark.parametrize("subcommand", sorted(cli._COMMANDS))
+    def test_threads_flag_refused(self, subcommand, tmp_path, capsys):
+        # there is no worker-count option for any subcommand: argparse
+        # refuses the flag before a config is read or a directory made
         out = tmp_path / "out"
-        assert main(["optimize", "--config", str(make_config(tmp_path)),
-                     "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert "shockld optimize" in err and "'two'" in err
+        with pytest.raises(SystemExit) as exit_:
+            main([subcommand, "--config", str(make_config(tmp_path)),
+                  "--out", str(out), "--threads", "2"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --threads" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag, env", [("0", None), (None, "-1")],
-                             ids=["flag", "env"])
-    def test_threads_below_one_refused(self, tmp_path, monkeypatch, capsys,
-                                       flag, env):
-        if env is None:
-            monkeypatch.delenv("SHOCKLD_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("SHOCKLD_THREADS", env)
-        argv = ["optimize", "--config", str(make_config(tmp_path)),
-                "--out", str(tmp_path / "out")]
-        if flag is not None:
-            argv += ["--threads", flag]
-        assert main(argv) == 1
-        assert "thread count must be a positive integer" in \
-            capsys.readouterr().err
+    @pytest.mark.parametrize("value", ["two", "-1"])
+    def test_threads_env_ignored(self, value, tmp_path, monkeypatch):
+        # SHOCKLD_THREADS is read by nothing: values that were once refused
+        # leave every output byte as it is without the variable
+        cfg_path = self.small_optimize_config(tmp_path)
+        outs = []
+        for env in (None, value):
+            if env is None:
+                monkeypatch.delenv("SHOCKLD_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("SHOCKLD_THREADS", env)
+            out = tmp_path / f"out{len(outs)}"
+            assert main(["optimize", "--config", str(cfg_path),
+                         "--out", str(out)]) == 0
+            outs.append({f.name: f.read_bytes() for f in out.iterdir()})
+        assert "optimize_summary.csv" in outs[0]
+        assert outs[0] == outs[1]
 
 
 def float_bits(*values):

@@ -4,6 +4,7 @@ import pytest
 from shockld.fluxes import (cfl_number, check_cfl, drift, euler_step,
                             godunov_flux, godunov_flux_derivs, pin_edges)
 from shockld.grid import SpaceTimeGrid, WaveSpec, sample_profile
+from shockld.optimize import RareEventSpec, boundary_edges
 
 
 def branch_form_flux(ql, qr, gamma):
@@ -284,25 +285,37 @@ class TestEulerStep:
 
     def test_constant_state_unchanged(self):
         q = np.full(self.g.M, 1.5)
-        out = euler_step(q, self.g, self.w, far_field_edges(self.g, 1.5, 1.5))
+        out = euler_step(q.copy(), self.g, self.w,
+                         far_field_edges(self.g, 1.5, 1.5)[1])
         assert np.allclose(out, q, atol=1e-15)
 
-    def test_returns_fresh_array(self):
-        q = sample_profile(self.w, self.g)
-        out = euler_step(q, self.g, self.w, self.edges)
-        assert out is not q
+    def test_steps_in_place_and_returns_values(self):
+        # the increments are added in the order given, after dt b: the
+        # interior gains ((dt b + a) + c), and inc keeps that sum
+        rng = np.random.default_rng(8)
+        q0 = sample_profile(self.w, self.g)
+        a, c = 0.01 * rng.standard_normal((2, self.g.M - 2))
+        step = (self.g.dt * drift(q0, self.g, self.w) + a) + c
+        expected = q0.copy()
+        expected[1:-1] += step
+        pin_edges(expected, self.edges[1])
+        q, inc = q0.copy(), np.full(self.g.M - 2, np.nan)
+        out = euler_step(q, self.g, self.w, self.edges[1], a, c, inc=inc)
+        assert out is q
+        assert np.array_equal(q.view(np.int64), expected.view(np.int64))
+        assert np.array_equal(inc.view(np.int64), step.view(np.int64))
 
     def test_noiseless_run_stays_bounded(self):
         q = sample_profile(self.w, self.g)
         for n in range(self.g.N):
-            q = euler_step(q, self.g, self.w, self.edges, n=n)
+            euler_step(q, self.g, self.w, self.edges[n + 1])
         assert q.min() >= 1.0 - 0.1 and q.max() <= 2.0 + 0.1
 
     def test_conservation_identity(self):
         rng = np.random.default_rng(6)
         q = sample_profile(self.w, self.g) + 0.05 * rng.standard_normal(self.g.M)
         pin_edges(q, self.edges[0])
-        out = euler_step(q, self.g, self.w, self.edges, n=0)
+        out = euler_step(q.copy(), self.g, self.w, self.edges[1])
         dx, dt, D = self.g.dx, self.g.dt, self.w.D
         interior_change = dx * np.sum(out[1:-1] - q[1:-1])
         F = godunov_flux(q[:-1], q[1:], self.w.gamma)
@@ -313,10 +326,48 @@ class TestEulerStep:
     def test_forcing_enters_additively(self):
         q = sample_profile(self.w, self.g)
         forcing = np.linspace(-0.01, 0.02, self.g.M - 2)
-        base = euler_step(q, self.g, self.w, self.edges)
-        forced = euler_step(q, self.g, self.w, self.edges, forcing=forcing)
+        base = euler_step(q.copy(), self.g, self.w, self.edges[1])
+        forced = euler_step(q.copy(), self.g, self.w, self.edges[1], forcing)
         assert np.allclose(forced[1:-1] - base[1:-1], forcing, atol=1e-15)
         assert np.array_equal(forced[[0, -1]], base[[0, -1]])
+
+    @pytest.mark.parametrize("B", [1, 5])
+    @pytest.mark.parametrize("n_increments", [0, 1, 2])
+    @pytest.mark.parametrize("kind", ["displacement", "weak_to_strong"])
+    def test_fortran_batch_matches_separate_rows(self, kind, n_increments, B):
+        # the kernel's layout: a cells-major (M, B) batch stepped through its
+        # Fortran-ordered (B, M) view, drift written into an inc= buffer, a
+        # per-sample increment and then one row broadcast over the batch,
+        # added in that order.  Each sample's slice equals its own 1-D
+        # step's, bit for bit.  A one-sample batch (a short last chunk, or
+        # a chunk size of 1) is both C- and Fortran-contiguous.
+        if kind == "displacement":   # far-field states, width 1
+            scen = RareEventSpec(kind, self.w, x0=5.0)
+        else:                        # time-interpolated, width 2
+            scen = RareEventSpec(kind, self.w,
+                                 target_wave=WaveSpec(2.2, 0.8, 1.0, 1.5))
+        edges = boundary_edges(scen, self.g)
+        assert edges.shape[1] == (2 if kind == "displacement" else 4)
+        rng = np.random.default_rng(9)
+        M = self.g.M
+        rows = sample_profile(self.w, self.g) + 0.05 * rng.standard_normal(
+            (B, M))
+        noise = 0.01 * rng.standard_normal((M - 2, B)).T   # Fortran-ordered
+        tilt = 0.002 * rng.standard_normal((1, M - 2))
+        increments = [noise, tilt][:n_increments]
+        qT = rows.T.copy()   # owns its (M, B) data, even at B = 1
+        inc = np.empty((M - 2, B))
+        for n in range(3):
+            # each increment's row b, or its one broadcast row
+            expected = [euler_step(row.copy(), self.g, self.w, edges[n + 1],
+                                   *(a[min(b, len(a) - 1)] for a in increments))
+                        for b, row in enumerate(rows)]
+            out = euler_step(qT.T, self.g, self.w, edges[n + 1], *increments,
+                             inc=inc.T)
+            assert out.base is qT and out.flags.f_contiguous
+            assert out.flags.c_contiguous == (B == 1)
+            rows = np.array(expected)
+            assert np.array_equal(qT.T.view(np.int64), rows.view(np.int64))
 
     def test_time_interpolated_pins_outer_cells(self):
         w = 2
@@ -328,7 +379,7 @@ class TestEulerStep:
         q = q0.copy()
         n_half = self.g.N // 2
         for n in range(n_half):
-            q = euler_step(q, self.g, self.w, edges, n=n)
+            euler_step(q, self.g, self.w, edges[n + 1])
         s = n_half / self.g.N
         assert np.allclose(q[:w], (1 - s) * q0[:w] + s * qN[:w], atol=1e-15)
         assert np.allclose(q[-w:], (1 - s) * q0[-w:] + s * qN[-w:], atol=1e-15)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from shockld import montecarlo
+from shockld import fluxes, montecarlo
 from shockld.diagnostics import wave_centers
 from shockld.fluxes import drift
 from shockld.grid import SpaceTimeGrid, WaveSpec
@@ -638,13 +638,15 @@ class TestKernelLayout:
 
 
 class TestSampleBlocks:
-    @pytest.mark.parametrize("block", [1, 7, None])
+    # the workers reduce each chunk through keep= and sum its moments, so
+    # the rows and reports hold their bits on one worker and on two
+    @pytest.mark.parametrize("workers", [1, 2], ids=["w1", "w2"])
     @pytest.mark.parametrize("chunk", [1, 7, None])
     @pytest.mark.parametrize("tilted", [False, True],
                              ids=["untilted", "tilted"])
     @pytest.mark.parametrize("model_name", ["exp_model", "identity_model"])
     def test_kept_rows_and_weights_match_unblocked(self, model_name, tilted,
-                                                   chunk, block, ball_scen,
+                                                   chunk, workers, ball_scen,
                                                    certain_scen, ball_exp_opt,
                                                    wave, request, monkeypatch):
         model = request.getfixturevalue(model_name)
@@ -659,8 +661,9 @@ class TestSampleBlocks:
         weights = unblocked_weights(model, eps, K, forcing, 8, 1)
         if chunk is not None:
             monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
-        if block is not None:
-            monkeypatch.setattr(montecarlo, "_BLOCK", block)
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: workers)
+        assert montecarlo.kernel_workers(K) == min(workers, -(-K // (
+            chunk or montecarlo._CHUNK)))
         kept = sample_terminal_states(
             ball_scen, model, eps, K, seed=8, run_key=1, forcing=h,
             keep=lambda q: wave_centers(q, reference, wave, grid.dx))
@@ -676,8 +679,8 @@ class TestSampleBlocks:
             self, model_name, ball_scen, ball_exp_opt, request, monkeypatch):
         # a worker copies each chunk's draws cells-major once and scales
         # them per eps into their spent buffer: at every eps of a three-eps
-        # run and every block size, the terminal slices and log-weights are
-        # the row-major kernel's, bit for bit
+        # run, the terminal slices and log-weights are the row-major
+        # kernel's, bit for bit
         model = request.getfixturevalue(model_name)
         grid, h = model.grid, ball_exp_opt.forcing
         K, eps_list = 17, [0.1, 0.15, 0.2]
@@ -686,25 +689,23 @@ class TestSampleBlocks:
             ball_scen, model, eps, K, 8, 1, [None, h])],
             girsanov_log_weights(draws, h, eps, grid)) for eps in eps_list]
         monkeypatch.setattr(montecarlo, "_CHUNK", 7)
-        for block in (1, 7, 64):
-            monkeypatch.setattr(montecarlo, "_BLOCK", block)
-            slices = np.full((len(eps_list), 2, K, grid.M), np.nan)
-            logws = np.full((len(eps_list), K), np.nan)
-            for start, results in montecarlo._simulate(
-                    ball_scen, model, K, 8, 1, eps_list, [None, h],
-                    lambda q, logw: (q, logw)):
-                for e, row in enumerate(results):
-                    for i, (q, logw) in enumerate(row):
-                        assert (logw is None) == (i == 0)
-                        slices[e, i, start:start + len(q)] = q
-                        if logw is not None:
-                            logws[e, start:start + len(q)] = logw
-            for e, (qs, logw) in enumerate(expected):
-                for i, q in enumerate(qs):
-                    assert np.array_equal(slices[e, i].view(np.int64),
-                                          q.view(np.int64))
-                assert np.array_equal(logws[e].view(np.int64),
-                                      logw.view(np.int64))
+        slices = np.full((len(eps_list), 2, K, grid.M), np.nan)
+        logws = np.full((len(eps_list), K), np.nan)
+        for start, results in montecarlo._simulate(
+                ball_scen, model, K, 8, 1, eps_list, [None, h],
+                lambda q, logw: (q, logw)):
+            for e, row in enumerate(results):
+                for i, (q, logw) in enumerate(row):
+                    assert (logw is None) == (i == 0)
+                    slices[e, i, start:start + len(q)] = q
+                    if logw is not None:
+                        logws[e, start:start + len(q)] = logw
+        for e, (qs, logw) in enumerate(expected):
+            for i, q in enumerate(qs):
+                assert np.array_equal(slices[e, i].view(np.int64),
+                                      q.view(np.int64))
+            assert np.array_equal(logws[e].view(np.int64),
+                                  logw.view(np.int64))
 
 
 class TestKernelBuffers:
@@ -900,12 +901,15 @@ class TestKernelBuffers:
     def test_one_traced_drift_call_per_step(self, ball_scen, exp_model,
                                             ball_exp_opt, pinned_exp_opt,
                                             monkeypatch, tmp_path):
-        # perfbench/tracing.py times the kernel's drift by patching this
-        # module attribute; the kernel must look it up on every step.  The
+        # the kernel steps through fluxes.euler_step, which looks drift up
+        # in fluxes on every step, so that is where it is patched.  The
         # workers run it, so each appends (its pid, the batch shape) per
-        # call to a file that this process reads back.
+        # call to a file that this process reads back.  perfbench/tracing.py
+        # patches montecarlo.drift and keeps its spans in the calling
+        # process, so it has been blind to the drift calls since the kernel
+        # moved into forked workers.
         log = tmp_path / "drift.txt"
-        original = montecarlo.drift
+        original = fluxes.drift
 
         def counting(*args, **kwargs):
             with open(log, "a") as fh:
@@ -914,7 +918,7 @@ class TestKernelBuffers:
 
         monkeypatch.setattr(montecarlo, "_CHUNK", 7)
         monkeypatch.setattr(montecarlo, "_cpus", lambda: 2)
-        monkeypatch.setattr(montecarlo, "drift", counting)
+        monkeypatch.setattr(fluxes, "drift", counting)
         forcings = [None, pinned_exp_opt.forcing, ball_exp_opt.forcing]
         run_estimators(ball_scen, exp_model, 0.15, 20, forcings, seed=4)
         calls = {}
@@ -989,8 +993,8 @@ class TestStreams:
                                         ball_exp_opt, pinned_exp_opt,
                                         request, monkeypatch):
         # hits, the untilted report and the terminal slices keep their bits
-        # at any chunk and block size; the tilted reports' moments are
-        # summed per chunk, so they equal the chunked reference
+        # at any chunk size; the tilted reports' moments are summed per
+        # chunk, so they equal the chunked reference
         model = request.getfixturevalue(model_name)
         forcings = [None, pinned_exp_opt.forcing, ball_exp_opt.forcing]
         K, eps = 30, 0.15
@@ -1006,15 +1010,13 @@ class TestStreams:
         monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
         expected = [report_bits(chunked_report(p, eps, hits))
                     for p, hits, _ in values]
-        for block in (1, 7, montecarlo._BLOCK):
-            monkeypatch.setattr(montecarlo, "_BLOCK", block)
-            chunked_reports, chunked_terminals = outputs()
-            assert [r.hits for r in chunked_reports] == \
-                [r.hits for r in reports]
-            assert chunked_reports[0] == reports[0]
-            assert [report_bits(r) for r in chunked_reports] == expected
-            assert np.array_equal(chunked_terminals.view(np.int64),
-                                  terminals.view(np.int64))
+        chunked_reports, chunked_terminals = outputs()
+        assert [r.hits for r in chunked_reports] == \
+            [r.hits for r in reports]
+        assert chunked_reports[0] == reports[0]
+        assert [report_bits(r) for r in chunked_reports] == expected
+        assert np.array_equal(chunked_terminals.view(np.int64),
+                              terminals.view(np.int64))
 
     @pytest.mark.parametrize("model_name", ["exp_model", "identity_model"])
     def test_worker_count_does_not_matter(self, model_name, ball_scen,

@@ -438,7 +438,8 @@ class TestMinimizeBall:
         edges = boundary_edges(scen, table1_grid)
         rows = [sample_profile(wave, table1_grid)]
         for n in range(table1_grid.N):
-            rows.append(euler_step(rows[-1], table1_grid, wave, edges, n=n))
+            rows.append(euler_step(rows[-1].copy(), table1_grid, wave,
+                                   edges[n + 1]))
         assert opt.iterations == 0
         assert np.array_equal(opt.path.q, np.stack(rows))
         assert opt.rate_value <= 1e-20

@@ -15,7 +15,7 @@ def noiseless_path(grid, wave, q0):
     edges = boundary_edges(RareEventSpec("displacement", wave), grid)
     rows = [q0]
     for n in range(grid.N):
-        rows.append(euler_step(rows[-1], grid, wave, edges, n=n))
+        rows.append(euler_step(rows[-1].copy(), grid, wave, edges[n + 1]))
     return PathMatrix(np.stack(rows), grid, wave)
 
 
@@ -167,7 +167,7 @@ class TestForcingFromPath:
         edges = boundary_edges(scen, table1_grid)
         q = path.q[0].copy()
         for n in range(table1_grid.N):
-            q = euler_step(q, table1_grid, wave, edges, forcing=tilt[n], n=n)
+            euler_step(q, table1_grid, wave, edges[n + 1], tilt[n])
             assert np.max(np.abs(q[1:-1] - path.q[n + 1, 1:-1])) < 1e-12
 
     def test_rate_identity(self, table1_grid, wave, exp_model):
