@@ -16,15 +16,17 @@ are positively correlated, so disjoint intervals stay conservative evidence
 of a difference; a repeated eps is refused.  sweep-x0 and sweep-T, one rate
 sweep over x0 or T, solve their points in order in this process.
 center-diagnostics has the kernel's workers reduce each chunk of terminal
-slices to its wave centers and takes their statistics in place, so what it
-holds grows by 9 bytes per sample, the K float centers and a K-byte exit
-indicator, not by K x M floats.  Every *_meta.json records the numerical
-regime: the grid's CFL number and the BLAS thread variables, and the Monte
-Carlo sidecars the kernel's worker process count; is_meta.json and
-sweep_eps_meta.json record each importance sampler's solve (converged,
-message, iterations, evaluations) under "solves".  All numeric output is
-written with 17 significant digits so that reruns with the same seed are
-byte-identical and path files round-trip through the rate function exactly.
+slices to its wave centers and those to four numbers, the chunk's size,
+mean, sum of squared deviations and exceedance count, which it merges in
+chunk index order (diagnostics.merge_moments): it holds four numbers per
+chunk, no K-sized array, and no output depends on the worker count.
+Every *_meta.json records the numerical regime: the grid's CFL number and
+the BLAS thread variables, and the Monte Carlo sidecars the kernel's worker
+process count; is_meta.json and sweep_eps_meta.json record each importance
+sampler's solve (converged, message, iterations, evaluations) under
+"solves".  All numeric output is written with 17 significant digits so
+that reruns with the same seed are byte-identical and path files round-trip
+through the rate function exactly.
 """
 
 from __future__ import annotations
@@ -42,10 +44,13 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, RunConfig, parse_config
 from .diagnostics import (analytic_center_law, analytic_exit_probability,
-                          transition_margin_ok, wave_centers)
+                          center_moments, merge_moments, transition_margin_ok,
+                          wave_centers)
 from .fluxes import cfl_number, check_cfl
 from .grid import SpaceTimeGrid
-from .montecarlo import epsilon_sweep, kernel_workers, sample_terminal_states
+from .montecarlo import epsilon_sweep, kernel_workers, reduce_chunks
+# for perfbench/tracing.py; item 9 drops it
+from .montecarlo import sample_terminal_states  # noqa: F401
 from .noise import build_noise_model
 from .optimize import (initial_values, linear_interpolation_path,
                        linear_shift_path, midpoint_convexity_test,
@@ -294,19 +299,6 @@ def cmd_convexity(cfg: RunConfig, out_dir: str) -> None:
     print(f"convexity: fraction={frac:.4f} over {trials} pairs")
 
 
-def _mean_var_in_place(x: np.ndarray):
-    """np.mean(x) and np.var(x) of a 1-D float array, bit for bit.
-
-    These are np.var's own steps, the pairwise sum over the size, then the
-    deviations squared and summed the same way, but run in x rather than in
-    a temporary of its size: x is left holding the squared deviations.
-    """
-    mean = np.sum(x) / x.size
-    x -= mean
-    x *= x
-    return mean, np.sum(x) / x.size
-
-
 def cmd_center_diagnostics(cfg: RunConfig, out_dir: str) -> None:
     model = _build(cfg)
     eps = _require(cfg.run.eps, "eps")
@@ -316,18 +308,17 @@ def cmd_center_diagnostics(cfg: RunConfig, out_dir: str) -> None:
     if not var > 0:
         raise ConfigError(f"run.eps = {eps!r} gives the center law variance "
                           f"{var!r}; center-diagnostics needs it positive")
-    reference = initial_values(cfg.scenario, grid)
-    # reduced to centers per chunk in the workers: no (K, M) slices are held
-    centers = sample_terminal_states(
-        cfg.scenario, model, eps, K, cfg.run.seed,
-        keep=lambda q: wave_centers(q, reference, wave, grid.dx))
     p_target = cfg.run.exit_probability or 0.01
     threshold = float(np.sqrt(var) * NormalDist().inv_cdf(1.0 - p_target))
-    exceed = centers >= mean + threshold
-    emp_mean, emp_var = map(float, _mean_var_in_place(centers))
-    centers[:] = exceed  # the spent centers take the indicator as 0.0/1.0
-    mc_p, mc_var = map(float, _mean_var_in_place(centers))
-    mc_std = float(np.sqrt(mc_var))
+    level, reference = mean + threshold, initial_values(cfg.scenario, grid)
+
+    def reduce(q):  # in a worker: the chunk's centers to four numbers
+        return center_moments(wave_centers(q, reference, wave, grid.dx), level)
+
+    _, emp_mean, m2, exceed = merge_moments(
+        reduce_chunks(cfg.scenario, model, eps, K, cfg.run.seed, reduce))
+    emp_var, mc_p = m2 / K, exceed / K
+    mc_std = float(np.sqrt(mc_p * (1.0 - mc_p)))
     half = 2.6 * mc_std / np.sqrt(K)
     analytic_p = analytic_exit_probability(threshold, grid.T, eps, model,
                                            wave)

@@ -17,6 +17,11 @@ each step contributing dx^2 Var(sum_m dW_m) / jump^2 = eps^2 dt dx 1^T C 1 /
 jump^2, with 1^T C 1 the noise model's covariance_sum and dx its grid's.
 The exit probability of the center past a threshold follows from the exact
 Gaussian tail.
+
+A sample of centers is reduced per chunk to its size, mean, sum of squared
+deviations and exceedance count (center_moments), and the chunks are merged
+in index order by the pairwise update of Chan, Golub and LeVeque
+(merge_moments), so no K-sized array is needed for the law's statistics.
 """
 
 from __future__ import annotations
@@ -31,7 +36,9 @@ from .noise import NoiseModel
 __all__ = [
     "analytic_center_law",
     "analytic_exit_probability",
+    "center_moments",
     "fit_scaling",
+    "merge_moments",
     "transition_margin_ok",
 ]
 
@@ -47,6 +54,38 @@ def wave_centers(states: np.ndarray, reference: np.ndarray, wave: WaveSpec,
         raise ValueError("wave center undefined for equal end states")
     diff = np.asarray(states, dtype=float) - np.asarray(reference, dtype=float)
     return dx * diff.sum(axis=-1) / (wave.u_minus - wave.u_plus)
+
+
+def center_moments(centers: np.ndarray, level: float):
+    """(B, mean, M2, exceed) of a chunk of B centers, which it overwrites.
+
+    exceed counts the centers >= level; mean is their sum over B, and M2
+    the sum of their squared deviations from it, each sum numpy's pairwise
+    one, taken in the chunk's own array.
+    """
+    B = centers.size
+    exceed = int(np.count_nonzero(centers >= level))
+    mean = np.sum(centers) / B
+    centers -= mean
+    centers *= centers
+    return B, float(mean), float(np.sum(centers)), exceed
+
+
+def merge_moments(chunks):
+    """(n, mean, M2, exceed) of the union of center_moments chunks.
+
+    Chan, Golub and LeVeque's pairwise update, folded over the chunks in the
+    order given: with delta = mean_c - mean and n' = n + B,
+    mean += delta B/n' and M2 += M2_c + delta^2 n B/n'.  A single chunk
+    keeps its own bits, so it gives np.mean and n np.var of its values.
+    """
+    n, mean, m2, exceed = 0, 0.0, 0.0, 0
+    for B, mean_c, m2_c, exceed_c in chunks:
+        delta, total = mean_c - mean, n + B
+        mean += delta * (B / total)
+        m2 += m2_c + delta * delta * (n * B / total)
+        n, exceed = total, exceed + exceed_c
+    return n, mean, m2, exceed
 
 
 def analytic_center_law(eps: float, t: float, model: NoiseModel,

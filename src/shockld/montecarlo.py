@@ -31,8 +31,11 @@ then per eps it colors them, steps one batch per forcing and reduces its
 terminal slices and log-weights with the caller's function.  The results
 come over its pipe in completion order, and consumers place each by its
 chunk.  run_estimators has the workers reduce each chunk to the moments of
-its values, sample_terminal_states to keep's rows; epsilon_sweep is one
-call with all its eps, so mc, is0 and is-delta at every eps share the draws.
+its values and files them in a float array; reduce_chunks returns any
+reduction's results in chunk index order, and the CLI's center-diagnostics
+has it reduce each chunk to the moments of its wave centers;
+sample_terminal_states stacks keep's rows.  epsilon_sweep is one call with
+all its eps, so mc, is0 and is-delta at every eps share the draws.
 Processes, not threads: the draws' per-sample Python holds the GIL.
 
 Each batch is held cells-major, as an (M, B) array whose contiguous axis runs
@@ -76,7 +79,7 @@ from .noise import NoiseModel, ar1_accumulate, unwhiten
 from .optimize import RareEventSpec, boundary_edges, initial_values, target_values
 
 __all__ = ["ESTIMATORS", "EstimatorReport", "run_basic_mc", "run_estimators",
-           "run_importance_sampling", "epsilon_sweep",
+           "run_importance_sampling", "epsilon_sweep", "reduce_chunks",
            "sample_terminal_states", "sample_stream", "kernel_workers"]
 
 ESTIMATORS = ("mc", "is0", "is-delta")  # names of epsilon_sweep's estimators
@@ -418,6 +421,25 @@ def _simulate(scen: RareEventSpec, model: NoiseModel, K: int, seed: int,
         for pid in pids:
             os.kill(pid, signal.SIGKILL)  # done with its chunks, or abandoned
             os.waitpid(pid, 0)
+
+
+def reduce_chunks(scen: RareEventSpec, model: NoiseModel, eps: float, K: int,
+                  seed: int, reduce) -> list:
+    """What reduce makes of each chunk of K untilted samples, in chunk order.
+
+    reduce maps a chunk's (B, M) terminal slices, a C-ordered array it may
+    overwrite, to a picklable result.  It runs in the kernel's worker
+    processes, so it must depend on the slices alone; its exceptions
+    surface with type and message, as other worker failures do.  The
+    results are filed by chunk, so a fold over them in order depends
+    neither on the worker count nor on the order the chunks finish in.
+    """
+    chunks = [None] * -(-K // _CHUNK)
+    for start, [[result]] in _simulate(
+            scen, model, K, seed, 0, [eps], _checked(K, [eps], [None], model),
+            lambda q, logw: reduce(q)):
+        chunks[start // _CHUNK] = result
+    return chunks
 
 
 def _score(scen: RareEventSpec, model: NoiseModel, K: int, seed: int,

@@ -16,7 +16,8 @@ from shockld import cli, montecarlo
 from shockld.cli import _write_matrix, main
 from shockld.config import ConfigError, parse_config
 from shockld.diagnostics import (analytic_center_law,
-                                 analytic_exit_probability, wave_centers)
+                                 analytic_exit_probability, center_moments,
+                                 merge_moments, wave_centers)
 from shockld.fluxes import cfl_number
 from shockld.grid import SpaceTimeGrid, WaveSpec
 from shockld.montecarlo import epsilon_sweep, sample_terminal_states
@@ -551,29 +552,30 @@ class TestSubcommands:
 
     def test_one_traced_wave_centers_call_per_chunk(self, tmp_path,
                                                     monkeypatch):
-        # perfbench/tracing.py times the center reduction and counts the
-        # trajectories by patching these shockld.cli attributes; the kernel
-        # must call the patched wave_centers once per chunk.  The workers
-        # run it, so each appends (its pid, the chunk's shape) per call to a
-        # file that this process reads back.
+        # perfbench/tracing.py times the center reduction by patching
+        # shockld.cli.wave_centers; the kernel must call the patched
+        # wave_centers once per chunk.  The workers run it, so each appends
+        # (its pid, the chunk's shape) per call to a file that this process
+        # reads back.  The caller gets one (B, mean, M2, exceed) per chunk
+        # from cli.reduce_chunks, whose sizes count the K trajectories.
         log = tmp_path / "centers.txt"
         counts = []
-        centers, sample = cli.wave_centers, cli.sample_terminal_states
+        centers, reduce_chunks = cli.wave_centers, cli.reduce_chunks
 
         def counting_centers(states, *args, **kwargs):
             with open(log, "a") as fh:
                 fh.write("%d %d %d\n" % (os.getpid(), *states.shape))
             return centers(states, *args, **kwargs)
 
-        def counting_sample(*args, **kwargs):
-            out = sample(*args, **kwargs)
-            counts.append(out.shape[0])
+        def counting_chunks(*args, **kwargs):
+            out = reduce_chunks(*args, **kwargs)
+            counts.append(sum(B for B, *_ in out))
             return out
 
         monkeypatch.setattr(montecarlo, "_CHUNK", 7)
         monkeypatch.setattr(montecarlo, "_cpus", lambda: 2)
         monkeypatch.setattr(cli, "wave_centers", counting_centers)
-        monkeypatch.setattr(cli, "sample_terminal_states", counting_sample)
+        monkeypatch.setattr(cli, "reduce_chunks", counting_chunks)
         cfg_path = make_config(tmp_path, **{"run.K": 20, "run.eps": 0.1,
                                             "scenario.delta": 0.0})
         assert main(["center-diagnostics", "--config", str(cfg_path),
@@ -685,49 +687,129 @@ def float_bits(*values):
     return np.array(values, dtype=float).view(np.uint64).tolist()
 
 
+def chunked_center_moments(centers, level, size):
+    """(mean, M2, exceed) of the centers as chunks of `size` give them:
+    per chunk the count >= level, the mean and the squared deviations'
+    sum, merged in index order by Chan's pairwise update."""
+    n, mean, m2, exceed = 0, 0.0, 0.0, 0
+    for lo in range(0, len(centers), size):
+        chunk = centers[lo:lo + size]
+        B = len(chunk)
+        exceed += int(np.count_nonzero(chunk >= level))
+        mean_c = float(np.sum(chunk) / B)
+        m2_c = float(np.sum((chunk - mean_c) ** 2))
+        delta, total = mean_c - mean, n + B
+        mean += delta * (B / total)
+        m2 += m2_c + delta * delta * (n * B / total)
+        n = total
+    return mean, m2, exceed
+
+
+def center_row(cfg_path, centers, size):
+    """The center_diagnostics.csv columns that the sample sets, as the
+    chunked reference computes them from the K centers."""
+    cfg = parse_config(cfg_path.read_text())
+    grid, wave, eps, K = cfg.grid, cfg.wave, cfg.run.eps, cfg.run.K
+    model = build_noise_model(cfg.noise_kind, grid, sigma=cfg.sigma,
+                              l_c=cfg.l_c)
+    mean, var = analytic_center_law(eps, grid.T, model, wave)
+    threshold = float(np.sqrt(var) *
+                      NormalDist().inv_cdf(1.0 - cfg.run.exit_probability))
+    emp_mean, m2, exceed = chunked_center_moments(centers, mean + threshold,
+                                                  size)
+    emp_var, mc_p = m2 / K, exceed / K
+    half = 2.6 * math.sqrt(mc_p * (1.0 - mc_p)) / np.sqrt(K)
+    return {"empirical_mean": emp_mean, "empirical_var": emp_var,
+            "var_ratio": emp_var / var, "exit_threshold": threshold,
+            "exit_mc": mc_p, "exit_ci_low": mc_p - half,
+            "exit_ci_high": mc_p + half,
+            "exit_analytic": analytic_exit_probability(threshold, grid.T, eps,
+                                                       model, wave)}
+
+
+def sampled_centers(cfg_path):
+    """The K wave centers of a center-diagnostics config's run, from the
+    whole (K, M) array of terminal slices."""
+    cfg = parse_config(cfg_path.read_text())
+    grid = cfg.grid
+    model = build_noise_model(cfg.noise_kind, grid, sigma=cfg.sigma,
+                              l_c=cfg.l_c)
+    return wave_centers(
+        sample_terminal_states(cfg.scenario, model, cfg.run.eps, cfg.run.K,
+                               cfg.run.seed),
+        initial_values(cfg.scenario, grid), cfg.wave, grid.dx)
+
+
 class TestCenterStatistics:
-    @pytest.mark.parametrize("size", [1, 7, 129, 100003])
-    @pytest.mark.parametrize("kind", ["float", "indicator"])
-    def test_in_place_moments_match_numpy_bits(self, size, kind):
-        rng = np.random.default_rng(size)
-        if kind == "float":
-            x = 3.0 + 2.0 * rng.standard_normal(size)
-        else:
-            x = (rng.random(size) < 0.3).astype(float)
-        mean, var = cli._mean_var_in_place(x.copy())
-        assert float_bits(mean, var, np.sqrt(var)) == \
-            float_bits(np.mean(x), np.var(x), np.std(x))
+    def test_chunk_moments_merge_to_reference_bits(self, tmp_path,
+                                                   monkeypatch):
+        # hand-made chunks: one chunk is numpy's own mean and variance bit
+        # for bit; chunks of 129 and 7, each with a short last one, merge to
+        # the chunked reference's bits and agree with numpy's whole-array
+        # moments to 1e-14
+        x = 3.0 + 2.0 * np.random.default_rng(7).standard_normal(1000)
+        level = 4.0
+        for size in (1000, 129, 7):
+            chunks = [center_moments(x[lo:lo + size].copy(), level)
+                      for lo in range(0, x.size, size)]
+            assert chunks[-1][0] == (1000 % size or size)
+            n, mean, m2, exceed = merge_moments(chunks)
+            assert (n, exceed) == (1000, np.count_nonzero(x >= level))
+            ref_mean, ref_m2, _ = chunked_center_moments(x, level, size)
+            assert float_bits(mean, m2) == float_bits(ref_mean, ref_m2)
+            if size == x.size:
+                assert float_bits(mean, m2 / n) == \
+                    float_bits(np.mean(x), np.var(x))
+            assert mean == pytest.approx(np.mean(x), rel=1e-14, abs=0)
+            assert m2 / n == pytest.approx(np.var(x), rel=1e-14, abs=0)
+        # the CLI at chunk size 7 writes the reference's row, the same
+        # bytes on one worker and on two
+        monkeypatch.setattr(montecarlo, "_CHUNK", 7)
+        cfg_path = make_config(tmp_path, **{"run.K": 40, "run.eps": 0.1,
+                                            "run.seed": 5,
+                                            "run.exit_probability": 0.1,
+                                            "scenario.delta": 0.0})
+        expected = center_row(cfg_path, sampled_centers(cfg_path), 7)
+        assert 0 < expected["exit_mc"] < 1
+        csvs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(montecarlo, "_cpus", lambda: workers)
+            out = tmp_path / f"w{workers}"
+            assert main(["center-diagnostics", "--config", str(cfg_path),
+                         "--out", str(out)]) == 0
+            meta = json.loads((out / "center_diagnostics_meta.json")
+                              .read_text())
+            assert meta["kernel_workers"] == workers
+            csvs.append((out / "center_diagnostics.csv").read_bytes())
+        assert csvs[0] == csvs[1]
+        row = read_rows(tmp_path / "w1" / "center_diagnostics.csv")[0]
+        assert {key: row[key] for key in expected} == \
+            {key: f"{v:.17g}" for key, v in expected.items()}
 
     @pytest.mark.parametrize("seed", [3, 11])
     def test_csv_matches_numpy_reference(self, tmp_path, seed):
-        # the row as np.mean, np.var and np.std on a float copy of the exit
-        # indicator compute it, every column to the last bit
-        K, eps, p_exit = 700, 0.1, 0.1
-        cfg_path = make_config(tmp_path, **{"run.K": K, "run.eps": eps,
+        # the row as chunk moments over _CHUNK-sized slices of the whole
+        # array of centers, merged in index order, compute it, every column
+        # to the last bit; that reference agrees with np.mean, np.var and
+        # np.std on the centers and a float copy of the exit indicator to
+        # 1e-14
+        K, p_exit = 700, 0.1
+        cfg_path = make_config(tmp_path, **{"run.K": K, "run.eps": 0.1,
                                             "run.seed": seed,
                                             "run.exit_probability": p_exit,
                                             "scenario.delta": 0.0})
-        cfg = parse_config(cfg_path.read_text())
-        grid, wave = cfg.grid, cfg.wave
-        model = build_noise_model(cfg.noise_kind, grid, sigma=cfg.sigma,
-                                  l_c=cfg.l_c)
-        reference = initial_values(cfg.scenario, grid)
-        centers = wave_centers(
-            sample_terminal_states(cfg.scenario, model, eps, K, seed),
-            reference, wave, grid.dx)
-        mean, var = analytic_center_law(eps, grid.T, model, wave)
-        threshold = float(np.sqrt(var) * NormalDist().inv_cdf(1.0 - p_exit))
-        exceed = (centers >= mean + threshold).astype(float)
-        mc_p, mc_std = float(np.mean(exceed)), float(np.std(exceed))
-        half = 2.6 * mc_std / np.sqrt(K)
-        emp_var = float(np.var(centers))
-        expected = {"empirical_mean": float(np.mean(centers)),
-                    "empirical_var": emp_var, "var_ratio": emp_var / var,
-                    "exit_threshold": threshold, "exit_mc": mc_p,
-                    "exit_ci_low": mc_p - half, "exit_ci_high": mc_p + half,
-                    "exit_analytic": analytic_exit_probability(
-                        threshold, grid.T, eps, model, wave)}
+        centers = sampled_centers(cfg_path)
+        expected = center_row(cfg_path, centers, montecarlo._CHUNK)
+        mc_p = expected["exit_mc"]
         assert 0 < mc_p < 1
+        exceed = (centers >= expected["exit_threshold"]).astype(float)
+        assert mc_p == np.mean(exceed)
+        assert expected["empirical_mean"] == \
+            pytest.approx(np.mean(centers), rel=1e-14, abs=0)
+        assert expected["empirical_var"] == \
+            pytest.approx(np.var(centers), rel=1e-14, abs=0)
+        assert expected["exit_ci_high"] - mc_p == pytest.approx(
+            2.6 * np.std(exceed) / np.sqrt(K), rel=1e-14, abs=0)
         out = tmp_path / "out"
         assert main(["center-diagnostics", "--config", str(cfg_path),
                      "--out", str(out)]) == 0
@@ -735,37 +817,40 @@ class TestCenterStatistics:
         assert {key: row[key] for key in expected} == \
             {key: f"{v:.17g}" for key, v in expected.items()}
 
-    def test_statistics_hold_one_float_array_and_one_bool_array(
-            self, tmp_path, monkeypatch):
-        # after the kernel, the caller holds the K centers (8K bytes) and
-        # the exit indicator (K bytes) and no K-float temporary: np.var on
-        # the centers, or np.std on a float copy of the indicator, would
-        # add 8K each.  The constant covers small objects and the 128 KiB
-        # that csv.writer allocates for its first row in a process.
-        K = 100_000
-        cfg_path = make_config(tmp_path, **{"run.K": K, "run.eps": 0.1,
-                                            "scenario.delta": 0.0})
-        cfg = parse_config(cfg_path.read_text())
-        model = build_noise_model(cfg.noise_kind, cfg.grid, sigma=cfg.sigma,
-                                  l_c=cfg.l_c)
-        _, var = analytic_center_law(0.1, cfg.grid.T, model, cfg.wave)
-        prepared = np.sqrt(var) * np.random.default_rng(5).standard_normal(K)
-        before = []
+    def test_caller_memory_does_not_grow_with_K(self, tmp_path, monkeypatch):
+        # after the kernel the caller merges one (B, mean, M2, exceed) per
+        # chunk and holds no K-sized array: its traced peak past the kernel
+        # is the same at K = 2e4 and at K = 1e5 to within 16 KB.  The kernel
+        # is replaced by prepared chunk moments, built before the peak is
+        # reset.  Both runs rise by about 138 KB, most of it the 128 KiB
+        # that csv.writer takes for its row; the 9 bytes per sample that
+        # the K centers and an exit indicator would hold differ by 720 KB.
+        rises = {}
+        for K in (20_000, 100_000):
+            sizes = [montecarlo._CHUNK] * (K // montecarlo._CHUNK)
+            sizes += [K % montecarlo._CHUNK] if K % montecarlo._CHUNK else []
+            rng = np.random.default_rng(K)
+            prepared = [(B, float(0.01 * rng.standard_normal()),
+                         float(B * 1e-3 * rng.random()),
+                         int(rng.binomial(B, 0.01))) for B in sizes]
+            before = []
 
-        def prepared_centers(*args, **kwargs):
-            before.append(tracemalloc.get_traced_memory()[0])
-            tracemalloc.reset_peak()
-            return prepared.copy()
+            def prepared_chunks(*args, **kwargs):
+                before.append(tracemalloc.get_traced_memory()[0])
+                tracemalloc.reset_peak()
+                return prepared
 
-        monkeypatch.setattr(cli, "sample_terminal_states", prepared_centers)
-        tracemalloc.start()
-        try:
-            assert main(["center-diagnostics", "--config", str(cfg_path),
-                         "--out", str(tmp_path / "out")]) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - before[0] <= 8 * K + K + 192 * 1024
+            monkeypatch.setattr(cli, "reduce_chunks", prepared_chunks)
+            cfg_path = make_config(tmp_path, **{"run.K": K, "run.eps": 0.1,
+                                                "scenario.delta": 0.0})
+            tracemalloc.start()
+            try:
+                assert main(["center-diagnostics", "--config", str(cfg_path),
+                             "--out", str(tmp_path / "out")]) == 0
+                rises[K] = tracemalloc.get_traced_memory()[1] - before[0]
+            finally:
+                tracemalloc.stop()
+        assert abs(rises[100_000] - rises[20_000]) <= 16 * 1024
 
 
 def test_cli_import_loads_no_scipy():

@@ -17,9 +17,9 @@ from shockld import fluxes, montecarlo
 from shockld.diagnostics import wave_centers
 from shockld.fluxes import drift
 from shockld.grid import SpaceTimeGrid, WaveSpec
-from shockld.montecarlo import (epsilon_sweep, run_basic_mc, run_estimators,
-                                run_importance_sampling, sample_stream,
-                                sample_terminal_states)
+from shockld.montecarlo import (epsilon_sweep, reduce_chunks, run_basic_mc,
+                                run_estimators, run_importance_sampling,
+                                sample_stream, sample_terminal_states)
 from shockld.noise import build_noise_model, unwhiten
 from shockld.optimize import (RareEventSpec, boundary_edges, initial_values,
                               target_values)
@@ -673,6 +673,21 @@ class TestSampleBlocks:
                                       seed=8, run_key=1)
         assert report_bits(rep) == report_bits(chunked_report(weights, eps, K))
 
+
+    @pytest.mark.parametrize("workers", [1, 2], ids=["w1", "w2"])
+    def test_reduce_chunks_files_results_in_index_order(
+            self, workers, ball_scen, exp_model, monkeypatch):
+        # reduce_chunks gives reduce's result per chunk in index order,
+        # whatever order the workers finish in: with a reduction that
+        # returns the slices, they stack to sample_terminal_states bit for bit
+        K, eps = 17, 0.15
+        expected = sample_terminal_states(ball_scen, exp_model, eps, K, seed=8)
+        monkeypatch.setattr(montecarlo, "_CHUNK", 7)
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: workers)
+        chunks = reduce_chunks(ball_scen, exp_model, eps, K, 8, lambda q: q)
+        assert [len(q) for q in chunks] == [7, 7, 3]
+        assert np.array_equal(np.concatenate(chunks).view(np.int64),
+                              expected.view(np.int64))
 
     @pytest.mark.parametrize("model_name", ["exp_model", "identity_model"])
     def test_each_eps_of_shared_draws_matches_row_major_kernel(
