@@ -741,27 +741,31 @@ def sampled_centers(cfg_path):
 
 
 class TestCenterStatistics:
-    def test_chunk_moments_merge_to_reference_bits(self, tmp_path,
-                                                   monkeypatch):
+    @pytest.mark.parametrize("n, size", [
+        (1, 1), (7, 7), (1000, 1000), (1000, 129), (1000, 7), (100003, 512)],
+        ids=lambda v: str(v))
+    def test_chunk_moments_merge_to_reference_bits(self, n, size):
         # hand-made chunks: one chunk is numpy's own mean and variance bit
-        # for bit; chunks of 129 and 7, each with a short last one, merge to
+        # for bit; smaller chunks, each run with a short last one, merge to
         # the chunked reference's bits and agree with numpy's whole-array
         # moments to 1e-14
-        x = 3.0 + 2.0 * np.random.default_rng(7).standard_normal(1000)
+        x = 3.0 + 2.0 * np.random.default_rng(7).standard_normal(n)
         level = 4.0
-        for size in (1000, 129, 7):
-            chunks = [center_moments(x[lo:lo + size].copy(), level)
-                      for lo in range(0, x.size, size)]
-            assert chunks[-1][0] == (1000 % size or size)
-            n, mean, m2, exceed = merge_moments(chunks)
-            assert (n, exceed) == (1000, np.count_nonzero(x >= level))
-            ref_mean, ref_m2, _ = chunked_center_moments(x, level, size)
-            assert float_bits(mean, m2) == float_bits(ref_mean, ref_m2)
-            if size == x.size:
-                assert float_bits(mean, m2 / n) == \
-                    float_bits(np.mean(x), np.var(x))
-            assert mean == pytest.approx(np.mean(x), rel=1e-14, abs=0)
-            assert m2 / n == pytest.approx(np.var(x), rel=1e-14, abs=0)
+        chunks = [center_moments(x[lo:lo + size].copy(), level)
+                  for lo in range(0, x.size, size)]
+        assert chunks[-1][0] == (n % size or size)
+        total, mean, m2, exceed = merge_moments(chunks)
+        assert (total, exceed) == (n, np.count_nonzero(x >= level))
+        ref_mean, ref_m2, _ = chunked_center_moments(x, level, size)
+        assert float_bits(mean, m2) == float_bits(ref_mean, ref_m2)
+        if size == n:
+            assert float_bits(mean, m2 / n) == \
+                float_bits(np.mean(x), np.var(x))
+        assert mean == pytest.approx(np.mean(x), rel=1e-14, abs=0)
+        assert m2 / n == pytest.approx(np.var(x), rel=1e-14, abs=0)
+
+    def test_csv_bytes_same_on_one_and_two_workers(self, tmp_path,
+                                                   monkeypatch):
         # the CLI at chunk size 7 writes the reference's row, the same
         # bytes on one worker and on two
         monkeypatch.setattr(montecarlo, "_CHUNK", 7)
