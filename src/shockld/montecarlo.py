@@ -34,8 +34,8 @@ chunk.  run_estimators has the workers reduce each chunk to the moments of
 its values and files them in a float array; reduce_chunks returns any
 reduction's results in chunk index order, and the CLI's center-diagnostics
 has it reduce each chunk to the moments of its wave centers;
-sample_terminal_states stacks keep's rows.  epsilon_sweep is one call with
-all its eps, so mc, is0 and is-delta at every eps share the draws.
+sample_terminal_states files the slices themselves.  epsilon_sweep is one
+call with all its eps, so mc, is0 and is-delta at every eps share the draws.
 Processes, not threads: the draws' per-sample Python holds the GIL.
 
 Each batch is held cells-major, as an (M, B) array whose contiguous axis runs
@@ -516,27 +516,19 @@ def run_importance_sampling(scen: RareEventSpec, model: NoiseModel, eps: float,
 
 def sample_terminal_states(scen: RareEventSpec, model: NoiseModel, eps: float,
                            K: int, seed: int, run_key: int = 0,
-                           forcing: np.ndarray | None = None,
-                           keep=None) -> np.ndarray:
-    """Terminal slices of K noisy trajectories, shape (K, M), or what keep
-    makes of them.
+                           forcing: np.ndarray | None = None) -> np.ndarray:
+    """Terminal slices of K noisy trajectories, shape (K, M).
 
-    keep maps the terminal slices of a chunk of B samples, a C-ordered
-    (B, M) array, to B rows, and the result stacks the rows of all K
-    samples; without it the slices themselves are returned.  keep runs in
-    the worker processes, so it must depend on the slices alone, and its
-    rows must be picklable; one that reduces each slice to a few numbers
-    keeps memory and messages at O(K) of them.  Its exceptions surface with
-    type and message, as other worker failures do.
+    The workers send each chunk's slices and the caller files them by
+    chunk.  A caller that needs only a few numbers per chunk has the
+    workers reduce the slices with reduce_chunks instead.
     """
-    forcings, kept = _checked(K, [eps], [forcing], model), None
-    for start, [[rows]] in _simulate(
-            scen, model, K, seed, run_key, [eps], forcings,
-            lambda q, logw: q if keep is None else keep(q)):
-        if kept is None:
-            kept = np.empty((K,) + rows.shape[1:], rows.dtype)
-        kept[start:start + len(rows)] = rows
-    return kept
+    forcings = _checked(K, [eps], [forcing], model)
+    slices = np.empty((K, model.grid.M))
+    for start, [[q]] in _simulate(scen, model, K, seed, run_key, [eps],
+                                  forcings, lambda q, logw: q):
+        slices[start:start + len(q)] = q
+    return slices
 
 
 def epsilon_sweep(scen: RareEventSpec, model: NoiseModel, eps_list,

@@ -638,8 +638,9 @@ class TestKernelLayout:
 
 
 class TestSampleBlocks:
-    # the workers reduce each chunk through keep= and sum its moments, so
-    # the rows and reports hold their bits on one worker and on two
+    # the workers send each chunk's slices, reduce it through reduce_chunks
+    # or sum its moments, so the slices, centers and reports hold their bits
+    # on one worker and on two
     @pytest.mark.parametrize("workers", [1, 2], ids=["w1", "w2"])
     @pytest.mark.parametrize("chunk", [1, 7, None])
     @pytest.mark.parametrize("tilted", [False, True],
@@ -657,16 +658,21 @@ class TestSampleBlocks:
         reference = initial_values(ball_scen, grid)
         terminals = sample_terminal_states(ball_scen, model, eps, K, seed=8,
                                            run_key=1, forcing=h)
-        centers = wave_centers(terminals, reference, wave, grid.dx)
+        centers = wave_centers(
+            sample_terminal_states(ball_scen, model, eps, K, seed=8),
+            reference, wave, grid.dx)
         weights = unblocked_weights(model, eps, K, forcing, 8, 1)
         if chunk is not None:
             monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
         monkeypatch.setattr(montecarlo, "_cpus", lambda: workers)
         assert montecarlo.kernel_workers(K) == min(workers, -(-K // (
             chunk or montecarlo._CHUNK)))
-        kept = sample_terminal_states(
-            ball_scen, model, eps, K, seed=8, run_key=1, forcing=h,
-            keep=lambda q: wave_centers(q, reference, wave, grid.dx))
+        rows = sample_terminal_states(ball_scen, model, eps, K, seed=8,
+                                      run_key=1, forcing=h)
+        assert np.array_equal(rows.view(np.int64), terminals.view(np.int64))
+        kept = np.concatenate(reduce_chunks(
+            ball_scen, model, eps, K, 8,
+            lambda q: wave_centers(q, reference, wave, grid.dx)))
         assert kept.shape == (K,)
         assert np.array_equal(kept.view(np.int64), centers.view(np.int64))
         rep = run_importance_sampling(certain_scen, model, eps, K, forcing,
@@ -851,9 +857,9 @@ class TestKernelBuffers:
         # on a two-step grid every chunk-sized buffer is smaller than one
         # (K, M) array of terminal slices, so while the kernel runs no live
         # allocation may be that large, in this process or in a worker.  The
-        # workers run keep and inherit this process's tracing at the fork;
-        # each appends (its pid, its largest live allocation) per chunk to a
-        # file that this process reads back
+        # workers run the reduction and inherit this process's tracing at the
+        # fork; each appends (its pid, its largest live allocation) per chunk
+        # to a file that this process reads back
         grid = SpaceTimeGrid.from_spacing(-15.0, 20.0, 0.5, 0.1, 0.05)
         model = build_noise_model("exponential", grid, sigma=1.0, l_c=5.0)
         K = 4 * montecarlo._CHUNK + 3
@@ -862,7 +868,7 @@ class TestKernelBuffers:
         reference = initial_values(displacement_scen, grid)
         log = tmp_path / "largest.txt"
 
-        def keep(q):
+        def reduce(q):
             traces = tracemalloc.take_snapshot().traces
             with open(log, "a") as fh:
                 fh.write("%d %d\n" % (os.getpid(),
@@ -871,12 +877,11 @@ class TestKernelBuffers:
 
         tracemalloc.start()
         try:
-            centers = sample_terminal_states(displacement_scen, model, 0.1, K,
-                                             seed=3, keep=keep)
+            chunks = reduce_chunks(displacement_scen, model, 0.1, K, 3, reduce)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert centers.shape == (K,)
+        assert np.concatenate(chunks).shape == (K,)
         largest = [tuple(map(int, line.split()))
                    for line in log.read_text().splitlines()]
         assert len(largest) == 5
@@ -887,11 +892,12 @@ class TestKernelBuffers:
     def test_centers_caller_holds_the_centers(self, displacement_scen,
                                               exp_model, wave, monkeypatch):
         # the workers reduce each chunk's slices to its centers, so a
-        # chunk's message is B floats and the caller holds the K centers and
-        # about one message: its traced peak stays within 8K bytes + 64 KiB
-        # on the benchmark grid (measured 8K + 25 KB).  Receiving the (B, M)
-        # slices and reducing them here peaked at 8K + 654 KB.  The workers
-        # stop the tracing they inherit, which would only slow them.
+        # chunk's message is B floats and the caller holds the K centers, one
+        # array per chunk, and about one message: its traced peak stays
+        # within 8K bytes + 64 KiB on the benchmark grid (measured 8K + 24
+        # to 26 KB).  Receiving the (B, M) slices and reducing them here
+        # peaked at 8K + 654 KB.  The workers stop the tracing they inherit,
+        # which would only slow them.
         grid = exp_model.grid
         K = 20_000
         reference = initial_values(displacement_scen, grid)
@@ -904,13 +910,13 @@ class TestKernelBuffers:
         monkeypatch.setattr(montecarlo, "_worker", untraced)
         tracemalloc.start()
         try:
-            centers = sample_terminal_states(
-                displacement_scen, exp_model, 0.1, K, seed=5,
-                keep=lambda q: wave_centers(q, reference, wave, grid.dx))
+            chunks = reduce_chunks(
+                displacement_scen, exp_model, 0.1, K, 5,
+                lambda q: wave_centers(q, reference, wave, grid.dx))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert centers.shape == (K,)
+        assert np.concatenate(chunks).shape == (K,)
         assert peak <= 8 * K + 64 * 1024
 
     def test_one_traced_drift_call_per_step(self, ball_scen, exp_model,
@@ -1173,32 +1179,31 @@ class TestStreams:
             sample_terminal_states(ball_scen, exp_model, 0.15, 5, seed=1)
         assert_no_child_process()
 
-    def test_unpicklable_keep_result_keeps_type_and_message(
+    def test_unpicklable_reduce_result_keeps_type_and_message(
             self, ball_scen, exp_model, monkeypatch):
-        # keep runs in the workers, which send what it returns; a result
+        # reduce runs in the workers, which send what it returns; a result
         # that cannot be pickled fails there, and the failure surfaces in
         # the caller with its type and message, with no worker left
         monkeypatch.setattr(montecarlo, "_CHUNK", 7)
         monkeypatch.setattr(montecarlo, "_cpus", lambda: 2)
         with pytest.raises(TypeError,
                            match="^cannot pickle 'generator' object$"):
-            sample_terminal_states(ball_scen, exp_model, 0.15, 20, seed=1,
-                                   keep=lambda q: (row for row in q))
+            reduce_chunks(ball_scen, exp_model, 0.15, 20, 1,
+                          lambda q: (row for row in q))
         assert_no_child_process()
 
-    def test_workers_reaped_when_keep_fails(self, ball_scen, exp_model,
-                                            monkeypatch):
-        # keep fails in a worker and the caller abandons the kernel mid-run;
+    def test_workers_reaped_when_reduce_fails(self, ball_scen, exp_model,
+                                              monkeypatch):
+        # reduce fails in a worker and the caller abandons the kernel mid-run;
         # the three workers, then stepping or waiting to hand over their
         # chunks, must still be reaped
         def failing(q):
-            raise RuntimeError("keep failed")
+            raise RuntimeError("reduce failed")
 
         monkeypatch.setattr(montecarlo, "_CHUNK", 7)
         monkeypatch.setattr(montecarlo, "_cpus", lambda: 3)
-        with pytest.raises(RuntimeError, match="^keep failed$"):
-            sample_terminal_states(ball_scen, exp_model, 0.15, 20, seed=1,
-                                   keep=failing)
+        with pytest.raises(RuntimeError, match="^reduce failed$"):
+            reduce_chunks(ball_scen, exp_model, 0.15, 20, 1, failing)
         assert_no_child_process()
 
     def test_workers_reaped_when_closed_early(self, ball_scen, exp_model,
