@@ -5,7 +5,8 @@
 Subcommands: optimize, mc, is, sweep-x0, sweep-T, sweep-eps, convexity,
 center-diagnostics.  mc and is write the reports.csv row of a one-point
 sweep-eps at run.eps (is runs is-delta); mc, is and sweep-eps refuse
-scenario.delta = 0, whose terminal event has probability 0, and
+scenario.delta = 0, whose terminal event has probability 0, and a report
+with a hit whose p^2 underflowed (its std lost precision);
 center-diagnostics refuses a run.eps whose center law has variance 0 (eps =
 0, or eps^2 underflowing).  sweep-eps is one epsilon_sweep call, whose
 kernel spreads the chunks of the K samples over all usable CPUs, at most one
@@ -178,7 +179,8 @@ def _estimate(cfg: RunConfig, out_dir: str, eps_grid, estimators):
 
     Solves for each importance sampler's forcing, runs epsilon_sweep and
     returns its (eps, estimator, report) list and the solves by name.  Every
-    estimator scores the terminal ball, so scenario.delta = 0 is refused.
+    estimator scores the terminal ball, so scenario.delta = 0 is refused, as
+    is a report with underflowed_hits (its std lost precision).
     """
     model = _build(cfg)
     K = _require(cfg.run.K, "K")
@@ -196,6 +198,13 @@ def _estimate(cfg: RunConfig, out_dir: str, eps_grid, estimators):
     results = epsilon_sweep(scen, model, eps_grid, K, estimators, cfg.run.seed,
                             forcing_pinned=forcing.get("is0"),
                             forcing_ball=forcing.get("is-delta"))
+    for eps, name, rep in results:
+        if rep.underflowed_hits:
+            raise FloatingPointError(
+                f"{name} at eps {eps!r}: {rep.underflowed_hits} of {rep.hits} "
+                "hits have p^2 below the smallest normal float, so std, the "
+                "interval and rel_error lost precision; no reports.csv "
+                "written")
     _write_csv(os.path.join(out_dir, "reports.csv"), REPORT_COLUMNS,
                [_report_row(eps, name, rep, cfg.run.seed)
                 for eps, name, rep in results])
@@ -369,7 +378,7 @@ def main(argv=None) -> int:
             doc = json.loads(text)
             doc["run"]["seed"] = args.seed
             cfg = parse_config(json.dumps(doc))
-        out_dir = args.out or cfg.run.out or "out"
+        out_dir = args.out or "out"
         os.makedirs(out_dir, exist_ok=True)
         _COMMANDS[args.subcommand](cfg, out_dir)
     except Exception as err:  # single diagnostic line, nonzero exit

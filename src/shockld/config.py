@@ -14,8 +14,8 @@ Unknown keys are rejected, every number must be finite (Python's json reads
 NaN and Infinity), and every reported error names the offending key.  The
 boundary width is not a key: it follows scenario.kind.
 Subcommand-specific run keys (eps_grid, x0_grid, T_grid, estimators, trials,
-exit_probability, out) are optional here and checked by the
-subcommands that need them.
+exit_probability) are optional here and checked by the subcommands that need
+them.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ class RunSettings:
     trials: int | None = None
     estimators: tuple[str, ...] | None = None
     exit_probability: float | None = None
-    out: str | None = None
 
 
 @dataclass(frozen=True)
@@ -201,7 +200,7 @@ def parse_config(text: str) -> RunConfig:
 
     r = _section(doc, "run")
     _check_keys(r, "run", {"seed", "K", "eps", "eps_grid", "x0_grid", "T_grid",
-                           "trials", "estimators", "exit_probability", "out"})
+                           "trials", "estimators", "exit_probability"})
     seed = _integer(r, "run", "seed")
     if seed < 0:
         raise ConfigError("run.seed must be nonnegative")
@@ -220,9 +219,6 @@ def parse_config(text: str) -> RunConfig:
     exit_p = _number(r, "run", "exit_probability", required=False)
     if exit_p is not None and not 0 < exit_p < 1:
         raise ConfigError("run.exit_probability must be inside (0, 1)")
-    out = r.get("out")
-    if out is not None and not isinstance(out, str):
-        raise ConfigError("type mismatch: run.out must be a string")
     estimators = None
     if "estimators" in r:
         est = r["estimators"]
@@ -241,6 +237,6 @@ def parse_config(text: str) -> RunConfig:
                       x0_grid=_number_list(r, "run", "x0_grid"),
                       T_grid=_number_list(r, "run", "T_grid"),
                       trials=trials, estimators=estimators,
-                      exit_probability=exit_p, out=out)
+                      exit_probability=exit_p)
     return RunConfig(grid=grid, wave=wave, noise_kind=kind, sigma=sigma,
                      l_c=l_c, scenario=scen, run=run, raw=doc)

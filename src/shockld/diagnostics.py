@@ -150,9 +150,9 @@ def fit_scaling(xs, ys, form: str):
     return coeffs, r2
 
 
-def transition_margin_ok(shift: float, grid: SpaceTimeGrid, wave: WaveSpec,
-                         widths: float = 5.0) -> bool:
-    """True while a transition centered at `shift` keeps `widths` diffusive
-    lengths D/jump away from both domain boundaries."""
-    margin = widths * wave.D / wave.jump
+def transition_margin_ok(shift: float, grid: SpaceTimeGrid,
+                         wave: WaveSpec) -> bool:
+    """True while a transition centered at `shift` keeps 5 diffusive lengths
+    D/jump away from both domain boundaries."""
+    margin = 5.0 * wave.D / wave.jump
     return grid.L + margin <= shift <= grid.R - margin

@@ -23,14 +23,12 @@ rather than taking it on faith.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "SpaceTimeGrid",
     "WaveSpec",
-    "rankine_hugoniot_speed",
     "profile",
     "sample_profile",
 ]
@@ -125,16 +123,10 @@ class WaveSpec:
         return 0.5 * (np.asarray(u) - self.gamma) ** 2
 
     def wave_speed(self) -> float:
-        """Jump speed of this wave in the current frame."""
-        return rankine_hugoniot_speed(self.u_minus, self.u_plus, self.flux)
-
-
-def rankine_hugoniot_speed(u_minus: float, u_plus: float,
-                           flux: Callable[[float], float]) -> float:
-    """Jump speed (F(u_plus) - F(u_minus)) / (u_plus - u_minus)."""
-    if u_minus == u_plus:
-        raise ValueError("degenerate jump: u_minus == u_plus")
-    return (flux(u_plus) - flux(u_minus)) / (u_plus - u_minus)
+        """Rankine-Hugoniot jump speed (F(u_plus) - F(u_minus)) /
+        (u_plus - u_minus) of this wave in the current frame."""
+        return ((self.flux(self.u_plus) - self.flux(self.u_minus))
+                / (self.u_plus - self.u_minus))
 
 
 def profile(spec: WaveSpec, x):

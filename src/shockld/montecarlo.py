@@ -30,12 +30,13 @@ tilted forcing's dot products once and copies the normals cells-major once;
 then per eps it colors them, steps one batch per forcing and reduces its
 terminal slices and log-weights with the caller's function.  The results
 come over its pipe in completion order, and consumers place each by its
-chunk.  run_estimators has the workers reduce each chunk to the moments of
-its values and files them in a float array; reduce_chunks returns any
-reduction's results in chunk index order, and the CLI's center-diagnostics
-has it reduce each chunk to the moments of its wave centers;
-sample_terminal_states files the slices themselves.  epsilon_sweep is one
-call with all its eps, so mc, is0 and is-delta at every eps share the draws.
+chunk.  _score, behind every estimator, has the workers reduce each chunk
+to the moments of its values and files them in a float array; reduce_chunks
+returns any reduction's results in chunk index order, and the CLI's
+center-diagnostics has it reduce each chunk to the moments of its wave
+centers; sample_terminal_states files the slices themselves.  epsilon_sweep
+is one call with all its eps, so mc, is0 and is-delta at every eps share
+the draws.
 Processes, not threads: the draws' per-sample Python holds the GIL.
 
 Each batch is held cells-major, as an (M, B) array whose contiguous axis runs
@@ -78,7 +79,7 @@ from .fluxes import drift, euler_step  # noqa: F401
 from .noise import NoiseModel, ar1_accumulate, unwhiten
 from .optimize import RareEventSpec, boundary_edges, initial_values, target_values
 
-__all__ = ["ESTIMATORS", "EstimatorReport", "run_basic_mc", "run_estimators",
+__all__ = ["ESTIMATORS", "EstimatorReport", "run_basic_mc",
            "run_importance_sampling", "epsilon_sweep", "reduce_chunks",
            "sample_terminal_states", "sample_stream", "kernel_workers"]
 
@@ -106,6 +107,9 @@ class EstimatorReport:
     p^(k); the 99% confidence interval is estimate -+ 2.6 std / sqrt(K);
     relative_error = std / estimate saturates near sqrt(K) when a single
     sample dominates, which is what flagged_saturated detects.
+    underflowed_hits counts the hits whose p^2 (p = 0 included) is below
+    np.finfo(float).tiny: with any, the sum of p^2, and so std, the interval
+    and relative_error, have lost precision.
     """
 
     estimate: float
@@ -116,6 +120,7 @@ class EstimatorReport:
     K: int
     epsilon: float
     hits: int
+    underflowed_hits: int
     flagged_saturated: bool
 
 
@@ -302,8 +307,8 @@ def _worker(conn, scen: RareEventSpec, model: NoiseModel, K: int, seed: int,
 
 def _report(moments, K: int, eps: float) -> EstimatorReport:
     """The report of K per-sample values p from their moments (hits, sum p,
-    sum p^2)."""
-    hits, total, squares = moments
+    sum p^2, underflowed hits)."""
+    hits, total, squares, underflowed = moments
     mean = float(total) / K
     var = float(squares) / K - mean * mean
     std = math.sqrt(max(var, 0.0))
@@ -312,6 +317,7 @@ def _report(moments, K: int, eps: float) -> EstimatorReport:
     return EstimatorReport(
         estimate=mean, std=std, ci_low=mean - half, ci_high=mean + half,
         relative_error=rel, K=K, epsilon=float(eps), hits=int(hits),
+        underflowed_hits=int(underflowed),
         flagged_saturated=rel >= 0.9 * math.sqrt(K))
 
 
@@ -444,11 +450,14 @@ def reduce_chunks(scen: RareEventSpec, model: NoiseModel, eps: float, K: int,
 
 def _score(scen: RareEventSpec, model: NoiseModel, K: int, seed: int,
            run_key: int, eps_list, forcings) -> list[list[EstimatorReport]]:
-    """run_estimators at each eps of eps_list, in one kernel call.
+    """A report per eps of eps_list and forcing (None: basic MC), all from
+    the same draws, of the values p = event indicator (times the forcing's
+    likelihood weight).
 
-    The workers reduce each chunk to moments (hits, sum p, sum p^2) per eps
-    and forcing; they are filed by chunk and summed over the chunks in index
-    order, so no report depends on the worker count or completion order.
+    The workers reduce each chunk to moments (hits, sum p, sum p^2, hits
+    with p^2 below np.finfo(float).tiny) per eps and forcing, filed by chunk
+    and summed over the chunks in index order, so no report depends on the
+    worker count or completion order.
     """
     if not scen.delta > 0:
         raise ValueError("the estimators need scenario delta > 0: the event "
@@ -465,13 +474,14 @@ def _score(scen: RareEventSpec, model: NoiseModel, K: int, seed: int,
         ind = dx * np.sum(q, axis=1) <= delta_sq
         hits = int(np.count_nonzero(ind))
         if logw is None:  # values 0 and 1: both sums are the hit count
-            return hits, hits, hits
+            return hits, hits, hits, 0
         p = ind * np.exp(logw)
         total = float(np.sum(p))
         p *= p
-        return hits, total, float(np.sum(p))
+        lost = int(np.count_nonzero(ind & (p < np.finfo(float).tiny)))
+        return hits, total, float(np.sum(p)), lost
 
-    moments = np.empty((-(-K // _CHUNK), len(eps_list), len(forcings), 3))
+    moments = np.empty((-(-K // _CHUNK), len(eps_list), len(forcings), 4))
     for start, results in _simulate(scen, model, K, seed, run_key, eps_list,
                                     forcings, reduce):
         moments[start // _CHUNK] = results
@@ -482,23 +492,11 @@ def _score(scen: RareEventSpec, model: NoiseModel, K: int, seed: int,
             for eps, row in zip(eps_list, total.tolist())]
 
 
-def run_estimators(scen: RareEventSpec, model: NoiseModel, eps: float, K: int,
-                   forcings, seed: int, run_key: int = 0) -> list[EstimatorReport]:
-    """One report per forcing (None: basic MC), all from the same draws.
-
-    Each report equals what run_basic_mc or run_importance_sampling returns
-    for that forcing alone with the same seed and run key.  A sample's value
-    is its event indicator, times its likelihood weight under a forcing.
-    Raises ValueError when scen.delta = 0: the event
-    dx |Q^N - target|^2 <= 0 has probability 0.
-    """
-    return _score(scen, model, K, seed, run_key, [eps], forcings)[0]
-
-
 def run_basic_mc(scen: RareEventSpec, model: NoiseModel, eps: float, K: int,
                  seed: int, run_key: int = 0) -> EstimatorReport:
-    """Hit-fraction estimator over K independent noisy trajectories."""
-    return run_estimators(scen, model, eps, K, [None], seed, run_key)[0]
+    """Hit-fraction estimator over K independent noisy trajectories; refuses
+    scen.delta = 0, an event dx |Q^N - target|^2 <= 0 of probability 0."""
+    return _score(scen, model, K, seed, run_key, [eps], [None])[0][0]
 
 
 def run_importance_sampling(scen: RareEventSpec, model: NoiseModel, eps: float,
@@ -511,7 +509,7 @@ def run_importance_sampling(scen: RareEventSpec, model: NoiseModel, eps: float,
     per-sample values are the likelihood weights themselves, so the report
     checks the change of measure: the weights average to 1 in expectation.
     """
-    return run_estimators(scen, model, eps, K, [forcing], seed, run_key)[0]
+    return _score(scen, model, K, seed, run_key, [eps], [forcing])[0][0]
 
 
 def sample_terminal_states(scen: RareEventSpec, model: NoiseModel, eps: float,
@@ -541,15 +539,16 @@ def epsilon_sweep(scen: RareEventSpec, model: NoiseModel, eps_list,
     their forcing passed in (pinned-optimum h for is0, ball-optimum h for
     is-delta).  eps_list lists distinct values.  The points share their
     draws: every eps steps sample k's normals of run key 0, so point i
-    equals run_estimators at its eps with the same seed and run key 0, bit
-    for bit, and adding grid points never perturbs existing ones.  Each
-    point's estimate is unbiased with its standalone variance, so per-point
-    confidence intervals are unchanged; the errors of different points are
-    positively correlated (common random numbers), which makes differences
-    and slopes across eps more precise, and disjoint intervals stay
-    conservative evidence of a difference.  Every eps is checked, then all
-    of them run in one kernel call over the chunks of the K samples.
-    Returns a list of (eps, estimator, EstimatorReport) in sweep order.
+    equals run_basic_mc or run_importance_sampling at its eps with the same
+    seed and run key 0, bit for bit, and adding grid points never perturbs
+    existing ones.  Each point's estimate is unbiased with its standalone
+    variance, so per-point confidence intervals are unchanged; the errors of
+    different points are positively correlated (common random numbers),
+    which makes differences and slopes across eps more precise, and disjoint
+    intervals stay conservative evidence of a difference.  Every eps is
+    checked, then all of them run in one kernel call over the chunks of the
+    K samples.  Returns a list of (eps, estimator, EstimatorReport) in sweep
+    order.
     """
     eps_list = list(eps_list)
     if not eps_list:

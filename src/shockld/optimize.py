@@ -476,22 +476,19 @@ def _path_solve(scen: RareEventSpec, model: NoiseModel, free_terminal: bool,
     return res, PathMatrix(work.copy(), grid, scen.wave)
 
 
-def minimize_pinned(scen: RareEventSpec, model: NoiseModel,
-                    init: PathMatrix | None = None) -> OptimalPath:
+def minimize_pinned(scen: RareEventSpec, model: NoiseModel) -> OptimalPath:
     """Minimize the rate with the terminal slice pinned to the target.
 
     Stops when ||grad||_inf <= GTOL_REL * max(1, I) or after MAX_ITER
-    iterations; the best iterate is returned either way.  Free entries of
-    `init` (default: the linear interpolation path) seed the search; its
-    pinned entries are replaced by the scenario scaffold.
+    iterations; the best iterate is returned either way.  The search starts
+    from the free entries of the linear interpolation path.
     """
     if scen.delta != 0:
         raise ValueError("minimize_pinned requires delta = 0 on the scenario")
     grid = model.grid
-    if init is None:
-        init = linear_interpolation_path(scen, grid)
     free = _free_block(scen, grid, False)
-    res, final = _path_solve(scen, model, False, init.q[free].ravel(),
+    init = linear_interpolation_path(scen, grid).q[free].ravel()
+    res, final = _path_solve(scen, model, False, init,
                              _diffusion_preconditioner(scen, model, False))
     return OptimalPath(path=final, rate_value=res.f,
                        gradient_norm=float(np.max(np.abs(res.grad))) if res.grad.size else 0.0,

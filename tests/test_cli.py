@@ -87,6 +87,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="unknown key: run.mode"):
             parse_config(text)
 
+    def test_run_out_rejected_as_unknown(self, tmp_path):
+        # the output directory is --out's alone
+        text = make_config(tmp_path, **{"run.out": "elsewhere"}).read_text()
+        with pytest.raises(ConfigError, match="unknown key: run.out"):
+            parse_config(text)
+
     @pytest.mark.parametrize("key, value", [("run.eps", -0.1),
                                             ("run.eps_grid", [-0.1, 0.1])])
     def test_negative_eps_rejected(self, tmp_path, key, value):
@@ -492,6 +498,40 @@ class TestSubcommands:
         assert f"shockld {subcommand}" in err and "scenario.delta" in err
         assert "probability 0" in err
         assert not (out / "reports.csv").exists()
+
+    @pytest.mark.parametrize("subcommand, eps", [("is", 0.005), ("is", 0.007),
+                                                 ("sweep-eps", 0.007)])
+    def test_underflowed_moments_refused(self, tmp_path, capsys, subcommand,
+                                         eps):
+        # benchmark ball, K = 4000, seed 3: every hit's p^2 is below the
+        # smallest normal float, so std, the interval and rel_error lost
+        # precision (at 0.005 they read 0: a zero-width interval).  The
+        # sweep's point at 0.01 alone would be written; no row is
+        cfg_path = make_config(
+            tmp_path, **{"run.K": 4000, "run.seed": 3, "run.eps": eps,
+                         "run.eps_grid": [0.01, eps],
+                         "run.estimators": ["mc", "is-delta"]})
+        out = tmp_path / "out"
+        assert main([subcommand, "--config", str(cfg_path),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"shockld {subcommand}: builtins."
+                              f"FloatingPointError: is-delta at eps {eps}: ")
+        assert "below the smallest normal float" in err
+        assert not (out / "reports.csv").exists()
+
+    def test_row_written_where_no_hit_underflows(self, tmp_path):
+        # the same run at eps 0.01: no hit's p^2 is subnormal, and the row
+        # keeps its bytes
+        cfg_path = make_config(
+            tmp_path, **{"run.K": 4000, "run.seed": 3, "run.eps": 0.01})
+        out = tmp_path / "out"
+        assert main(["is", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert (out / "reports.csv").read_bytes().splitlines()[1] == (
+            b"2,0.01,is-delta,9.516794690569625e-81,5.5532372447024295e-80,"
+            b"7.2338805400997504e-81,1.1799708841039501e-80,"
+            b"5.8351970650425393,4000,3,false")
 
     def test_sweep_T(self, tmp_path):
         cfg_path = make_config(

@@ -18,8 +18,8 @@ from shockld.diagnostics import wave_centers
 from shockld.fluxes import drift
 from shockld.grid import SpaceTimeGrid, WaveSpec
 from shockld.montecarlo import (epsilon_sweep, reduce_chunks, run_basic_mc,
-                                run_estimators, run_importance_sampling,
-                                sample_stream, sample_terminal_states)
+                                run_importance_sampling, sample_stream,
+                                sample_terminal_states)
 from shockld.noise import build_noise_model, unwhiten
 from shockld.optimize import (RareEventSpec, boundary_edges, initial_values,
                               target_values)
@@ -68,13 +68,14 @@ def girsanov_log_weights(z, h, eps, grid):
 def chunked_report(p, eps, hits):
     """The report of the per-sample values p, their moments summed the
     kernel's way: np.sum of p and of p^2 over each chunk of _CHUNK samples,
-    then the chunks' sums in index order."""
+    then the chunks' sums in index order.  No hit's p^2 underflows at the
+    eps these tests run, so the underflow count is 0."""
     total = squares = 0.0
     for lo in range(0, p.size, montecarlo._CHUNK):
         chunk = p[lo:lo + montecarlo._CHUNK]
         total += float(np.sum(chunk))
         squares += float(np.sum(chunk * chunk))
-    return montecarlo._report((hits, total, squares), p.size, eps)
+    return montecarlo._report((hits, total, squares, 0), p.size, eps)
 
 
 def stream_draws(grid, K, seed, run_key):
@@ -127,7 +128,7 @@ def report_bits(rep):
     floats = np.array([rep.estimate, rep.std, rep.ci_low, rep.ci_high,
                        rep.relative_error, rep.epsilon])
     return (floats.view(np.int64).tolist(), rep.K, rep.hits,
-            rep.flagged_saturated)
+            rep.underflowed_hits, rep.flagged_saturated)
 
 
 def unblocked_weights(model, eps, K, forcing, seed, run_key):
@@ -375,6 +376,32 @@ class TestImportanceSampling:
         with pytest.raises(ValueError):
             run_importance_sampling(ball_scen, exp_model, 0.0, 10, zero, seed=1)
 
+    @pytest.mark.parametrize("certain", [True, False])
+    def test_underflowed_hits_counted(self, certain, wave, certain_scen,
+                                      exp_model, table1_grid, monkeypatch):
+        # hand-made log-weights, cycling per chunk: exp(-400)^2 underflows
+        # to 0, exp(-300)^2 = 2.7e-261 does not, and exp(-800) is itself 0.
+        # Only hits count: on the partial ball every weight is -400, so the
+        # count is the hit count.  The workers are forked, so they see the
+        # patched _log_weights.
+        cycle = [-400.0, -300.0, -800.0] if certain else [-400.0]
+        monkeypatch.setattr(montecarlo, "_CHUNK", 7)
+        monkeypatch.setattr(montecarlo, "_log_weights",
+                            lambda zh, *args: np.resize(cycle, zh.shape))
+        scen = certain_scen if certain else \
+            RareEventSpec("displacement", wave, x0=1.0, delta=2.0)
+        zero = np.zeros((table1_grid.N, exp_model.size))
+        rep = run_importance_sampling(scen, exp_model, 0.3, 10, zero, seed=2)
+        assert math.exp(-300.0) ** 2 >= np.finfo(float).tiny > \
+            math.exp(-400.0) ** 2
+        if certain:  # chunks of 7 and 3: (-400, -800) five times and twice
+            assert rep.hits == 10 and rep.underflowed_hits == 7
+        else:
+            assert 0 < rep.hits < 10
+            assert rep.underflowed_hits == rep.hits
+        mc = run_basic_mc(scen, exp_model, 0.3, 10, seed=2)
+        assert mc.underflowed_hits == 0
+
 
 class TestEpsilonSweep:
     def test_single_eps_reduces_to_runners(self, ball_scen, exp_model,
@@ -464,7 +491,7 @@ class TestEpsilonSweep:
         with pytest.raises(ValueError, match="estimators must be nonempty"):
             epsilon_sweep(ball_scen, exp_model, [0.1], 10, [], seed=1)
         with pytest.raises(ValueError, match="forcings must be nonempty"):
-            run_estimators(ball_scen, exp_model, 0.1, 10, [], seed=1)
+            montecarlo._score(ball_scen, exp_model, 10, 1, 0, [0.1], [])
 
     def test_every_eps_checked_before_the_kernel_starts(
             self, ball_scen, exp_model, ball_exp_opt, monkeypatch):
@@ -531,8 +558,8 @@ class TestInputChecks:
             sample_terminal_states(ball_scen, exp_model, 0.15, 5, seed=1,
                                    forcing=bad)
         with pytest.raises(ValueError, match="shape"):
-            run_estimators(ball_scen, exp_model, 0.15, 5,
-                           [None, np.zeros(shape[::-1])], seed=1)
+            montecarlo._score(ball_scen, exp_model, 5, 1, 0, [0.15],
+                              [None, np.zeros(shape[::-1])])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_forcing_refused(self, ball_scen, exp_model,
@@ -543,7 +570,7 @@ class TestInputChecks:
             sample_terminal_states(ball_scen, exp_model, 0.15, 5, seed=1,
                                    forcing=h)
         with pytest.raises(ValueError, match="forcing entries must be finite"):
-            run_estimators(ball_scen, exp_model, 0.15, 5, [None, h], seed=1)
+            montecarlo._score(ball_scen, exp_model, 5, 1, 0, [0.15], [None, h])
 
     def test_k_at_least_one(self, ball_scen, exp_model):
         with pytest.raises(ValueError, match="K must be at least 1"):
@@ -581,6 +608,7 @@ class TestInputChecks:
                      "relative_error", "epsilon"):
             assert type(getattr(rep, name)) is float, name
         assert type(rep.K) is int and type(rep.hits) is int
+        assert type(rep.underflowed_hits) is int
         assert type(rep.flagged_saturated) is bool
 
     def test_importance_sampling_checked(self, certain_scen, exp_model,
@@ -626,8 +654,7 @@ class TestKernelLayout:
             monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
         K, eps = 17, 0.15
         ref = row_major_kernel(scen, model, eps, K, 31, 2, [None, h])
-        reports = run_estimators(scen, model, eps, K, [None, h], seed=31,
-                                 run_key=2)
+        reports = montecarlo._score(scen, model, K, 31, 2, [eps], [None, h])[0]
         assert [report_bits(r) for r in reports] == \
             [report_bits(chunked_report(p, eps, hits)) for p, hits, _ in ref]
         assert 0 < reports[0].hits < K
@@ -830,7 +857,7 @@ class TestKernelBuffers:
         monkeypatch.setattr(montecarlo, "_cpus", lambda: 2)
         tracemalloc.start()
         try:
-            run_estimators(ball_scen, exp_model, 0.1, K, forcings, seed=1)
+            montecarlo._score(ball_scen, exp_model, K, 1, 0, [0.1], forcings)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -941,7 +968,7 @@ class TestKernelBuffers:
         monkeypatch.setattr(montecarlo, "_cpus", lambda: 2)
         monkeypatch.setattr(fluxes, "drift", counting)
         forcings = [None, pinned_exp_opt.forcing, ball_exp_opt.forcing]
-        run_estimators(ball_scen, exp_model, 0.15, 20, forcings, seed=4)
+        montecarlo._score(ball_scen, exp_model, 20, 4, 0, [0.15], forcings)
         calls = {}
         for line in log.read_text().splitlines():
             pid, *shape = map(int, line.split())
@@ -975,8 +1002,8 @@ class TestBlasThreads:
             "rng = np.random.default_rng(12)",
             "h = [0.002 * rng.standard_normal((grid.N, grid.M - 2))"
             " for _ in range(2)]",
-            "for rep in montecarlo.run_estimators(scen, model, 0.15, 20,"
-            " [None] + h, seed=31):",
+            "for rep in montecarlo._score(scen, model, 20, 31, 0, [0.15],"
+            " [None] + h)[0]:",
             "    print(repr(rep))",
         ])
         outs = [subprocess.run([sys.executable, "-c", code], check=True,
@@ -1021,8 +1048,8 @@ class TestStreams:
         K, eps = 30, 0.15
 
         def outputs():
-            return (run_estimators(ball_scen, model, eps, K, forcings,
-                                   seed=21, run_key=3),
+            return (montecarlo._score(ball_scen, model, K, 21, 3, [eps],
+                                      forcings)[0],
                     sample_terminal_states(ball_scen, model, eps, K,
                                            seed=21, forcing=ball_exp_opt.forcing))
 
@@ -1057,8 +1084,8 @@ class TestStreams:
         for workers in (1, 2, 3):
             monkeypatch.setattr(montecarlo, "_cpus", lambda: workers)
             assert montecarlo.kernel_workers(30) == workers
-            reports = [run_estimators(scen, model, 0.15, 30, forcings,
-                                      seed=21, run_key=3)
+            reports = [montecarlo._score(scen, model, 30, 21, 3, [0.15],
+                                         forcings)[0]
                        for scen in (ball_scen, certain_scen)]
             rows = sample_terminal_states(ball_scen, model, 0.15, 30, seed=21,
                                           forcing=ball_exp_opt.forcing)
@@ -1100,8 +1127,8 @@ class TestStreams:
         for slow in (False, True):
             logged_chunks = []
             log.write_text("")
-            reports = run_estimators(ball_scen, exp_model, 0.15, 70,
-                                     [None, ball_exp_opt.forcing], seed=9)
+            reports = montecarlo._score(ball_scen, exp_model, 70, 9, 0, [0.15],
+                                        [None, ball_exp_opt.forcing])[0]
             logged_chunks.append(log.read_text())
             log.write_text("")
             sweep = epsilon_sweep(ball_scen, exp_model, [0.15, 0.2], 70,
@@ -1142,7 +1169,8 @@ class TestStreams:
         monkeypatch.setattr(montecarlo, "_stream_states", failing)
         with pytest.raises(RuntimeError, match="^draw failed$"):
             if consumer == "estimators":
-                run_estimators(ball_scen, exp_model, 0.15, 20, [None], seed=1)
+                montecarlo._score(ball_scen, exp_model, 20, 1, 0, [0.15],
+                                  [None])
             else:
                 for _ in montecarlo._simulate(ball_scen, exp_model, 20, 1, 0,
                                               [0.15], [None],
@@ -1163,7 +1191,7 @@ class TestStreams:
                             lambda scen, grid: np.append(target(scen, grid), 0))
         with pytest.raises(ValueError,
                            match="^operands could not be broadcast together"):
-            run_estimators(ball_scen, exp_model, 0.15, 20, [None], seed=1)
+            montecarlo._score(ball_scen, exp_model, 20, 1, 0, [0.15], [None])
         assert_no_child_process()
 
     def test_unpicklable_worker_failure_keeps_type_and_message(
