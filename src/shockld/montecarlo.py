@@ -513,15 +513,14 @@ def run_importance_sampling(scen: RareEventSpec, model: NoiseModel, eps: float,
 
 
 def sample_terminal_states(scen: RareEventSpec, model: NoiseModel, eps: float,
-                           K: int, seed: int, run_key: int = 0,
-                           forcing: np.ndarray | None = None) -> np.ndarray:
-    """Terminal slices of K noisy trajectories, shape (K, M).
+                           K: int, seed: int, run_key: int = 0) -> np.ndarray:
+    """Terminal slices of K untilted noisy trajectories, shape (K, M).
 
     The workers send each chunk's slices and the caller files them by
     chunk.  A caller that needs only a few numbers per chunk has the
     workers reduce the slices with reduce_chunks instead.
     """
-    forcings = _checked(K, [eps], [forcing], model)
+    forcings = _checked(K, [eps], [None], model)
     slices = np.empty((K, model.grid.M))
     for start, [[q]] in _simulate(scen, model, K, seed, run_key, [eps],
                                   forcings, lambda q, logw: q):

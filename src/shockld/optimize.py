@@ -22,8 +22,11 @@ Optimization, 2006, sec. 7.2; E, Ren & Vanden-Eijnden, CPAM 57, 2004).  In
 the sine basis of the free columns, with C^{-1} replaced by its diagonal in
 that basis, its Hessian splits into one tridiagonal system in time per mode;
 h0 is exact for identity noise with width-1 boundaries.
-Without it, exponential noise makes the solve ill-conditioned through C^{-1}
-and the iteration count grows five- to sixfold with each halving of dx.
+With the scalar initial matrix s'y / y'y it replaced, exponential noise made
+the solve ill-conditioned through C^{-1}, and the iteration count grew five-
+to sixfold with each halving of dx.  h0 is the engine's one initial matrix;
+every solve stops at ||grad||_inf <= GTOL_REL max(1, I), and a non-descent
+direction or a failed line search restarts it from h0, once per iteration.
 
 Also provides the two analytic test paths used for upper bounds (linearly
 shifted profile, linear interpolation of the endpoint profiles) and a
@@ -248,20 +251,19 @@ def _strong_wolfe(evaluate, f0, d0):
     return None
 
 
-def minimize_smooth(fun_grad, x0: np.ndarray, gtol: float,
-                    h0=None) -> MinimizeResult:
+def minimize_smooth(fun_grad, x0: np.ndarray, h0) -> MinimizeResult:
     """Limited-memory BFGS with a strong Wolfe line search.
 
-    fun_grad(x) -> (f, g).  Stops when ||g||_inf <= gtol max(1, f), relative
-    to f once f exceeds 1, or after MAX_ITER iterations.  The search
+    fun_grad(x) -> (f, g).  Stops when ||g||_inf <= GTOL_REL max(1, f),
+    relative to f once f exceeds 1, or after MAX_ITER iterations.  The search
     direction comes from the two-loop recursion over the last _MEMORY
-    curvature pairs (Nocedal & Wright, Numerical Optimization, 2006, ch. 7).
-    h0(v), when given, applies a fixed symmetric positive definite initial
-    inverse Hessian: the two-loop recursion uses it unscaled, and every
-    restart steps along -h0(g).  With h0 = None the initial matrix is the
-    scalar s'y / y'y of the newest pair and restarts use -g.  Raises
-    ValueError as soon as fun_grad returns a non-finite f, at x0 or during a
-    line search.  Every accepted step satisfies sufficient decrease along a
+    curvature pairs on the fixed symmetric positive definite initial inverse
+    Hessian h0(v), used unscaled (Nocedal & Wright, Numerical Optimization,
+    2006, ch. 7).  A direction that is not a descent direction, or whose line
+    search fails, drops the pairs once per iteration and the iteration
+    retries along -h0(g); a failed retry ends the solve.  Raises ValueError
+    as soon as fun_grad returns a non-finite f, at x0 or during a line
+    search.  Every accepted step satisfies sufficient decrease along a
     descent direction, so f never increases and the last iterate is the best
     one.  The result counts every call of fun_grad in `evaluations`.
     """
@@ -272,6 +274,14 @@ def minimize_smooth(fun_grad, x0: np.ndarray, gtol: float,
     if not np.isfinite(f):
         raise ValueError("objective is not finite at the initial point")
 
+    def evaluate(alpha):  # f, g and slope at x + alpha p
+        nonlocal evaluations
+        evaluations += 1
+        fa, ga = fun_grad(x + alpha * p)
+        if not np.isfinite(fa):
+            raise ValueError("objective is not finite during the line search")
+        return fa, ga, float(ga @ p)
+
     pairs: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=_MEMORY)
 
     message = "converged"
@@ -279,35 +289,17 @@ def minimize_smooth(fun_grad, x0: np.ndarray, gtol: float,
     k = 0
     while k < MAX_ITER:
         gnorm = float(np.max(np.abs(g))) if n else 0.0
-        if gnorm <= gtol * max(1.0, f):
+        if gnorm <= GTOL_REL * max(1.0, f):
             break
-        p = _two_loop_direction(g, pairs, h0)
-        d0 = float(p @ g)
-        restarted = d0 >= 0
-        if restarted:  # stale curvature; restart from the initial matrix
-            pairs.clear()
+        for restart in (False, True):
+            if restart:  # stale curvature (flux kinks): restart from h0
+                pairs.clear()
             p = _two_loop_direction(g, pairs, h0)
             d0 = float(p @ g)
-
-        def make_eval(x, p):
-            def evaluate(alpha):
-                nonlocal evaluations
-                evaluations += 1
-                fa, ga = fun_grad(x + alpha * p)
-                if not np.isfinite(fa):
-                    raise ValueError(
-                        "objective is not finite during the line search")
-                return fa, ga, float(ga @ p)
-            return evaluate
-
-        ls = _strong_wolfe(make_eval(x, p), f, d0)
-        if ls is None and not restarted:
-            # quasi-Newton direction stalled (flux kinks); retry restarted
-            pairs.clear()
-            p = _two_loop_direction(g, pairs, h0)
-            d0 = float(p @ g)
-            ls = _strong_wolfe(make_eval(x, p), f, d0)
-        if ls is None:
+            ls = _strong_wolfe(evaluate, f, d0) if restart or d0 < 0 else None
+            if ls is not None:
+                break
+        else:
             message = "line search failed; best iterate returned"
             converged = False
             break
@@ -332,7 +324,7 @@ def minimize_smooth(fun_grad, x0: np.ndarray, gtol: float,
 def _two_loop_direction(g: np.ndarray, pairs, h0) -> np.ndarray:
     """-H g for the L-BFGS matrix H built on h0 from the stored pairs.
 
-    With no pairs this is -h0(g), or -g when h0 is None.
+    With no pairs this is -h0(g).
     """
     q = g.copy()
     alphas = []
@@ -340,11 +332,7 @@ def _two_loop_direction(g: np.ndarray, pairs, h0) -> np.ndarray:
         a = rho * float(s @ q)
         alphas.append(a)
         q -= a * y
-    if h0 is not None:
-        q = h0(q)
-    elif pairs:
-        s, y, _ = pairs[-1]
-        q *= float(s @ y) / float(y @ y)
+    q = h0(q)
     for (s, y, rho), a in zip(pairs, reversed(alphas)):
         b = rho * float(y @ q)
         q += (a - b) * s
@@ -471,7 +459,7 @@ def _path_solve(scen: RareEventSpec, model: NoiseModel, free_terminal: bool,
             g[-u.size:] = scale * (g_term - float(u @ g_term) * u)
         return value, g
 
-    res = minimize_smooth(fun_grad, x0, GTOL_REL, h0=h0)
+    res = minimize_smooth(fun_grad, x0, h0)
     place(res.x)
     return res, PathMatrix(work.copy(), grid, scen.wave)
 

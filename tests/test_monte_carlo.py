@@ -124,6 +124,16 @@ def row_major_kernel(scen, model, eps, K, seed, run_key, forcings):
     return out
 
 
+def tilted_slices(scen, model, eps, K, seed, run_key, h):
+    """The kernel's (K, M) terminal slices tilted by the forcing h, filed by
+    chunk from montecarlo._simulate."""
+    slices = np.empty((K, model.grid.M))
+    for start, [[q]] in montecarlo._simulate(scen, model, K, seed, run_key,
+                                             [eps], [h], lambda q, logw: q):
+        slices[start:start + len(q)] = q
+    return slices
+
+
 def report_bits(rep):
     floats = np.array([rep.estimate, rep.std, rep.ci_low, rep.ci_high,
                        rep.relative_error, rep.epsilon])
@@ -545,18 +555,16 @@ class TestTerminalStates:
 class TestInputChecks:
     def test_forcing_given_as_list(self, ball_scen, exp_model, ball_exp_opt):
         h = ball_exp_opt.forcing
-        a = sample_terminal_states(ball_scen, exp_model, 0.15, 9, seed=2,
-                                   forcing=h)
-        b = sample_terminal_states(ball_scen, exp_model, 0.15, 9, seed=2,
-                                   forcing=h.tolist())
-        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+        a, b = montecarlo._score(ball_scen, exp_model, 9, 2, 0, [0.15],
+                                 [h, h.tolist()])[0]
+        assert report_bits(a) == report_bits(b)
 
     def test_forcing_shape_checked(self, ball_scen, exp_model, table1_grid):
         shape = (table1_grid.N, table1_grid.M - 2)
         bad = np.zeros((table1_grid.N, table1_grid.M))
         with pytest.raises(ValueError, match=re.escape(f"(N, M-2) = {shape}")):
-            sample_terminal_states(ball_scen, exp_model, 0.15, 5, seed=1,
-                                   forcing=bad)
+            run_importance_sampling(ball_scen, exp_model, 0.15, 5, bad,
+                                    seed=1)
         with pytest.raises(ValueError, match="shape"):
             montecarlo._score(ball_scen, exp_model, 5, 1, 0, [0.15],
                               [None, np.zeros(shape[::-1])])
@@ -567,8 +575,8 @@ class TestInputChecks:
         h = np.zeros((table1_grid.N, table1_grid.M - 2))
         h[3, 7] = bad
         with pytest.raises(ValueError, match="forcing entries must be finite"):
-            sample_terminal_states(ball_scen, exp_model, 0.15, 5, seed=1,
-                                   forcing=h)
+            run_importance_sampling(ball_scen, exp_model, 0.15, 5, h,
+                                    seed=1)
         with pytest.raises(ValueError, match="forcing entries must be finite"):
             montecarlo._score(ball_scen, exp_model, 5, 1, 0, [0.15], [None, h])
 
@@ -658,9 +666,10 @@ class TestKernelLayout:
         assert [report_bits(r) for r in reports] == \
             [report_bits(chunked_report(p, eps, hits)) for p, hits, _ in ref]
         assert 0 < reports[0].hits < K
-        for h_i, (_, _, q_ref) in zip([None, h], ref):
-            q = sample_terminal_states(scen, model, eps, K, seed=31,
-                                       run_key=2, forcing=h_i)
+        slices = [sample_terminal_states(scen, model, eps, K, seed=31,
+                                         run_key=2),
+                  tilted_slices(scen, model, eps, K, 31, 2, h)]
+        for q, (_, _, q_ref) in zip(slices, ref):
             assert np.array_equal(q.view(np.int64), q_ref.view(np.int64))
 
 
@@ -683,8 +692,14 @@ class TestSampleBlocks:
         h = forcing if tilted else None
         K, eps = 17, 0.15
         reference = initial_values(ball_scen, grid)
-        terminals = sample_terminal_states(ball_scen, model, eps, K, seed=8,
-                                           run_key=1, forcing=h)
+
+        def slices():  # the untilted sampler's, or the kernel's tilted ones
+            if h is None:
+                return sample_terminal_states(ball_scen, model, eps, K,
+                                              seed=8, run_key=1)
+            return tilted_slices(ball_scen, model, eps, K, 8, 1, h)
+
+        terminals = slices()
         centers = wave_centers(
             sample_terminal_states(ball_scen, model, eps, K, seed=8),
             reference, wave, grid.dx)
@@ -694,8 +709,7 @@ class TestSampleBlocks:
         monkeypatch.setattr(montecarlo, "_cpus", lambda: workers)
         assert montecarlo.kernel_workers(K) == min(workers, -(-K // (
             chunk or montecarlo._CHUNK)))
-        rows = sample_terminal_states(ball_scen, model, eps, K, seed=8,
-                                      run_key=1, forcing=h)
+        rows = slices()
         assert np.array_equal(rows.view(np.int64), terminals.view(np.int64))
         kept = np.concatenate(reduce_chunks(
             ball_scen, model, eps, K, 8,
@@ -1050,8 +1064,8 @@ class TestStreams:
         def outputs():
             return (montecarlo._score(ball_scen, model, K, 21, 3, [eps],
                                       forcings)[0],
-                    sample_terminal_states(ball_scen, model, eps, K,
-                                           seed=21, forcing=ball_exp_opt.forcing))
+                    tilted_slices(ball_scen, model, eps, K, 21, 0,
+                                  ball_exp_opt.forcing))
 
         reports, terminals = outputs()
         values = row_major_kernel(ball_scen, model, eps, K, 21, 3, forcings)
@@ -1087,8 +1101,8 @@ class TestStreams:
             reports = [montecarlo._score(scen, model, 30, 21, 3, [0.15],
                                          forcings)[0]
                        for scen in (ball_scen, certain_scen)]
-            rows = sample_terminal_states(ball_scen, model, 0.15, 30, seed=21,
-                                          forcing=ball_exp_opt.forcing)
+            rows = tilted_slices(ball_scen, model, 0.15, 30, 21, 0,
+                                 ball_exp_opt.forcing)
             sweep = epsilon_sweep(ball_scen, model, [0.1, 0.15, 0.2], 30,
                                   ["mc", "is0", "is-delta"], seed=21,
                                   forcing_pinned=pinned_exp_opt.forcing,

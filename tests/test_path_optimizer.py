@@ -116,19 +116,25 @@ class TestScenario:
         assert np.array_equal(q[-1], target_values(scen, table1_grid))
 
 
+def identity(v):
+    return v
+
+
 class TestEngine:
-    def test_quadratic_limited_memory(self):
+    def test_quadratic_limited_memory(self, monkeypatch):
+        # A >= 12 I: h0 = I / 12 is at the problem's scale
         rng = np.random.default_rng(20)
         A = rng.standard_normal((12, 12))
         A = A @ A.T + 12 * np.eye(12)
         b = rng.standard_normal(12)
         fun = lambda x: (0.5 * x @ A @ x - b @ x, A @ x - b)
         x_star = np.linalg.solve(A, b)
-        res = minimize_smooth(fun, np.zeros(12), gtol=1e-10)
+        monkeypatch.setattr(optimize, "GTOL_REL", 1e-10)
+        res = minimize_smooth(fun, np.zeros(12), lambda v: v / 12)
         assert res.converged
         assert np.allclose(res.x, x_star, atol=1e-7)
 
-    def test_ill_conditioned_quadratic_past_memory(self):
+    def test_ill_conditioned_quadratic_past_memory(self, monkeypatch):
         # condition number 1e4 in 60 variables needs far more iterations
         # than the 20 stored curvature pairs, so the oldest are dropped.
         # f is written in the error e = x - x* so that its rounding shrinks
@@ -142,13 +148,14 @@ class TestEngine:
             Ae = A @ (x - x_star)
             return 0.5 * float((x - x_star) @ Ae), Ae
 
-        res = minimize_smooth(fun, np.zeros(60), gtol=1e-10)
+        monkeypatch.setattr(optimize, "GTOL_REL", 1e-10)
+        res = minimize_smooth(fun, np.zeros(60), identity)
         assert res.converged
         assert res.iterations > 20
         assert np.max(np.abs(res.grad)) <= 1e-10
         assert np.allclose(res.x, x_star, rtol=0, atol=1e-9)
 
-    def test_exact_inverse_hessian_takes_one_unit_step(self):
+    def test_exact_inverse_hessian_takes_one_unit_step(self, monkeypatch):
         rng = np.random.default_rng(12)
         A = rng.standard_normal((12, 12))
         A = A @ A.T + 12 * np.eye(12)
@@ -158,27 +165,29 @@ class TestEngine:
             Ae = A @ (x - x_star)
             return 0.5 * float((x - x_star) @ Ae), Ae
 
-        res = minimize_smooth(fun, np.zeros(12), gtol=1e-10,
-                              h0=lambda v: np.linalg.solve(A, v))
+        monkeypatch.setattr(optimize, "GTOL_REL", 1e-10)
+        res = minimize_smooth(fun, np.zeros(12),
+                              lambda v: np.linalg.solve(A, v))
         assert res.converged
         assert res.iterations == 1
         assert res.evaluations == 2  # x0 and the accepted unit step
         assert np.allclose(res.x, x_star, rtol=0, atol=1e-12)
 
-    def test_stops_on_gradient_relative_to_objective(self):
-        # f* = 5: the rule ||g||_inf <= gtol max(1, f) stops a start whose
-        # gradient 3e-6 is within 5e-6 at once, the offset-free objective
-        # takes a step, and so does a start at gradient 6e-6
+    def test_stops_on_gradient_relative_to_objective(self, monkeypatch):
+        # f* = 5: the rule ||g||_inf <= GTOL_REL max(1, f) stops a start
+        # whose gradient 3e-6 is within 5e-6 at once, the offset-free
+        # objective takes a step, and so does a start at gradient 6e-6
         x0 = np.array([3e-6, -1e-6, 0.0])
 
         def shifted(offset):
             return lambda x: (offset + 0.5 * float(x @ x), x.copy())
 
-        res = minimize_smooth(shifted(5.0), x0, gtol=1e-6)
+        monkeypatch.setattr(optimize, "GTOL_REL", 1e-6)
+        res = minimize_smooth(shifted(5.0), x0, identity)
         assert res.converged and res.iterations == 0 and res.evaluations == 1
-        res = minimize_smooth(shifted(0.0), x0, gtol=1e-6)
+        res = minimize_smooth(shifted(0.0), x0, identity)
         assert res.converged and res.iterations == 1
-        res = minimize_smooth(shifted(5.0), 2.0 * x0, gtol=1e-6)
+        res = minimize_smooth(shifted(5.0), 2.0 * x0, identity)
         assert res.converged and res.iterations == 1
         assert np.max(np.abs(res.grad)) <= 1e-6 * max(1.0, res.f)
 
@@ -209,27 +218,61 @@ class TestEngine:
             return out
 
         monkeypatch.setattr(optimize, "_strong_wolfe", flaky)
-        res = minimize_smooth(fun, np.array([1.0, -2.0, 0.5, 1.5]),
-                              gtol=1e-10, h0=h0)
+        monkeypatch.setattr(optimize, "GTOL_REL", 1e-10)
+        res = minimize_smooth(fun, np.array([1.0, -2.0, 0.5, 1.5]), h0)
         assert res.converged
         x1 = starts[0]
         assert np.array_equal(first_trials[1], x1 - h0(A @ x1))
 
-    def test_rosenbrock(self):
+    def test_non_descent_direction_restarts_along_h0(self, monkeypatch):
+        # turn the first direction built on stored pairs uphill: the engine
+        # must drop its curvature pairs without searching along it and
+        # search along -h0(g) from the same point, trying its unit step first
+        A = np.diag([1.0, 3.0, 10.0, 30.0]) + 0.5
+        h0 = lambda v: v / np.diag(A)
+        evaluated = []  # (x, g) per call of fun
+
+        def fun(x):
+            g = A @ x
+            evaluated.append((x.copy(), g))
+            return 0.5 * float(x @ A @ x), g
+
+        real = optimize._two_loop_direction
+        held, flips = [], []  # pairs held per call; (call, x, g, calls of fun)
+
+        def uphill(g, pairs, h0):
+            held.append(len(pairs))
+            p = real(g, pairs, h0)
+            if pairs and not flips:
+                x = next(x for x, gx in evaluated if gx is g)
+                flips.append((len(held) - 1, x, g, len(evaluated)))
+                return -p
+            return p
+
+        monkeypatch.setattr(optimize, "_two_loop_direction", uphill)
+        monkeypatch.setattr(optimize, "GTOL_REL", 1e-10)
+        res = minimize_smooth(fun, np.array([1.0, -2.0, 0.5, 1.5]), h0)
+        assert res.converged
+        call, x, g, n = flips[0]
+        assert held[call] > 0 and held[call + 1] == 0
+        assert np.array_equal(evaluated[n][0], x - h0(g))
+
+    def test_rosenbrock(self, monkeypatch):
         def fun(x):
             f = 100 * (x[1] - x[0] ** 2) ** 2 + (1 - x[0]) ** 2
             g = np.array([-400 * x[0] * (x[1] - x[0] ** 2) - 2 * (1 - x[0]),
                           200 * (x[1] - x[0] ** 2)])
             return f, g
 
-        res = minimize_smooth(fun, np.array([-1.2, 1.0]), gtol=1e-9)
+        monkeypatch.setattr(optimize, "GTOL_REL", 1e-9)
+        res = minimize_smooth(fun, np.array([-1.2, 1.0]), identity)
         assert res.converged
         assert np.allclose(res.x, [1.0, 1.0], atol=1e-6)
 
     def test_nonfinite_start_raises(self):
         fun = lambda x: (float("nan"), x)
         with pytest.raises(ValueError):
-            minimize_smooth(fun, np.ones(3), gtol=1e-8)
+            minimize_smooth(fun, np.ones(3), identity)
 
     def test_nonfinite_during_line_search_raises(self):
         # finite at x0 = 1, NaN once any coordinate drops below 0.5: the
@@ -240,7 +283,7 @@ class TestEngine:
 
         assert np.isfinite(fun(np.ones(3))[0])
         with pytest.raises(ValueError, match="line search"):
-            minimize_smooth(fun, np.ones(3), gtol=1e-8)
+            minimize_smooth(fun, np.ones(3), identity)
 
 
 class TestMinimizePinned:
